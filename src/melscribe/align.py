@@ -1,16 +1,17 @@
-"""Beat-grid refinement and beat-to-time interpolation.
+"""Beat-grid refinement and the piecewise-linear beat<->time mapping.
 
 A detected beat grid (times plus downbeat flags, typically from an
 external beat tracker) is refined against a segment's rough start time
 into an alignment map: times for beats 0..B, with entry B extrapolated
 so the final beat has a duration.  Fractional beat positions interpolate
-linearly between entries.
+linearly between entries (``align``); ``beat_position`` inverts that.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from .errors import (
     OrderingError,
     RangeError,
 )
+from .jsonio import read_json
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,9 +60,15 @@ class BeatGrid:
     def from_json_dict(cls, obj: dict) -> "BeatGrid":
         if not isinstance(obj, dict) or set(obj) != {"beats_s", "downbeats"}:
             raise FormatError('beat grid JSON must have exactly "beats_s" and "downbeats"')
-        times = np.asarray(obj["beats_s"], dtype=np.float64)
+        try:
+            times = np.asarray(obj["beats_s"], dtype=np.float64)
+            downbeats = list(obj["downbeats"])
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"beat grid JSON: {exc}") from exc
+        if times.ndim != 1:
+            raise FormatError('beat grid "beats_s" must be a list of numbers')
         flags = np.zeros(len(times), dtype=bool)
-        for i in obj["downbeats"]:
+        for i in downbeats:
             if not isinstance(i, int) or not 0 <= i < len(times):
                 raise FormatError(f"downbeat index {i!r} outside the beat list")
             flags[i] = True
@@ -94,7 +102,11 @@ class AlignmentMap:
     def from_json_dict(cls, obj: dict) -> "AlignmentMap":
         if not isinstance(obj, dict) or set(obj) != {"beat_to_time_s"}:
             raise FormatError('alignment JSON must have exactly "beat_to_time_s"')
-        return cls(np.asarray(obj["beat_to_time_s"], dtype=np.float64))
+        try:
+            times = np.asarray(obj["beat_to_time_s"], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"alignment JSON: {exc}") from exc
+        return cls(times)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -103,12 +115,7 @@ class AlignmentMap:
 
     @classmethod
     def load(cls, path) -> "AlignmentMap":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"alignment JSON malformed: {exc}") from exc
-        return cls.from_json_dict(obj)
+        return cls.from_json_dict(read_json(path))
 
 
 def refine_alignment(grid: BeatGrid, user_start_s: float, num_beats: int) -> AlignmentMap:
@@ -147,19 +154,32 @@ def refine_alignment(grid: BeatGrid, user_start_s: float, num_beats: int) -> Ali
     return AlignmentMap(np.concatenate([mapped, [tail]]))
 
 
-def align(amap: AlignmentMap, beat_position: float | Fraction) -> float:
-    """Time of a (possibly fractional) beat position in [0, B]."""
-    b = float(beat_position)
-    if not math.isfinite(b) or b < 0 or b > amap.num_beats:
-        raise RangeError(
-            f"beat position {beat_position} outside [0, {amap.num_beats}]"
-        )
+def align(
+    amap: AlignmentMap, beats: float | Fraction | np.ndarray
+) -> float | np.ndarray:
+    """Time of (possibly fractional) beat positions in [0, B].
+
+    A scalar position (float, int or Fraction) gives a float; an array of
+    positions gives an array of times of the same shape.
+    """
+    b = np.asarray(beats, dtype=np.float64)
+    bad = ~((b >= 0) & (b <= amap.num_beats))  # NaN compares False
+    if bad.any():
+        first = beats if b.ndim == 0 else b[bad][0]
+        raise RangeError(f"beat position {first} outside [0, {amap.num_beats}]")
+    times = np.interp(b, np.arange(amap.num_beats + 1), amap.beat_to_time_s)
+    return float(times) if b.ndim == 0 else times
+
+
+def beat_position(amap: AlignmentMap, t: float) -> float:
+    """Fractional beat position of a time inside the aligned span; inverts align."""
     times = amap.beat_to_time_s
-    i = int(b)
-    if i == amap.num_beats:
-        return float(times[i])
-    frac = b - i
-    return float(times[i] + frac * (times[i + 1] - times[i]))
+    if not times[0] <= t <= times[-1]:
+        raise RangeError(
+            f"time {t} outside the aligned span {times[0]}..{times[-1]}"
+        )
+    i = min(bisect_right(times, t) - 1, amap.num_beats - 1)
+    return i + (t - times[i]) / (times[i + 1] - times[i])
 
 
 def constant_tempo_grid(

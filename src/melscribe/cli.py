@@ -28,6 +28,7 @@ from .features import (
     save_features,
     save_resampled,
 )
+from .jsonio import read_json
 from .labeler import (
     DESK_CONFIG,
     FULL_CONFIG,
@@ -78,20 +79,20 @@ def _parse_key(text: str) -> KeySignature | None:
 
 
 def _load_chord_changes(path) -> list[tuple[int, ChordSymbol]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+    obj = read_json(path)
     if not isinstance(obj, dict) or set(obj) != {"changes"}:
         raise FormatError(f'{path}: expected an object with exactly "changes"')
+    if not isinstance(obj["changes"], list):
+        raise FormatError(f'{path}: "changes" must be a list')
     changes = []
     for i, entry in enumerate(obj["changes"]):
         if not isinstance(entry, dict) or set(entry) != {"tick", "root", "quality"}:
             raise FormatError(f"{path}: change {i} needs tick, root, quality")
-        changes.append(
-            (int(entry["tick"]), ChordSymbol(PitchClass(entry["root"]), entry["quality"]))
-        )
+        try:
+            tick = int(entry["tick"])
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: change {i} tick is not an integer") from exc
+        changes.append((tick, ChordSymbol(PitchClass(entry["root"]), entry["quality"])))
     return changes
 
 
@@ -122,10 +123,10 @@ def cmd_dataset_convert(args) -> int:
     converted = 0
     rejected = 0
     for path in paths:
-        doc = path.read_text(encoding="utf-8")
         try:
+            doc = path.read_text(encoding="utf-8")
             segment = htparse.parse_segment(doc)
-        except htparse.ParseError as exc:
+        except (htparse.ParseError, UnicodeDecodeError) as exc:
             _info(f"skipped {path.name}: {exc}")
             rejected += 1
             continue
@@ -145,8 +146,9 @@ def cmd_dataset_split(args) -> int:
     seg_paths = sorted(Path(args.dir).glob("*.segment.json"))
     if not seg_paths:
         raise FileNotFoundError(f"no *.segment.json files under {args.dir}")
-    with open(args.artists, "r", encoding="utf-8") as fh:
-        artists = json.load(fh)
+    artists = read_json(args.artists)
+    if not isinstance(artists, dict) or not all(isinstance(a, str) for a in artists.values()):
+        raise FormatError(f"{args.artists}: expected an object mapping segment ids to artists")
     segments = [htparse.load_segment(p) for p in seg_paths]
     try:
         assignment = htparse.stratified_split([s.id for s in segments], artists, args.seed)
@@ -161,12 +163,7 @@ def cmd_dataset_split(args) -> int:
 
 
 def cmd_align_refine(args) -> int:
-    with open(args.grid, "r", encoding="utf-8") as fh:
-        try:
-            grid_obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{args.grid}: invalid JSON: {exc}") from exc
-    grid = BeatGrid.from_json_dict(grid_obj)
+    grid = BeatGrid.from_json_dict(read_json(args.grid))
     amap = refine_alignment(grid, args.start, args.beats)
     amap.save(args.out)
     _emit(

@@ -26,6 +26,7 @@ import numpy as np
 from . import kernels
 from .core import MIDI_MAX, MIDI_MIN, Melody, PerfNote, Pitch
 from .errors import FormatError, InputError, OrderingError, RangeError
+from .jsonio import read_json
 
 DEFAULT_TOL_S = 0.05
 
@@ -204,11 +205,7 @@ def save_transcript(path, melody: Melody) -> None:
 
 def load_transcript(path) -> Melody:
     """Read the JSON interchange list back into a performance melody."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            entries = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+    entries = read_json(path)
     if not isinstance(entries, list):
         raise FormatError(f"{path}: transcript must be a JSON list")
     notes = []

@@ -213,19 +213,20 @@ def logmel(samples: np.ndarray, sample_rate_hz: int) -> FeatureMatrix:
     return FeatureMatrix(rate_hz=SAMPLE_RATE / HOP, frames=out, t0_s=0.0)
 
 
-def save_features(path, feats: FeatureMatrix) -> None:
-    frames = np.ascontiguousarray(feats.frames, dtype=np.float32)
+def _write_ssft(path, frames: np.ndarray, rate_hz: float, t0_s: float) -> None:
+    with np.errstate(over="ignore"):  # a float32 overflow is refused just below
+        frames = np.ascontiguousarray(frames, dtype=np.float32)
     if not np.all(np.isfinite(frames)):
         raise InputError("refusing to write non-finite features")
-    header = _SSFT_HEADER.pack(
-        SSFT_MAGIC, SSFT_VERSION, feats.rate_hz, feats.dim, feats.n_frames, feats.t0_s
-    )
+    n, dim = frames.shape
+    header = _SSFT_HEADER.pack(SSFT_MAGIC, SSFT_VERSION, rate_hz, dim, n, t0_s)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(frames.astype("<f4", copy=False).tobytes())
 
 
-def load_features(path) -> FeatureMatrix:
+def _read_ssft(path, tick_indexed: bool) -> tuple[float, np.ndarray, float]:
+    """(rate_hz, frames, t0_s) of an SSFT file of the expected kind."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _SSFT_HEADER.size:
@@ -235,6 +236,14 @@ def load_features(path) -> FeatureMatrix:
         raise FormatError(f"{path}: bad magic {magic!r}")
     if version != SSFT_VERSION:
         raise FormatError(f"{path}: unsupported SSFT version {version}")
+    if tick_indexed and rate != 0.0:
+        raise FormatError(
+            f"{path} holds fixed-rate frames ({rate} Hz); use load_features"
+        )
+    if not tick_indexed and rate == 0.0:
+        raise FormatError(
+            f"{path} holds tick-indexed rows (rate 0); use load_resampled"
+        )
     expected = _SSFT_HEADER.size + 4 * dim * n
     if len(blob) != expected:
         raise FormatError(
@@ -245,48 +254,25 @@ def load_features(path) -> FeatureMatrix:
     frames = data.reshape(n, dim).copy()
     if not np.all(np.isfinite(frames)):
         raise FormatError(f"{path}: payload contains non-finite values")
-    if rate == 0.0:
-        raise FormatError(
-            f"{path} holds tick-indexed rows (rate 0); use load_resampled"
-        )
+    return rate, frames, t0
+
+
+def save_features(path, feats: FeatureMatrix) -> None:
+    _write_ssft(path, feats.frames, feats.rate_hz, feats.t0_s)
+
+
+def load_features(path) -> FeatureMatrix:
+    rate, frames, t0 = _read_ssft(path, tick_indexed=False)
     return FeatureMatrix(rate_hz=rate, frames=frames, t0_s=t0)
 
 
 def save_resampled(path, resampled: ResampledFeatures) -> None:
     """Write tick-indexed features in the same container, rate 0 as marker."""
-    frames = np.ascontiguousarray(resampled.frames, dtype=np.float32)
-    header = _SSFT_HEADER.pack(
-        SSFT_MAGIC, SSFT_VERSION, 0.0, resampled.dim, resampled.num_ticks, 0.0
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(frames.astype("<f4", copy=False).tobytes())
+    _write_ssft(path, resampled.frames, 0.0, 0.0)
 
 
 def load_resampled(path) -> ResampledFeatures:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _SSFT_HEADER.size:
-        raise FormatError(f"{path}: truncated SSFT header")
-    magic, version, rate, dim, n, _t0 = _SSFT_HEADER.unpack_from(blob)
-    if magic != SSFT_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != SSFT_VERSION:
-        raise FormatError(f"{path}: unsupported SSFT version {version}")
-    if rate != 0.0:
-        raise FormatError(
-            f"{path} holds fixed-rate frames ({rate} Hz); use load_features"
-        )
-    expected = _SSFT_HEADER.size + 4 * dim * n
-    if len(blob) != expected:
-        raise FormatError(
-            f"{path}: payload is {len(blob) - _SSFT_HEADER.size} bytes, "
-            f"header implies {expected - _SSFT_HEADER.size}"
-        )
-    frames = np.frombuffer(blob, dtype="<f4", offset=_SSFT_HEADER.size)
-    frames = frames.reshape(n, dim).copy()
-    if not np.all(np.isfinite(frames)):
-        raise FormatError(f"{path}: payload contains non-finite values")
+    _, frames, _ = _read_ssft(path, tick_indexed=True)
     return ResampledFeatures(frames)
 
 
@@ -301,7 +287,7 @@ def _cell_boundaries(amap: AlignmentMap) -> tuple[np.ndarray, np.ndarray]:
     n_beats = amap.num_beats
     n_ticks = n_beats * TICKS_PER_BEAT
     positions = np.arange(n_ticks + 1, dtype=np.float64) / TICKS_PER_BEAT
-    tick_times = np.array([align(amap, b) for b in positions], dtype=np.float64)
+    tick_times = align(amap, positions)
     bounds = np.empty(n_ticks + 1, dtype=np.float64)
     bounds[1:] = 0.5 * (tick_times[:-1] + tick_times[1:])
     bounds[0] = tick_times[0] - 0.5 * (tick_times[1] - tick_times[0])

@@ -64,6 +64,7 @@ from .core import (
     canonical_octave_shift,
 )
 from .errors import ParseError, RangeError
+from .jsonio import read_json
 
 SPLITS = ("train", "valid", "test")
 SPLIT_RATIOS = (8, 1, 1)
@@ -476,12 +477,7 @@ def save_segment(path, segment: Segment) -> None:
 
 
 def load_segment(path) -> Segment:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", "$") from exc
-    return segment_from_json_dict(obj)
+    return segment_from_json_dict(read_json(path))
 
 
 def with_split(segment: Segment, split: str) -> Segment:

@@ -1,42 +1,25 @@
-"""Hot numeric kernels: JIT-compiled when numba is available.
-
-Two inner loops dominate batch workloads and get both a numba kernel
-and a pure numpy/Python fallback:
+"""The two inner loops of batch workloads, in numpy and plain Python.
 
 - segment-mean pooling of feature frames into sixteenth-note cells
 - maximum-cardinality bipartite matching of note onsets
 
-Set ``MELSCRIBE_DISABLE_NUMBA=1`` to force the fallbacks (the flag is
-read once at import).  Pooling accumulates in float64 either way; the
-two pooling backends may differ by summation round-off only, and the
-matching backends run the identical algorithm, so counts agree exactly.
-``benchmarks/bench_kernels.py`` times one backend against the other.
+Pooling accumulates in float64.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_env = os.environ.get("MELSCRIBE_DISABLE_NUMBA", "")
-NUMBA_DISABLED = _env not in ("", "0")
 
-try:
-    if NUMBA_DISABLED:
-        raise ImportError("disabled via MELSCRIBE_DISABLE_NUMBA")
-    from numba import njit
+def pool_segments(frames: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 mean of ``frames[starts[t]:starts[t+1]]`` per cell, plus counts.
 
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-
-def _pool_segments_py(frames: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # starts[t]..starts[t+1] delimit the frames of cell t; empty cells stay zero.
-    # One slice per cell, as in the numba kernel: np.add.reduceat would run the
-    # last cell on to the end of the array, and index past it if that cell is
-    # empty and starts at len(frames).
+    Empty cells stay zero.  Frames before ``starts[0]`` and from
+    ``starts[-1]`` on belong to no cell.
+    """
+    # One slice per cell: np.add.reduceat would run the last cell on to the
+    # end of the array, and index past it if that cell is empty and starts
+    # at len(frames).
     n_cells = len(starts) - 1
     counts = np.diff(starts).astype(np.int64)
     out = np.zeros((n_cells, frames.shape[1]), dtype=np.float64)
@@ -45,40 +28,14 @@ def _pool_segments_py(frames: np.ndarray, starts: np.ndarray) -> tuple[np.ndarra
     return out, counts
 
 
-if HAS_NUMBA:
+def match_count(indptr: np.ndarray, indices: np.ndarray, n_left: int, n_right: int) -> int:
+    """Size of a maximum matching of a bipartite graph in CSR form.
 
-    @njit(cache=True)
-    def _pool_segments_nb(frames, starts, out, counts):  # pragma: no cover - jitted
-        n_cells = counts.shape[0]
-        dim = frames.shape[1]
-        for t in range(n_cells):
-            a = starts[t]
-            b = starts[t + 1]
-            c = b - a
-            counts[t] = c
-            if c > 0:
-                for j in range(a, b):
-                    for k in range(dim):
-                        out[t, k] += frames[j, k]
-                inv = 1.0 / c
-                for k in range(dim):
-                    out[t, k] *= inv
-
-    def pool_segments(frames: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        frames64 = np.ascontiguousarray(frames, dtype=np.float64)
-        starts = np.ascontiguousarray(starts, dtype=np.int64)
-        n_cells = len(starts) - 1
-        out = np.zeros((n_cells, frames.shape[1]), dtype=np.float64)
-        counts = np.zeros(n_cells, dtype=np.int64)
-        _pool_segments_nb(frames64, starts, out, counts)
-        return out, counts
-
-else:
-    pool_segments = _pool_segments_py
-
-
-def _match_count_py(indptr: np.ndarray, indices: np.ndarray, n_left: int, n_right: int) -> int:
-    # Kuhn's algorithm, BFS form; mirrors the numba kernel line for line.
+    Left vertex ``u`` is adjacent to ``indices[indptr[u]:indptr[u+1]]``.
+    Kuhn's algorithm with a breadth-first search for each augmenting path.
+    """
+    if n_left == 0 or n_right == 0 or len(indices) == 0:
+        return 0
     match_l = [-1] * n_left
     match_r = [-1] * n_right
     parent = [-1] * n_right
@@ -112,64 +69,3 @@ def _match_count_py(indptr: np.ndarray, indices: np.ndarray, n_left: int, n_righ
                 r = nxt
             size += 1
     return size
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _match_count_nb(indptr, indices, n_left, n_right):  # pragma: no cover - jitted
-        match_l = np.full(n_left, -1, np.int64)
-        match_r = np.full(n_right, -1, np.int64)
-        parent = np.full(n_right, -1, np.int64)
-        stamp = np.full(n_right, -1, np.int64)
-        queue = np.empty(n_left + 1, np.int64)
-        size = 0
-        for u0 in range(n_left):
-            if indptr[u0] == indptr[u0 + 1]:
-                continue
-            queue[0] = u0
-            head = 0
-            tail = 1
-            found = -1
-            while head < tail and found < 0:
-                u = queue[head]
-                head += 1
-                for ei in range(indptr[u], indptr[u + 1]):
-                    r = indices[ei]
-                    if stamp[r] != u0:
-                        stamp[r] = u0
-                        parent[r] = u
-                        if match_r[r] < 0:
-                            found = r
-                            break
-                        queue[tail] = match_r[r]
-                        tail += 1
-            if found >= 0:
-                r = found
-                while r >= 0:
-                    u = parent[r]
-                    nxt = match_l[u]
-                    match_l[u] = r
-                    match_r[r] = u
-                    r = nxt
-                size += 1
-        return size
-
-    def match_count(indptr: np.ndarray, indices: np.ndarray, n_left: int, n_right: int) -> int:
-        if n_left == 0 or n_right == 0 or len(indices) == 0:
-            return 0
-        return int(
-            _match_count_nb(
-                np.ascontiguousarray(indptr, dtype=np.int64),
-                np.ascontiguousarray(indices, dtype=np.int64),
-                n_left,
-                n_right,
-            )
-        )
-
-else:
-
-    def match_count(indptr: np.ndarray, indices: np.ndarray, n_left: int, n_right: int) -> int:
-        if n_left == 0 or n_right == 0 or len(indices) == 0:
-            return 0
-        return _match_count_py(indptr, indices, n_left, n_right)

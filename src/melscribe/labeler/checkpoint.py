@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import FormatError, ShapeError
 from .config import LabelerConfig
-from .model import param_names
+from .model import param_names, param_shapes
 
 MAGIC = b"MSCK"
 VERSION = 1
@@ -71,33 +71,36 @@ def load_checkpoint(
         raise FormatError(f"{path}: header extends past end of file")
     try:
         header = json.loads(raw[_PREFIX.size : _PREFIX.size + head_len])
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: invalid checkpoint header: {exc}") from exc
     try:
         cfg = LabelerConfig.from_dict(header["config"])
         tau = float(header["tau"])
         step = int(header["step"])
-        tensors = header["tensors"]
-    except (KeyError, TypeError) as exc:
+        shapes = param_shapes(cfg)
+        listed = [(t["name"], tuple(int(n) for n in t["shape"])) for t in header["tensors"]]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed checkpoint header") from exc
 
-    expected = param_names(cfg)
-    listed = [t["name"] for t in tensors]
-    if listed != expected:
+    if [name for name, _ in listed] != list(shapes):
         raise FormatError(f"{path}: tensor list does not match the stored config")
+    for name, shape in listed:
+        if shape != shapes[name]:
+            raise FormatError(
+                f"{path}: tensor {name} has shape {list(shape)}, "
+                f"the stored config implies {list(shapes[name])}"
+            )
 
     params: dict[str, np.ndarray] = {}
     offset = _PREFIX.size + head_len
-    for entry in tensors:
-        shape = tuple(int(s) for s in entry["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        end = offset + 4 * count
+    for name, shape in shapes.items():
+        end = offset + 4 * int(np.prod(shape))
         if end > len(raw):
-            raise FormatError(f"{path}: tensor {entry['name']} overruns the file")
+            raise FormatError(f"{path}: tensor {name} overruns the file")
         arr = np.frombuffer(raw[offset:end], dtype="<f4").reshape(shape)
         if not np.all(np.isfinite(arr)):
-            raise FormatError(f"{path}: tensor {entry['name']} has non-finite values")
-        params[entry["name"]] = arr.astype(np.float32)
+            raise FormatError(f"{path}: tensor {name} has non-finite values")
+        params[name] = arr.astype(np.float32)
         offset = end
     if offset != len(raw):
         raise FormatError(f"{path}: {len(raw) - offset} trailing bytes")

@@ -52,10 +52,8 @@ def decode(logits: np.ndarray, tau: float, amap: AlignmentMap) -> Melody:
     if logits.shape[1] != MELODY_VOCAB.n_classes:
         raise ShapeError(f"melody decode needs {MELODY_VOCAB.n_classes} classes")
     ticks, classes = onset_classes(logits, tau)
-    onsets = [
-        (align(amap, t / TICKS_PER_BEAT), class_to_pitch(int(c)))
-        for t, c in zip(ticks, classes)
-    ]
+    times = align(amap, ticks / TICKS_PER_BEAT).tolist()
+    onsets = [(t, class_to_pitch(int(c))) for t, c in zip(times, classes)]
     end_s = align(amap, amap.num_beats)
     return Melody(tuple(legato_offsets(onsets, end_s)))
 

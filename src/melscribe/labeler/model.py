@@ -20,48 +20,44 @@ LN_EPS = 1e-5
 MASK_BIAS = -1e9
 
 
-def param_names(cfg: LabelerConfig) -> list[str]:
-    names = ["w_in", "b_in"]
+def param_shapes(cfg: LabelerConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape, in the canonical order."""
+    d, ff = cfg.model_dim, cfg.ff_dim
+    shapes: dict[str, tuple[int, ...]] = {"w_in": (cfg.input_dim, d), "b_in": (d,)}
     for i in range(cfg.layers):
         p = f"l{i}_"
-        names += [
-            p + "wq", p + "bq", p + "wk", p + "bk", p + "wv", p + "bv",
-            p + "wo", p + "bo", p + "ln1_g", p + "ln1_b",
-            p + "w1", p + "b1", p + "w2", p + "b2",
-            p + "ln2_g", p + "ln2_b",
-        ]
-    names += ["w_out", "b_out"]
-    return names
+        for x in "qkvo":
+            shapes[p + "w" + x] = (d, d)
+            shapes[p + "b" + x] = (d,)
+        shapes[p + "ln1_g"] = (d,)
+        shapes[p + "ln1_b"] = (d,)
+        shapes[p + "w1"] = (d, ff)
+        shapes[p + "b1"] = (ff,)
+        shapes[p + "w2"] = (ff, d)
+        shapes[p + "b2"] = (d,)
+        shapes[p + "ln2_g"] = (d,)
+        shapes[p + "ln2_b"] = (d,)
+    shapes["w_out"] = (d, cfg.n_classes)
+    shapes["b_out"] = (cfg.n_classes,)
+    return shapes
+
+
+def param_names(cfg: LabelerConfig) -> list[str]:
+    return list(param_shapes(cfg))
 
 
 def init_params(cfg: LabelerConfig, dtype=np.float32) -> dict[str, np.ndarray]:
     """Xavier-uniform weights, zero biases, unit layer-norm gains."""
     rng = np.random.default_rng(cfg.seed)
-
-    def xavier(n_in: int, n_out: int) -> np.ndarray:
-        limit = np.sqrt(6.0 / (n_in + n_out))
-        return rng.uniform(-limit, limit, size=(n_in, n_out)).astype(dtype)
-
-    d, c = cfg.model_dim, cfg.n_classes
-    params: dict[str, np.ndarray] = {
-        "w_in": xavier(cfg.input_dim, d),
-        "b_in": np.zeros(d, dtype=dtype),
-    }
-    for i in range(cfg.layers):
-        p = f"l{i}_"
-        for name in ("wq", "wk", "wv", "wo"):
-            params[p + name] = xavier(d, d)
-            params[p + "b" + name[1]] = np.zeros(d, dtype=dtype)
-        params[p + "ln1_g"] = np.ones(d, dtype=dtype)
-        params[p + "ln1_b"] = np.zeros(d, dtype=dtype)
-        params[p + "w1"] = xavier(d, cfg.ff_dim)
-        params[p + "b1"] = np.zeros(cfg.ff_dim, dtype=dtype)
-        params[p + "w2"] = xavier(cfg.ff_dim, d)
-        params[p + "b2"] = np.zeros(d, dtype=dtype)
-        params[p + "ln2_g"] = np.ones(d, dtype=dtype)
-        params[p + "ln2_b"] = np.zeros(d, dtype=dtype)
-    params["w_out"] = xavier(d, c)
-    params["b_out"] = np.zeros(c, dtype=dtype)
+    params: dict[str, np.ndarray] = {}
+    for name, shape in param_shapes(cfg).items():
+        if len(shape) == 2:
+            limit = np.sqrt(6.0 / (shape[0] + shape[1]))
+            params[name] = rng.uniform(-limit, limit, size=shape).astype(dtype)
+        elif name.endswith("_g"):
+            params[name] = np.ones(shape, dtype=dtype)
+        else:
+            params[name] = np.zeros(shape, dtype=dtype)
     return params
 
 

@@ -83,10 +83,10 @@ class TrainResult:
 
 def reference_melody(labels: DenseLabelSequence, amap: AlignmentMap) -> Melody:
     """Performance-form melody implied by dense labels under an alignment."""
-    onsets = [
-        (align(amap, tick / TICKS_PER_BEAT), class_to_pitch(cls))
-        for tick, cls in labels.onset_events()
-    ]
+    events = labels.onset_events()
+    ticks = np.array([tick for tick, _ in events], dtype=np.float64)
+    times = align(amap, ticks / TICKS_PER_BEAT).tolist()
+    onsets = [(t, class_to_pitch(cls)) for t, (_, cls) in zip(times, events)]
     return Melody(tuple(legato_offsets(onsets, align(amap, amap.num_beats))))
 
 

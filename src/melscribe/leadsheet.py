@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .align import AlignmentMap, align
+from .align import AlignmentMap, align, beat_position
 from .core import (
     CHORD_TONES,
     ChordSpan,
@@ -172,17 +171,6 @@ class LeadSheet:
             end = self.chords[i + 1][0] if i + 1 < len(self.chords) else self.total_ticks
             spans.append(ChordSpan(tick, end - tick, chord))
         return spans
-
-
-def beat_position(amap: AlignmentMap, t: float) -> float:
-    """Fractional beat position of a time inside the aligned span."""
-    times = amap.beat_to_time_s
-    if not times[0] <= t <= times[-1]:
-        raise RangeError(
-            f"time {t} outside the aligned span {times[0]}..{times[-1]}"
-        )
-    i = min(bisect_right(times, t) - 1, amap.num_beats - 1)
-    return i + (t - times[i]) / (times[i + 1] - times[i])
 
 
 def assemble(

@@ -99,10 +99,10 @@ def render_audio(
         raise InputError("render expects a score-form melody")
     end_s = align(amap, amap.num_beats) + tail_s
     out = np.zeros(int(round(end_s * sample_rate)), dtype=np.float64)
-    for note in melody:
-        onset = align(amap, note.onset_ticks / TICKS_PER_BEAT)
-        offset = align(amap, min(note.end_ticks, amap.num_beats * TICKS_PER_BEAT)
-                       / TICKS_PER_BEAT)
+    onsets = align(amap, np.array([n.onset_ticks for n in melody]) / TICKS_PER_BEAT)
+    ends = np.minimum([n.end_ticks for n in melody], amap.num_beats * TICKS_PER_BEAT)
+    offsets = align(amap, ends / TICKS_PER_BEAT)
+    for note, onset, offset in zip(melody, onsets.tolist(), offsets.tolist()):
         length = max(offset - onset - RELEASE_S, 0.04)
         i0 = int(round(onset * sample_rate))
         n = int(round(length * sample_rate))

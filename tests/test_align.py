@@ -51,8 +51,12 @@ def test_beat_grid_json_round_trip():
         BeatGrid.from_json_dict({"beats_s": [0.0]})
     with pytest.raises(FormatError):
         BeatGrid.from_json_dict({"beats_s": [0.0, 1.0], "downbeats": [2]})
-    with pytest.raises(FormatError):
-        BeatGrid.from_json_dict({"beats_s": [0.0, 1.0], "downbeats": [0.5]})
+    for bad in ({"beats_s": [0.0, 1.0], "downbeats": [0.5]},
+                {"beats_s": [0.0, 1.0], "downbeats": 0},
+                {"beats_s": ["a", 1.0], "downbeats": [0]},
+                {"beats_s": 0.0, "downbeats": [0]}):
+        with pytest.raises(FormatError):
+            BeatGrid.from_json_dict(bad)
 
 
 def test_alignment_map_validation():
@@ -75,9 +79,11 @@ def test_alignment_map_file_round_trip(tmp_path):
     path.write_text("{not json")
     with pytest.raises(FormatError):
         AlignmentMap.load(path)
-    path.write_text(json.dumps({"beats": [0, 1]}))
-    with pytest.raises(FormatError):
-        AlignmentMap.load(path)
+    for bad in ({"beats": [0, 1]}, {"beat_to_time_s": ["a", 1]},
+                {"beat_to_time_s": {"a": 1}}):
+        path.write_text(json.dumps(bad))
+        with pytest.raises(FormatError):
+            AlignmentMap.load(path)
 
 
 def test_refine_alignment_picks_nearest_downbeat():
@@ -131,6 +137,16 @@ def test_align_interpolates():
     for bad in (-0.1, 2.1, float("nan")):
         with pytest.raises(RangeError):
             align(amap, bad)
+        with pytest.raises(RangeError, match=str(bad)):
+            align(amap, np.array([0.5, bad, 1.0]))
+
+
+def align_reference(times, b):
+    """The scalar per-position formula, bit for bit what align must return."""
+    i = int(b)
+    if i == len(times) - 1:
+        return float(times[i])
+    return float(times[i] + (b - i) * (times[i + 1] - times[i]))
 
 
 def test_align_monotone_over_random_grids():
@@ -140,6 +156,11 @@ def test_align_monotone_over_random_grids():
         amap = AlignmentMap(times)
         positions = np.sort(rng.uniform(0, amap.num_beats, size=20))
         mapped = [align(amap, b) for b in positions]
+        ticks = np.arange(4 * amap.num_beats + 1) / 4
+        for probe in (positions, ticks):
+            want = [align_reference(times, float(b)) for b in probe]
+            assert align(amap, probe).tolist() == want
+            assert [align(amap, b) for b in probe] == want
         assert all(a <= b for a, b in zip(mapped, mapped[1:]))
         assert all(times[0] <= t <= times[-1] for t in mapped)
 

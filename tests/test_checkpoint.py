@@ -1,10 +1,14 @@
 import json
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from melscribe.align import AlignmentMap
 from melscribe.errors import FormatError, ShapeError
+from melscribe.features import ResampledFeatures, save_resampled
 from melscribe.labeler import (
     LabelerConfig,
     init_params,
@@ -19,6 +23,15 @@ def write_ckpt(path, cfg=CFG, tau=0.35, step=123):
     params = init_params(cfg)
     save_checkpoint(path, cfg, params, tau, step)
     return params
+
+
+def rewrite_header(raw, edit):
+    """The checkpoint bytes with its JSON header passed through ``edit``."""
+    head_len = struct.unpack_from("<4sII", raw)[2]
+    header = json.loads(raw[12 : 12 + head_len])
+    edit(header)
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return raw[:4] + struct.pack("<II", 1, len(head)) + head + raw[12 + head_len :]
 
 
 def test_round_trip(tmp_path):
@@ -92,15 +105,12 @@ def test_load_rejects_corruption(tmp_path):
 def test_load_rejects_header_payload_mismatch(tmp_path):
     path = tmp_path / "m.ckpt"
     write_ckpt(path)
-    raw = bytearray(path.read_bytes())
-    head_len = struct.unpack_from("<4sII", raw)[2]
-    header = json.loads(raw[12 : 12 + head_len])
-    # drop one tensor from the list: no longer matches the config
-    header["tensors"] = header["tensors"][:-1]
-    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    data = raw[:4] + struct.pack("<II", 1, len(head)) + head + raw[12 + head_len :]
+
+    def drop_last_tensor(header):  # no longer matches the config
+        header["tensors"] = header["tensors"][:-1]
+
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(bytes(data))
+    bad.write_bytes(rewrite_header(path.read_bytes(), drop_last_tensor))
     with pytest.raises(FormatError, match="does not match"):
         load_checkpoint(bad)
 
@@ -113,3 +123,48 @@ def test_load_rejects_non_finite_blob(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="non-finite"):
         load_checkpoint(path)
+
+
+def swap_w_in_shape(header):
+    entry = header["tensors"][0]
+    assert entry["name"] == "w_in"
+    entry["shape"] = entry["shape"][::-1]
+
+
+def test_load_rejects_malformed_tensor_list(tmp_path):
+    path = tmp_path / "m.ckpt"
+    write_ckpt(path)
+    raw = path.read_bytes()
+    for tensors in ([1], ["w_in"], [{"name": "w_in"}], [{"name": "w_in", "shape": 8}],
+                    [{"name": "w_in", "shape": ["x", 16]}], 7):
+        def edit(header, tensors=tensors):
+            header["tensors"] = tensors
+        path.write_bytes(rewrite_header(raw, edit))
+        with pytest.raises(FormatError, match="malformed"):
+            load_checkpoint(path)
+
+
+def test_load_rejects_shapes_the_config_does_not_imply(tmp_path):
+    path = tmp_path / "m.ckpt"
+    write_ckpt(path)
+    # same names, same byte count: w_in stored as (model_dim, input_dim)
+    path.write_bytes(rewrite_header(path.read_bytes(), swap_w_in_shape))
+    with pytest.raises(FormatError, match=r"w_in has shape \[16, 8\]"):
+        load_checkpoint(path)
+
+
+def test_transcribe_with_mis_shaped_checkpoint_exits_1(tmp_path):
+    path = tmp_path / "m.ckpt"
+    write_ckpt(path)
+    path.write_bytes(rewrite_header(path.read_bytes(), swap_w_in_shape))
+    save_resampled(tmp_path / "f.ssft", ResampledFeatures(np.zeros((8, CFG.input_dim))))
+    AlignmentMap([0.0, 0.5, 1.0]).save(tmp_path / "a.json")
+    proc = subprocess.run(
+        [sys.executable, "-m", "melscribe.cli", "transcribe", "--checkpoint", str(path),
+         "--features", str(tmp_path / "f.ssft"), "--alignment", str(tmp_path / "a.json"),
+         "--out", str(tmp_path / "est.json")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "w_in" in proc.stderr

@@ -285,6 +285,15 @@ def test_domain_errors_exit_1(corpus, tmp_path):
         "--meter", "common-time",
     ])
     assert code == 1
+    chords_path = tmp_path / "chords.json"
+    for changes in ({"changes": 0}, {"changes": [{"tick": "x", "root": 0, "quality": "maj"}]}):
+        chords_path.write_text(json.dumps(changes))
+        code, _ = run([
+            "leadsheet", "--transcript", str(corpus["ref"]),
+            "--alignment", str(corpus["data"] / "s00.alignment.json"),
+            "--chords", str(chords_path),
+        ])
+        assert code == 1, changes
 
 
 def test_usage_errors_exit_2():
@@ -302,9 +311,10 @@ def test_convert_skips_bad_documents(tmp_path):
     (tmp_path / "good.json").write_text(good)
     (tmp_path / "bad.json").write_text(bad)
     out_dir = tmp_path / "out"
+    (tmp_path / "utf16.json").write_bytes(b"\xff\xfe" + good.encode("utf-16-le"))
     code, out = run(["dataset", "convert", str(tmp_path), "--out", str(out_dir)])
     assert code == 0
-    assert out == {"converted": 1, "rejected": 1, "out": str(out_dir)}
+    assert out == {"converted": 1, "rejected": 2, "out": str(out_dir)}
     code, out = run([
         "dataset", "convert", str(tmp_path / "bad.json"), "--out", str(out_dir),
     ])
@@ -317,12 +327,13 @@ def test_split_requires_artist_records(tmp_path):
     out_dir = tmp_path / "out"
     code, _ = run(["dataset", "convert", str(tmp_path), "--out", str(out_dir)])
     assert code == 0
-    (out_dir / "artists.json").write_text("{}")
-    code, _ = run([
-        "dataset", "split", "--dir", str(out_dir),
-        "--artists", str(out_dir / "artists.json"),
-    ])
-    assert code == 1
+    for artists in ("{}", "{", '["ann"]', '{"g00": ["ann"]}'):
+        (out_dir / "artists.json").write_text(artists)
+        code, _ = run([
+            "dataset", "split", "--dir", str(out_dir),
+            "--artists", str(out_dir / "artists.json"),
+        ])
+        assert code == 1, artists
 
 
 def test_module_entry_point():

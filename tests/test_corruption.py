@@ -1,0 +1,148 @@
+"""Damaged input files fail closed.
+
+Each file is truncated at every length through its header and a few
+payload bytes, then at a stride through the payload, and given seeded
+single-byte flips.  Loaders may accept a damaged file that still parses
+(a flipped payload byte is just another value) but may raise nothing
+except MelscribeError subclasses; the CLI turns those into exit code 1
+without a traceback.
+"""
+
+import json
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from melscribe import htparse
+from melscribe.align import AlignmentMap, BeatGrid, constant_tempo_grid
+from melscribe.core import Melody, Pitch, ScoreNote
+from melscribe.errors import MelscribeError
+from melscribe.evaluate import load_transcript, save_transcript
+from melscribe.features import (
+    FeatureMatrix,
+    ResampledFeatures,
+    load_features,
+    load_resampled,
+    save_features,
+    save_resampled,
+)
+from melscribe.jsonio import read_json
+from melscribe.labeler import (
+    LabelerConfig,
+    densify_melody,
+    init_params,
+    load_checkpoint,
+    reference_melody,
+    save_checkpoint,
+)
+
+SSFT_HEADER = 32
+CFG = LabelerConfig(layers=1, model_dim=4, heads=1, ff_dim=4, input_dim=3)
+
+
+def damaged(blob: bytes, head: int, seed: int, flips: int = 300):
+    """Truncations through head + 8 bytes, a stride of them after, and byte flips."""
+    cut = min(head + 8, len(blob))
+    yield from (blob[:n] for n in range(cut))
+    yield from (blob[:n] for n in range(cut, len(blob), max(1, (len(blob) - cut) // 16)))
+    rng = np.random.default_rng(seed)
+    for _ in range(flips):
+        data = bytearray(blob)
+        data[int(rng.integers(len(data)))] ^= int(rng.integers(1, 256))
+        yield bytes(data)
+
+
+def assert_fails_closed(load, path, variants):
+    for data in variants:
+        path.write_bytes(data)
+        try:
+            load(path)
+        except MelscribeError:
+            pass
+        except Exception as exc:  # anything else would reach the user as a traceback
+            pytest.fail(f"{exc!r} escaped loading {len(data)} bytes: {data[:80]!r}...")
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("good")
+    rng = np.random.default_rng(0)
+    amap = AlignmentMap([0.5, 1.0, 1.5, 2.0])
+    melody = Melody((ScoreNote(0, 4, Pitch(60)), ScoreNote(4, 6, Pitch(64)),
+                     ScoreNote(10, 2, Pitch(67))))
+    paths = {name: root / name for name in (
+        "fixed.ssft", "ticks.ssft", "m.ckpt", "a.json", "t.json", "s.json", "g.json")}
+    save_features(paths["fixed.ssft"], FeatureMatrix(31.25, rng.normal(size=(80, 3))))
+    save_resampled(paths["ticks.ssft"], ResampledFeatures(rng.normal(size=(12, 3))))
+    save_checkpoint(paths["m.ckpt"], CFG, init_params(CFG), 0.4, 10)
+    amap.save(paths["a.json"])
+    save_transcript(paths["t.json"], reference_melody(densify_melody(melody, 3), amap))
+    paths["s.json"].write_text(json.dumps({
+        "id": "s", "audio_ref": "s.wav", "split": "train",
+        "user_start_s": 0.5, "user_end_s": 2.0,
+        "meter": {"beats_per_bar": 4, "beat_unit": 4},
+        "key": {"tonic_pc": 0, "mode": "major"},
+        "melody": [{"onset_ticks": 0, "duration_ticks": 4, "midi": 60}],
+        "chords": [{"onset_ticks": 0, "duration_ticks": 12, "root_pc": 0,
+                    "quality": "maj"}],
+    }))
+    paths["g.json"].write_text(json.dumps(constant_tempo_grid(120.0, 0.5, 6).to_json_dict()))
+    htparse.load_segment(paths["s.json"])  # the undamaged files load
+    return paths
+
+
+@pytest.mark.parametrize("name, load, seed", [
+    ("fixed.ssft", load_features, 1),
+    ("fixed.ssft", load_resampled, 2),
+    ("ticks.ssft", load_resampled, 3),
+    ("ticks.ssft", load_features, 4),
+], ids=["fixed", "fixed-as-ticks", "ticks", "ticks-as-fixed"])
+def test_ssft_loaders_fail_closed(files, tmp_path, name, load, seed):
+    blob = files[name].read_bytes()
+    assert_fails_closed(load, tmp_path / "x.ssft", damaged(blob, SSFT_HEADER, seed))
+
+
+def test_checkpoint_loader_fails_closed(files, tmp_path):
+    blob = files["m.ckpt"].read_bytes()
+    head = 12 + int.from_bytes(blob[8:12], "little")
+    assert_fails_closed(load_checkpoint, tmp_path / "x.ckpt", damaged(blob, head, 5))
+
+
+@pytest.mark.parametrize("name, load, seed", [
+    ("a.json", AlignmentMap.load, 6),
+    ("t.json", load_transcript, 7),
+    ("s.json", htparse.load_segment, 8),
+    ("g.json", lambda p: BeatGrid.from_json_dict(read_json(p)), 9),
+], ids=["alignment", "transcript", "segment", "beat-grid"])
+def test_json_loaders_fail_closed(files, tmp_path, name, load, seed):
+    blob = files[name].read_bytes()
+    assert_fails_closed(load, tmp_path / "x.json", damaged(blob, len(blob), seed))
+
+
+def test_cli_exits_without_traceback_on_damaged_files(files, tmp_path):
+    fixed = files["fixed.ssft"].read_bytes()
+    ticks = files["ticks.ssft"].read_bytes()
+    ckpt = files["m.ckpt"].read_bytes()
+    (tmp_path / "fixed.ssft").write_bytes(fixed[: SSFT_HEADER + 5])
+    (tmp_path / "ticks.ssft").write_bytes(ticks[:4] + b"\x02" + ticks[5:])  # version 2
+    (tmp_path / "m.ckpt").write_bytes(ckpt[:-3])
+    (tmp_path / "t.json").write_bytes(b"\xff\xfe" + files["t.json"].read_bytes())
+    good = {name: str(files[name]) for name in files}
+    commands = [
+        ["features", "resample", "--features", str(tmp_path / "fixed.ssft"),
+         "--alignment", good["a.json"], "--out", str(tmp_path / "out.ssft")],
+        ["transcribe", "--checkpoint", good["m.ckpt"], "--features",
+         str(tmp_path / "ticks.ssft"), "--alignment", good["a.json"],
+         "--out", str(tmp_path / "est.json")],
+        ["transcribe", "--checkpoint", str(tmp_path / "m.ckpt"), "--features",
+         good["ticks.ssft"], "--alignment", good["a.json"],
+         "--out", str(tmp_path / "est.json")],
+        ["evaluate", "--estimate", str(tmp_path / "t.json"), "--reference", good["t.json"]],
+    ]
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-m", "melscribe.cli", *argv],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode in (1, 2), (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, (argv, proc.stderr)

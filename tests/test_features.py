@@ -136,6 +136,15 @@ def test_ssft_round_trip(tmp_path):
     assert rback.frames.tobytes() == rf.frames.tobytes()
 
 
+def test_ssft_writers_refuse_float32_overflow(tmp_path):
+    # 1e39 is finite in float64 but overflows to inf in float32
+    big = np.full((4, 2), 1e39)
+    with pytest.raises(InputError, match="non-finite"):
+        save_features(tmp_path / "x.ssft", FeatureMatrix(345.0, big))
+    with pytest.raises(InputError, match="non-finite"):
+        save_resampled(tmp_path / "r.ssft", ResampledFeatures(big))
+
+
 def test_ssft_kind_mismatch(tmp_path):
     fm = FeatureMatrix(345.0, np.zeros((4, 2), dtype=np.float32))
     rf = ResampledFeatures(np.zeros((4, 2), dtype=np.float32))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import perf, read_smf, score
-from melscribe.align import AlignmentMap, align
+from melscribe.align import AlignmentMap, align, beat_position
 from melscribe.core import (
     CHORD_QUALITIES,
     ChordSpan,
@@ -25,7 +25,6 @@ from melscribe.leadsheet import (
     LeadSheet,
     MELODY_VELOCITY,
     assemble,
-    beat_position,
     emit_lilypond,
     emit_midi,
     estimate_key,
