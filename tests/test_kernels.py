@@ -87,6 +87,9 @@ def test_pool_segments_means():
         assert counts.tolist() == np.diff(starts).tolist()
         assert np.allclose(out, pooled_reference(frames, starts)), starts.tolist()
 
+
+def test_pool_segments_backends_agree():
+    """The vectorised pooling agrees with the per-cell float64 reference."""
     # float32 frames accumulate in float64: only summation-order round-off
     rng = np.random.default_rng(3)
     frames = rng.normal(size=(400, 16)).astype(np.float32)
