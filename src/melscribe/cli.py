@@ -2,7 +2,8 @@
 
 Results go to stdout as one JSON object per invocation; progress and
 warnings go to stderr.  Exit codes: 0 on success, 1 for domain errors
-(bad data, failed parses), 2 for usage errors and missing input files.
+(bad data, failed parses), 2 for usage errors and for input files that
+are missing, are directories or cannot be read.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import argparse
 import json
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import htparse
@@ -124,13 +124,12 @@ def cmd_dataset_convert(args) -> int:
     rejected = 0
     for path in paths:
         try:
-            doc = path.read_text(encoding="utf-8")
-            segment = htparse.parse_segment(doc)
+            obj, artist = htparse.parse_functional(path.read_text(encoding="utf-8"))
+            segment = htparse.segment_from_functional(obj)
         except (htparse.ParseError, UnicodeDecodeError) as exc:
             _info(f"skipped {path.name}: {exc}")
             rejected += 1
             continue
-        _, artist = htparse.parse_functional(doc)
         if artist is not None:
             artists[segment.id] = artist
         htparse.save_segment(out_dir / f"{segment.id}.segment.json", segment)
@@ -198,6 +197,8 @@ def cmd_features_mel(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         jobs = [(p, str(out_dir / (Path(p).stem + ".ssft"))) for p in args.audio]
     if args.jobs > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_mel_one, jobs))
     else:
@@ -419,6 +420,9 @@ def main(argv=None) -> int:
         return 1
     except FileNotFoundError as exc:
         _info(f"error: missing input: {exc}")
+        return 2
+    except (IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+        _info(f"error: unusable path: {exc}")
         return 2
 
 

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.io.wavfile
-import scipy.signal
 
 from . import kernels
 from .align import AlignmentMap, align
@@ -121,6 +119,8 @@ class ResampledFeatures:
 
 def load_wav(path) -> tuple[np.ndarray, int]:
     """Read a WAV file as mono float64 in [-1, 1] plus its sample rate."""
+    import scipy.io.wavfile
+
     try:
         sr, data = scipy.io.wavfile.read(path)
     except ValueError as exc:
@@ -177,6 +177,11 @@ def _filterbank() -> np.ndarray:
     return _FILTERBANK_CACHE
 
 
+#: Frames transformed per step of ``logmel``.  Of 128 to 2048, 256 ran
+#: fastest on 165 s of audio (2-core x86 VM, numpy 2.4 with OpenBLAS).
+_LOGMEL_BLOCK = 256
+
+
 def logmel(samples: np.ndarray, sample_rate_hz: int) -> FeatureMatrix:
     """Log-amplitude mel spectrogram at 31.25 Hz, 229 dims, t0 = 0.
 
@@ -192,6 +197,8 @@ def logmel(samples: np.ndarray, sample_rate_hz: int) -> FeatureMatrix:
     if sample_rate_hz <= 0:
         raise InputError(f"sample rate {sample_rate_hz} must be positive")
     if sample_rate_hz != SAMPLE_RATE:
+        import scipy.signal
+
         g = math.gcd(int(sample_rate_hz), SAMPLE_RATE)
         x = scipy.signal.resample_poly(x, SAMPLE_RATE // g, int(sample_rate_hz) // g)
         if x.size == 0:
@@ -201,14 +208,13 @@ def logmel(samples: np.ndarray, sample_rate_hz: int) -> FeatureMatrix:
     pad = N_FFT // 2
     tail = max(0, (n_frames - 1) * HOP + N_FFT - pad - len(x))
     xp = np.pad(x, (pad, tail))
+    frames = np.lib.stride_tricks.sliding_window_view(xp, N_FFT)[::HOP]
     window = np.hanning(N_FFT)
     fb_t = _filterbank().T
     out = np.empty((n_frames, N_MELS), dtype=np.float32)
-    block = 2048
-    for start in range(0, n_frames, block):
-        stop = min(start + block, n_frames)
-        idx = np.arange(N_FFT)[None, :] + HOP * np.arange(start, stop)[:, None]
-        mag = np.abs(np.fft.rfft(xp[idx] * window, axis=1))
+    for start in range(0, n_frames, _LOGMEL_BLOCK):
+        stop = min(start + _LOGMEL_BLOCK, n_frames)
+        mag = np.abs(np.fft.rfft(frames[start:stop] * window, axis=1))
         out[start:stop] = np.log(mag @ fb_t + LOG_OFFSET).astype(np.float32)
     return FeatureMatrix(rate_hz=SAMPLE_RATE / HOP, frames=out, t0_s=0.0)
 

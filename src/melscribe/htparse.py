@@ -208,7 +208,8 @@ def _to_ticks(beats: Fraction) -> int:
 def parse_functional(doc: bytes | str) -> tuple[dict, str | None]:
     """Decode and validate one functional JSON document.
 
-    Returns (validated object graph, artist or None).  All structural
+    Returns (validated object graph, artist or None); build the Segment
+    from the object with ``segment_from_functional``.  All structural
     errors raise ParseError with a JSON path.
     """
     try:
@@ -224,19 +225,26 @@ def parse_functional(doc: bytes | str) -> tuple[dict, str | None]:
     unknown = set(obj) - allowed
     if unknown:
         raise ParseError(f"unknown fields {sorted(unknown)}", "$")
-    return obj, obj.get("artist")
+    artist = obj.get("artist")
+    if artist is not None and not isinstance(artist, str):
+        raise ParseError("field 'artist' must be str", "$.artist")
+    return obj, artist
 
 
 def parse_segment(doc: bytes | str) -> Segment:
-    """Parse a functional JSON document into an absolute Segment.
+    """Parse a functional JSON document into an absolute Segment."""
+    obj, _ = parse_functional(doc)
+    return segment_from_functional(obj)
+
+
+def segment_from_functional(obj: dict) -> Segment:
+    """Build an absolute Segment from a ``parse_functional`` object.
 
     Melody degrees become MIDI pitches, then the whole melody is shifted
     by whole octaves so its mean pitch sits closest to 60 (ties toward
     the lower octave).  Key or meter changes reject the segment with a
     counted warning.
     """
-    obj, _ = parse_functional(doc)
-
     seg_id = _expect(obj, "id", str, "$")
     audio_ref = _expect(obj, "audio_ref", str, "$")
     start_s = _expect(obj, "start_s", float, "$")

@@ -269,6 +269,44 @@ def test_missing_input_exits_2(tmp_path):
     assert code == 2
 
 
+def test_unusable_input_paths_exit_2(corpus, tmp_path):
+    commands = [
+        ["evaluate", "--estimate", str(tmp_path), "--reference", str(corpus["ref"])],
+        ["features", "resample", "--features", str(tmp_path),
+         "--alignment", str(corpus["data"] / "s00.alignment.json"),
+         "--out", str(tmp_path / "out.ssft")],
+    ]
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-m", "melscribe.cli", *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, (argv, proc.stderr)
+        assert proc.stderr.startswith("error:"), proc.stderr
+
+
+def test_mel_jobs_match_serial_bytes(corpus, tmp_path):
+    wavs = [str(corpus["raw"] / "s00.wav"), str(corpus["raw"] / "s01.wav")]
+    for jobs in ("1", "2"):
+        code, _ = run(["features", "mel", *wavs, "--out-dir", str(tmp_path / jobs),
+                       "--jobs", jobs])
+        assert code == 0
+    for stem in ("s00", "s01"):
+        serial = (tmp_path / "1" / f"{stem}.ssft").read_bytes()
+        assert (tmp_path / "2" / f"{stem}.ssft").read_bytes() == serial
+
+
+def test_import_loads_no_scipy_or_process_pool():
+    heavy = ["scipy.signal", "scipy.io", "multiprocessing", "concurrent.futures.process"]
+    code = (
+        "import sys, melscribe.cli, melscribe.features; "
+        f"print([m for m in {heavy!r} if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_domain_errors_exit_1(corpus, tmp_path):
     wavs = [str(corpus["raw"] / "s00.wav"), str(corpus["raw"] / "s01.wav")]
     code, _ = run(["features", "mel", *wavs, "--out", str(tmp_path / "x.ssft")])
@@ -312,9 +350,11 @@ def test_convert_skips_bad_documents(tmp_path):
     (tmp_path / "bad.json").write_text(bad)
     out_dir = tmp_path / "out"
     (tmp_path / "utf16.json").write_bytes(b"\xff\xfe" + good.encode("utf-16-le"))
+    (tmp_path / "numeric_artist.json").write_text(functional_doc("n00", 5))
     code, out = run(["dataset", "convert", str(tmp_path), "--out", str(out_dir)])
     assert code == 0
-    assert out == {"converted": 1, "rejected": 2, "out": str(out_dir)}
+    assert out == {"converted": 1, "rejected": 3, "out": str(out_dir)}
+    assert json.loads((out_dir / "artists.json").read_text()) == {"g00": "ann"}
     code, out = run([
         "dataset", "convert", str(tmp_path / "bad.json"), "--out", str(out_dir),
     ])

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from melscribe import features
 from melscribe.align import AlignmentMap
 from melscribe.errors import CoverageError, FormatError, InputError, ShapeError
 from melscribe.features import (
@@ -84,6 +87,44 @@ def test_logmel_resamples_other_rates():
     one_second = rng.normal(0, 0.1, size=8000)
     fm = logmel(one_second, 8000)
     assert abs(fm.n_frames - 31.25) <= 1
+
+
+def logmel_per_frame(samples, sample_rate_hz):
+    """Reference front end: each frame sliced, windowed and transformed alone."""
+    x = np.asarray(samples, dtype=np.float64)
+    if sample_rate_hz != features.SAMPLE_RATE:
+        import scipy.signal
+
+        g = math.gcd(sample_rate_hz, features.SAMPLE_RATE)
+        x = scipy.signal.resample_poly(
+            x, features.SAMPLE_RATE // g, sample_rate_hz // g
+        )
+    hop, n_fft = features.HOP, features.N_FFT
+    xp = np.pad(x, (n_fft // 2, n_fft))
+    window = np.hanning(n_fft)
+    fb = features._mel_filterbank()
+    rows = []
+    for j in range(-(-len(x) // hop)):
+        mag = np.abs(np.fft.rfft(xp[j * hop : j * hop + n_fft] * window))
+        rows.append(np.log(mag @ fb.T + features.LOG_OFFSET))
+    return np.array(rows).astype(np.float32)
+
+
+@pytest.mark.parametrize("extra_frames", [-1, 0, 1, None])
+def test_logmel_matches_per_frame_reference(extra_frames):
+    block = features._LOGMEL_BLOCK
+    n_frames = 2 * block + 1 if extra_frames is None else block + extra_frames
+    rng = np.random.default_rng(n_frames)
+    samples = rng.normal(0, 0.1, size=n_frames * features.HOP - 100)
+    fm = logmel(samples, 16000)
+    assert fm.n_frames == n_frames
+    assert np.array_equal(fm.frames, logmel_per_frame(samples, 16000))
+
+
+@pytest.mark.parametrize("rate", [8000, 44100])
+def test_logmel_matches_per_frame_reference_after_resampling(rate):
+    samples = np.random.default_rng(rate).normal(0, 0.1, size=3 * rate)
+    assert np.array_equal(logmel(samples, rate).frames, logmel_per_frame(samples, rate))
 
 
 def test_logmel_input_validation():

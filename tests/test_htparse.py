@@ -148,6 +148,16 @@ def test_parse_segment_structural_errors():
         htparse.parse_segment(doc(key={"tonic_pc": 0, "mode": "dorian"}))
 
 
+def test_parse_functional_artist():
+    obj, artist = htparse.parse_functional(doc())
+    assert artist == obj["artist"]
+    assert htparse.segment_from_functional(obj) == htparse.parse_segment(doc())
+    assert htparse.parse_functional(doc(artist=None))[1] is None
+    with pytest.raises(ParseError) as exc:
+        htparse.parse_functional(doc(artist=5))
+    assert exc.value.path == "$.artist"
+
+
 def test_parse_segment_fraction_resolution():
     bad = doc(melody=[
         {"scale_degree": 1, "accidental": 0, "rel_octave": 0,
