@@ -63,7 +63,7 @@ class BeatGrid:
         try:
             times = np.asarray(obj["beats_s"], dtype=np.float64)
             downbeats = list(obj["downbeats"])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"beat grid JSON: {exc}") from exc
         if times.ndim != 1:
             raise FormatError('beat grid "beats_s" must be a list of numbers')
@@ -104,7 +104,7 @@ class AlignmentMap:
             raise FormatError('alignment JSON must have exactly "beat_to_time_s"')
         try:
             times = np.asarray(obj["beat_to_time_s"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"alignment JSON: {exc}") from exc
         return cls(times)
 

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .errors import InputError, OrderingError, RangeError
 
 MIDI_MIN = 21
@@ -172,6 +174,65 @@ class Melody:
     @property
     def pitches(self) -> tuple[Pitch, ...]:
         return tuple(n.pitch for n in self.notes)
+
+
+#: One shared instance per playable pitch; Pitch is immutable.
+_PITCHES = tuple(Pitch(m) for m in range(MIDI_MIN, MIDI_MAX + 1))
+
+
+def perf_melody(onsets, offsets, midis) -> Melody:
+    """A performance melody from parallel arrays of notes in any order.
+
+    Checks over whole arrays what PerfNote, Pitch and Melody check one
+    note at a time: finite times, each offset after its onset, integer
+    pitches in range, no two onsets equal.  Errors name the first
+    offending index of the input.  The notes come back sorted by onset
+    (stably), sharing one Pitch instance per pitch.
+    """
+    onsets = np.asarray(onsets, dtype=np.float64)
+    offsets = np.asarray(offsets, dtype=np.float64)
+    midis = np.asarray(midis)
+    if onsets.ndim != 1 or not onsets.shape == offsets.shape == midis.shape:
+        raise InputError("onsets, offsets and pitches must be 1-D arrays of one length")
+    if len(midis) and midis.dtype.kind not in "iu":
+        raise RangeError(f"pitches must be integer MIDI numbers, got {midis.dtype}")
+    bad = np.flatnonzero(~(np.isfinite(onsets) & np.isfinite(offsets)))
+    if len(bad):
+        raise RangeError(f"note {bad[0]}: note times must be finite")
+    bad = np.flatnonzero(offsets <= onsets)
+    if len(bad):
+        i = bad[0]
+        raise OrderingError(
+            f"note {i}: note offset {offsets[i].item()} not after onset {onsets[i].item()}"
+        )
+    bad = np.flatnonzero((midis < MIDI_MIN) | (midis > MIDI_MAX))
+    if len(bad):
+        raise RangeError(
+            f"note {bad[0]}: pitch {midis[bad[0]]} outside playable range "
+            f"{MIDI_MIN}..{MIDI_MAX}"
+        )
+    order = np.argsort(onsets, kind="stable")
+    onsets, offsets, midis = onsets[order], offsets[order], midis[order]
+    tie = np.flatnonzero(np.diff(onsets) <= 0)
+    if len(tie):
+        k = tie[0]
+        raise OrderingError(
+            f"notes {order[k]} and {order[k + 1]} share onset {onsets[k].item()}"
+        )
+    # Every PerfNote, Pitch and Melody invariant holds by the checks above,
+    # so the objects are filled in directly rather than re-checked one by one.
+    notes = []
+    new = object.__new__
+    for onset, offset, midi in zip(onsets.tolist(), offsets.tolist(), midis.tolist()):
+        note = new(PerfNote)
+        fields = note.__dict__
+        fields["onset_s"] = onset
+        fields["offset_s"] = offset
+        fields["pitch"] = _PITCHES[midi - MIDI_MIN]
+        notes.append(note)
+    melody = new(Melody)
+    melody.__dict__["notes"] = tuple(notes)
+    return melody
 
 
 @dataclass(frozen=True)

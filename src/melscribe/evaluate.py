@@ -7,7 +7,10 @@ graph with an edge wherever |onset difference| <= tol_s.  The reported
 positives are the maximum number of pairs that are both onset-matchable
 and pitch-equal (itself a maximum matching, on the pitch-equal
 subgraph), so the score never depends on which maximum matching a
-solver happens to find.
+solver happens to find.  Both onset lists are sorted, so every
+estimate's tolerance window over the references moves forward
+monotonically, and ``kernels.match_count`` finds a maximum matching by
+letting each estimate take the first unused reference in its window.
 
 precision = TP / |estimate|, recall = TP / |reference|; an empty side
 scores 0, except that two empty melodies score P = R = F1 = 1.  The
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import MIDI_MAX, MIDI_MIN, Melody, PerfNote, Pitch
+from .core import MIDI_MAX, MIDI_MIN, Melody, perf_melody
 from .errors import FormatError, InputError, OrderingError, RangeError
 from .jsonio import read_json
 
@@ -62,11 +65,11 @@ def _onset_adjacency(
 ) -> tuple[np.ndarray, np.ndarray]:
     lo = np.searchsorted(ref_onsets, est_onsets - tol_s, side="left")
     hi = np.searchsorted(ref_onsets, est_onsets + tol_s, side="right")
+    counts = hi - lo
     indptr = np.zeros(len(est_onsets) + 1, dtype=np.int64)
-    np.cumsum(hi - lo, out=indptr[1:])
-    indices = np.concatenate(
-        [np.arange(a, b, dtype=np.int64) for a, b in zip(lo, hi)]
-    ) if len(est_onsets) else np.zeros(0, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    # row u holds lo[u], lo[u] + 1, ..., hi[u] - 1
+    indices = np.arange(indptr[-1], dtype=np.int64) + np.repeat(lo - indptr[:-1], counts)
     return indptr, indices
 
 
@@ -97,20 +100,6 @@ def _scores(tp: int, n_est: int, n_ref: int) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
-def note_f1(estimate: Melody, reference: Melody, tol_s: float = DEFAULT_TOL_S) -> EvalReport:
-    """Onset-matched note F1 at fixed octave (sigma = 0)."""
-    if not (tol_s >= 0 and math.isfinite(tol_s)):
-        raise InputError(f"tolerance {tol_s} must be finite and non-negative")
-    e_on, e_mid = _perf_arrays(estimate)
-    r_on, r_mid = _perf_arrays(reference)
-    indptr, indices = _onset_adjacency(e_on, r_on, tol_s)
-    matched = kernels.match_count(indptr, indices, len(e_on), len(r_on))
-    eq_indptr, eq_indices = _equal_pitch_subgraph(indptr, indices, e_mid, r_mid)
-    tp = kernels.match_count(eq_indptr, eq_indices, len(e_on), len(r_on))
-    precision, recall, f1 = _scores(tp, len(e_on), len(r_on))
-    return EvalReport(precision, recall, f1, 0, matched)
-
-
 def _sigma_candidates(midis: np.ndarray) -> list[int]:
     """Feasible whole-octave shifts in a canonical order: 0, -1, 1, -2, ..."""
     if len(midis) == 0:
@@ -120,14 +109,10 @@ def _sigma_candidates(midis: np.ndarray) -> list[int]:
     return sorted(range(lo, hi + 1), key=lambda s: (abs(s), s))
 
 
-def octave_invariant_f1(
-    estimate: Melody, reference: Melody, tol_s: float = DEFAULT_TOL_S
+def _best_shift_f1(
+    estimate: Melody, reference: Melody, tol_s: float, octave_free: bool
 ) -> EvalReport:
-    """Note F1 maximized over whole-octave shifts of the estimate.
-
-    Infeasible shifts (any pitch pushed off the piano) are skipped; ties
-    prefer the smaller |sigma|, then the lower sigma.
-    """
+    """Note F1 at the best of the feasible octave shifts, or at sigma = 0."""
     if not (tol_s >= 0 and math.isfinite(tol_s)):
         raise InputError(f"tolerance {tol_s} must be finite and non-negative")
     e_on, e_mid = _perf_arrays(estimate)
@@ -136,7 +121,7 @@ def octave_invariant_f1(
     matched = kernels.match_count(indptr, indices, len(e_on), len(r_on))
     best_tp = -1
     best_sigma = 0
-    for sigma in _sigma_candidates(e_mid):
+    for sigma in _sigma_candidates(e_mid) if octave_free else [0]:
         eq_indptr, eq_indices = _equal_pitch_subgraph(
             indptr, indices, e_mid + 12 * sigma, r_mid
         )
@@ -148,6 +133,22 @@ def octave_invariant_f1(
     return EvalReport(precision, recall, f1, best_sigma, matched)
 
 
+def note_f1(estimate: Melody, reference: Melody, tol_s: float = DEFAULT_TOL_S) -> EvalReport:
+    """Onset-matched note F1 at fixed octave (sigma = 0)."""
+    return _best_shift_f1(estimate, reference, tol_s, octave_free=False)
+
+
+def octave_invariant_f1(
+    estimate: Melody, reference: Melody, tol_s: float = DEFAULT_TOL_S
+) -> EvalReport:
+    """Note F1 maximized over whole-octave shifts of the estimate.
+
+    Infeasible shifts (any pitch pushed off the piano) are skipped; ties
+    prefer the smaller |sigma|, then the lower sigma.
+    """
+    return _best_shift_f1(estimate, reference, tol_s, octave_free=True)
+
+
 def oracle_note_f1(
     estimate: Melody, reference: Melody, tol_s: float = DEFAULT_TOL_S
 ) -> EvalReport:
@@ -156,7 +157,7 @@ def oracle_note_f1(
     Recurses over every injective onset-matching, tracking the maximum
     cardinality and the maximum pitch-equal pair count independently.
     Kept deliberately free of matching theory so it can check the
-    augmenting-path implementation.
+    greedy window matcher that note_f1 uses.
     """
     e_on, e_mid = _perf_arrays(estimate)
     r_on, r_mid = _perf_arrays(reference)
@@ -203,25 +204,54 @@ def save_transcript(path, melody: Melody) -> None:
         fh.write("\n")
 
 
+#: Python types and array dtype of each transcript field: JSON numbers for
+#: times, JSON integers for pitches (bool is an int, but not a JSON number).
+_ENTRY_FIELDS = {
+    "onset_s": ((float, int), np.float64),
+    "offset_s": ((float, int), np.float64),
+    "midi": ((int,), np.int64),
+}
+
+
+def _column_array(entries: list, key: str) -> np.ndarray:
+    """One field of every entry as an array; errors name the first bad entry."""
+    values = [entry[key] for entry in entries]
+    types, dtype = _ENTRY_FIELDS[key]
+    if not set(map(type, values)) <= set(types):
+        i = next(i for i, v in enumerate(values) if type(v) not in types)
+        kind = "integer" if dtype is np.int64 else "number"
+        raise FormatError(f"entry {i}: {key} must be a JSON {kind}, got {values[i]!r}")
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError:
+        i = next(i for i, v in enumerate(values) if _overflows(v, dtype))
+        raise FormatError(f"entry {i}: {key} does not fit a {dtype.__name__}") from None
+
+
+def _overflows(value, dtype) -> bool:
+    try:
+        np.array(value, dtype=dtype)
+    except OverflowError:
+        return True
+    return False
+
+
 def load_transcript(path) -> Melody:
-    """Read the JSON interchange list back into a performance melody."""
+    """Read the JSON interchange list back into a performance melody.
+
+    Each entry must be an object of exactly onset_s, offset_s (JSON
+    numbers) and midi (a JSON integer).  Values are checked as arrays,
+    by ``core.perf_melody``; errors name the first bad entry.
+    """
     entries = read_json(path)
     if not isinstance(entries, list):
         raise FormatError(f"{path}: transcript must be a JSON list")
-    notes = []
     for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or set(entry) != {"onset_s", "offset_s", "midi"}:
+        if not isinstance(entry, dict) or entry.keys() != _ENTRY_FIELDS.keys():
             raise FormatError(
                 f"{path}: entry {i} must have exactly onset_s, offset_s, midi"
             )
-        try:
-            notes.append(
-                PerfNote(float(entry["onset_s"]), float(entry["offset_s"]), Pitch(entry["midi"]))
-            )
-        except (TypeError, ValueError, RangeError, OrderingError) as exc:
-            raise FormatError(f"{path}: entry {i}: {exc}") from exc
-    notes.sort(key=lambda n: n.onset_s)
     try:
-        return Melody(tuple(notes))
-    except OrderingError as exc:
+        return perf_melody(*(_column_array(entries, key) for key in _ENTRY_FIELDS))
+    except (FormatError, RangeError, OrderingError) as exc:
         raise FormatError(f"{path}: {exc}") from exc

@@ -214,7 +214,7 @@ def parse_functional(doc: bytes | str) -> tuple[dict, str | None]:
     """
     try:
         obj = json.loads(doc)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also bytes that are not UTF-8, and over-long integers
         raise ParseError(f"invalid JSON: {exc}", "$") from exc
     if not isinstance(obj, dict):
         raise ParseError("top level must be an object", "$")

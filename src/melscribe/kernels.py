@@ -1,7 +1,7 @@
 """The two inner loops of batch workloads, in numpy and plain Python.
 
 - segment-mean pooling of feature frames into sixteenth-note cells
-- maximum-cardinality bipartite matching of note onsets
+- maximum-cardinality matching of note onsets within a tolerance window
 
 Pooling accumulates in float64.
 """
@@ -29,43 +29,27 @@ def pool_segments(frames: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, n
 
 
 def match_count(indptr: np.ndarray, indices: np.ndarray, n_left: int, n_right: int) -> int:
-    """Size of a maximum matching of a bipartite graph in CSR form.
+    """Size of a maximum matching of an onset-window graph in CSR form.
 
     Left vertex ``u`` is adjacent to ``indices[indptr[u]:indptr[u+1]]``.
-    Kuhn's algorithm with a breadth-first search for each augmenting path.
+    Precondition: the rows are sorted windows that move forward
+    monotonically, per pitch: the graph ``evaluate._onset_adjacency``
+    builds from sorted onsets, or one of its equal-pitch subgraphs, a
+    disjoint union of such graphs.  These graphs are convex (Glover
+    1967), so letting each left vertex in turn take the first unused
+    right vertex of its row is already a maximum matching.  On an
+    arbitrary graph the same pass is only maximal.
     """
-    if n_left == 0 or n_right == 0 or len(indices) == 0:
-        return 0
-    match_l = [-1] * n_left
-    match_r = [-1] * n_right
-    parent = [-1] * n_right
-    stamp = [-1] * n_right
+    used = bytearray(n_right)
+    refs = indices.tolist()
+    rows = np.flatnonzero(np.diff(indptr[: n_left + 1]))
     size = 0
-    for u0 in range(n_left):
-        if indptr[u0] == indptr[u0 + 1]:
-            continue
-        queue = [u0]
-        head = 0
-        found = -1
-        while head < len(queue) and found < 0:
-            u = queue[head]
-            head += 1
-            for ei in range(indptr[u], indptr[u + 1]):
-                r = int(indices[ei])
-                if stamp[r] != u0:
-                    stamp[r] = u0
-                    parent[r] = u
-                    if match_r[r] < 0:
-                        found = r
-                        break
-                    queue.append(match_r[r])
-        if found >= 0:
-            r = found
-            while r >= 0:
-                u = parent[r]
-                nxt = match_l[u]
-                match_l[u] = r
-                match_r[r] = u
-                r = nxt
-            size += 1
+    for e, end in zip(indptr[rows].tolist(), indptr[rows + 1].tolist()):
+        while e < end:
+            r = refs[e]
+            if not used[r]:
+                used[r] = 1
+                size += 1
+                break
+            e += 1
     return size

@@ -71,7 +71,7 @@ def load_checkpoint(
         raise FormatError(f"{path}: header extends past end of file")
     try:
         header = json.loads(raw[_PREFIX.size : _PREFIX.size + head_len])
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, over-long integers
         raise FormatError(f"{path}: invalid checkpoint header: {exc}") from exc
     try:
         cfg = LabelerConfig.from_dict(header["config"])

@@ -54,6 +54,7 @@ def test_beat_grid_json_round_trip():
     for bad in ({"beats_s": [0.0, 1.0], "downbeats": [0.5]},
                 {"beats_s": [0.0, 1.0], "downbeats": 0},
                 {"beats_s": ["a", 1.0], "downbeats": [0]},
+                {"beats_s": [0.0, 10**400], "downbeats": [0]},
                 {"beats_s": 0.0, "downbeats": [0]}):
         with pytest.raises(FormatError):
             BeatGrid.from_json_dict(bad)
@@ -80,10 +81,14 @@ def test_alignment_map_file_round_trip(tmp_path):
     with pytest.raises(FormatError):
         AlignmentMap.load(path)
     for bad in ({"beats": [0, 1]}, {"beat_to_time_s": ["a", 1]},
-                {"beat_to_time_s": {"a": 1}}):
+                {"beat_to_time_s": {"a": 1}}, {"beat_to_time_s": [0, -(10**400)]}):
         path.write_text(json.dumps(bad))
         with pytest.raises(FormatError):
             AlignmentMap.load(path)
+    # an integer longer than Python parses is refused while reading the JSON
+    path.write_text('{"beat_to_time_s": [0, 1%s]}' % ("0" * 5000))
+    with pytest.raises(FormatError):
+        AlignmentMap.load(path)
 
 
 def test_refine_alignment_picks_nearest_downbeat():

@@ -144,6 +144,17 @@ def test_load_rejects_malformed_tensor_list(tmp_path):
             load_checkpoint(path)
 
 
+def test_load_rejects_over_long_integer_in_header(tmp_path):
+    path = tmp_path / "m.ckpt"
+    write_ckpt(path)
+    raw = path.read_bytes()
+    head_len = struct.unpack_from("<4sII", raw)[2]
+    head = raw[12 : 12 + head_len].replace(b'"step":123', b'"step":1' + b"0" * 5000)
+    path.write_bytes(raw[:4] + struct.pack("<II", 1, len(head)) + head + raw[12 + head_len :])
+    with pytest.raises(FormatError, match="invalid checkpoint header"):
+        load_checkpoint(path)
+
+
 def test_load_rejects_shapes_the_config_does_not_imply(tmp_path):
     path = tmp_path / "m.ckpt"
     write_ckpt(path)

@@ -284,6 +284,21 @@ def test_unusable_input_paths_exit_2(corpus, tmp_path):
         assert proc.stderr.startswith("error:"), proc.stderr
 
 
+def test_huge_integer_in_transcript_exits_1(corpus, tmp_path):
+    """A number no float holds, or too long for Python to parse, is a format error."""
+    path = tmp_path / "huge.json"
+    for digits in (400, 5000):
+        path.write_text('[{"onset_s": 1%s, "offset_s": 1.0, "midi": 60}]' % ("0" * digits))
+        proc = subprocess.run(
+            [sys.executable, "-m", "melscribe.cli", "evaluate", "--estimate", str(path),
+             "--reference", str(corpus["ref"])],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1, (digits, proc.stderr)
+        assert "Traceback" not in proc.stderr, (digits, proc.stderr)
+        assert proc.stderr.startswith("error:"), proc.stderr
+
+
 def test_mel_jobs_match_serial_bytes(corpus, tmp_path):
     wavs = [str(corpus["raw"] / "s00.wav"), str(corpus["raw"] / "s01.wav")]
     for jobs in ("1", "2"):

@@ -1,11 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from helpers import perf, random_perf
 from melscribe.core import Melody, Pitch, PerfNote, ScoreNote, octave_shift
-from melscribe.errors import FormatError, InputError, RangeError
+from melscribe.errors import FormatError, InputError, OrderingError, RangeError
 from melscribe.evaluate import (
     DEFAULT_TOL_S,
     load_transcript,
@@ -200,7 +201,129 @@ def test_transcript_load_rejects_malformed(tmp_path):
         json.dumps([{"onset_s": 0.0, "midi": 60}]),
         json.dumps([{"onset_s": 0.5, "offset_s": 0.5, "midi": 60}]),
         json.dumps([{"onset_s": 0.0, "offset_s": 1.0, "midi": "x"}]),
+        # only JSON numbers for times and JSON integers for pitches
+        json.dumps([{"onset_s": "0.5", "offset_s": 1.0, "midi": 60}]),
+        json.dumps([{"onset_s": "1_000", "offset_s": 2000.0, "midi": 60}]),
+        json.dumps([{"onset_s": True, "offset_s": 2.0, "midi": 60}]),
+        json.dumps([{"onset_s": 0.0, "offset_s": 1.0, "midi": True}]),
+        json.dumps([{"onset_s": 0.0, "offset_s": 1.0, "midi": 60.0}]),
+        json.dumps([{"onset_s": 0.0, "offset_s": None, "midi": 60}]),
+        # integers too large for float64 or int64, or for Python to parse
+        '[{"onset_s": 0.0, "offset_s": 1%s, "midi": 60}]' % ("0" * 400),
+        '[{"onset_s": 0.0, "offset_s": 1.0, "midi": 6%s}]' % ("0" * 400),
+        '[{"onset_s": 0.0, "offset_s": 1%s, "midi": 60}]' % ("0" * 5000),
+        # values PerfNote, Pitch and Melody refuse
+        '[{"onset_s": NaN, "offset_s": 1.0, "midi": 60}]',
+        '[{"onset_s": 0.0, "offset_s": Infinity, "midi": 60}]',
+        json.dumps([{"onset_s": 0.0, "offset_s": 1.0, "midi": 109}]),
+        json.dumps([{"onset_s": 0.0, "offset_s": 1.0, "midi": 60},
+                    {"onset_s": 0.0, "offset_s": 2.0, "midi": 62}]),
     ):
         path.write_text(payload)
         with pytest.raises(FormatError):
             load_transcript(path)
+
+
+def reference_load(entries) -> Melody:
+    """The transcript reader written one entry at a time."""
+    notes = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or set(entry) != {"onset_s", "offset_s", "midi"}:
+            raise FormatError(f"entry {i}: wrong keys")
+        times = (entry["onset_s"], entry["offset_s"])
+        if any(type(t) not in (int, float) for t in times) or type(entry["midi"]) is not int:
+            raise FormatError(f"entry {i}: wrong types")
+        try:
+            notes.append(PerfNote(float(times[0]), float(times[1]), Pitch(entry["midi"])))
+        except (OverflowError, RangeError, OrderingError) as exc:
+            raise FormatError(f"entry {i}: {exc}") from exc
+    notes.sort(key=lambda n: n.onset_s)
+    try:
+        return Melody(tuple(notes))
+    except OrderingError as exc:
+        raise FormatError(str(exc)) from exc
+
+
+def corrupt(entries, i, kind):
+    """A copy of ``entries`` with entry ``i`` made invalid in one way."""
+    bad = [dict(e) for e in entries]
+    entry = bad[i]
+    if kind == "missing key":
+        del entry["offset_s"]
+    elif kind == "extra key":
+        entry["velocity"] = 90
+    elif kind == "not an object":
+        bad[i] = [entry["onset_s"], entry["offset_s"], entry["midi"]]
+    elif kind == "string time":
+        entry["onset_s"] = str(entry["onset_s"])
+    elif kind == "bool time":
+        entry["offset_s"] = True
+    elif kind == "float midi":
+        entry["midi"] = float(entry["midi"])
+    elif kind == "bool midi":
+        entry["midi"] = False
+    elif kind == "huge time":
+        entry["offset_s"] = 10**400
+    elif kind == "huge midi":
+        entry["midi"] = -(10**30)
+    elif kind == "nan time":
+        entry["onset_s"] = float("nan")
+    elif kind == "offset not after onset":
+        entry["offset_s"] = entry["onset_s"]
+    elif kind == "midi out of range":
+        entry["midi"] = 20
+    return bad
+
+
+CORRUPTIONS = (
+    "missing key", "extra key", "not an object", "string time", "bool time",
+    "float midi", "bool midi", "huge time", "huge midi", "nan time",
+    "offset not after onset", "midi out of range",
+)
+
+
+def test_transcript_reader_matches_per_entry_reference(tmp_path):
+    rng = np.random.default_rng(4)
+    path = tmp_path / "t.json"
+    for trial in range(60):
+        n = int(rng.integers(0, 40))
+        onsets = rng.permutation(np.unique(rng.uniform(0.0, 20.0, size=n)))
+        entries = []
+        for k, onset in enumerate(onsets.tolist()):
+            if k % 5 == 0:  # integer seconds are JSON numbers too
+                onset = float(k)
+            offset = onset + float(rng.uniform(0.01, 1.0))
+            if k % 7 == 3:
+                offset = int(onset) + 2
+            entries.append({"onset_s": onset, "offset_s": offset,
+                            "midi": int(rng.integers(21, 109))})
+        onset_list = [e["onset_s"] for e in entries]
+        if len(set(onset_list)) < len(onset_list):
+            continue  # the integer onsets above collided
+        path.write_text(json.dumps(entries))
+        got = load_transcript(path)
+        want = reference_load(entries)
+        assert got == want, trial
+        assert [type(n.onset_s) for n in got] == [float] * len(got)
+        if not entries:
+            continue
+        for kind in CORRUPTIONS:
+            i = int(rng.integers(0, len(entries)))
+            bad = corrupt(entries, i, kind)
+            path.write_text(json.dumps(bad))
+            with pytest.raises(FormatError) as raised:
+                load_transcript(path)
+            with pytest.raises(FormatError):
+                reference_load(bad)
+            assert re.search(rf"\b(entry|note) {i}\b", str(raised.value)), (kind, i, raised.value)
+        # two notes on one onset: both are named
+        if len(entries) > 1:
+            i, j = sorted(rng.choice(len(entries), size=2, replace=False).tolist())
+            bad = [dict(e) for e in entries]
+            bad[j]["onset_s"] = bad[i]["onset_s"]
+            bad[j]["offset_s"] = bad[i]["offset_s"] + 0.5
+            path.write_text(json.dumps(bad))
+            with pytest.raises(FormatError, match=rf"notes {i} and {j} share onset"):
+                load_transcript(path)
+            with pytest.raises(FormatError):
+                reference_load(bad)

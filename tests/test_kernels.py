@@ -5,22 +5,7 @@ import scipy.sparse
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from melscribe import kernels
-
-
-def random_csr(rng, n_left, n_right, density):
-    """Adjacency in the (indptr, indices) form the kernels take."""
-    rows = []
-    for _ in range(n_left):
-        k = rng.binomial(n_right, density)
-        rows.append(np.sort(rng.choice(n_right, size=k, replace=False)))
-    indptr = np.zeros(n_left + 1, dtype=np.int64)
-    np.cumsum([len(r) for r in rows], out=indptr[1:])
-    indices = (
-        np.concatenate(rows).astype(np.int64)
-        if rows and indptr[-1]
-        else np.zeros(0, dtype=np.int64)
-    )
-    return indptr, indices
+from melscribe.evaluate import _equal_pitch_subgraph, _onset_adjacency
 
 
 def scipy_match_count(indptr, indices, n_left, n_right):
@@ -32,15 +17,42 @@ def scipy_match_count(indptr, indices, n_left, n_right):
     return int((matching >= 0).sum())
 
 
+def random_notes(rng, n, grid):
+    """Strictly increasing onsets and pitches, as a performance melody has.
+
+    Onsets either sit on a 25 ms grid (so onset gaps equal the tolerances
+    exactly) or fall anywhere in a span dense enough for windows to overlap.
+    Pitches come from a few octave-related values, so equal-pitch
+    subgraphs are neither empty nor the whole graph.
+    """
+    if grid:
+        onsets = 0.025 * np.sort(rng.choice(3 * n + 1, size=n, replace=False))
+    else:
+        onsets = np.unique(rng.uniform(0.0, 0.04 * n + 0.01, size=n))
+    midis = rng.choice([48, 55, 60, 60, 67, 72], size=len(onsets))
+    return onsets, midis
+
+
 def test_match_count_against_scipy():
+    """On the graphs note F1 builds, the greedy pass finds a maximum matching."""
     rng = np.random.default_rng(0)
-    for trial in range(200):
-        n_left = int(rng.integers(1, 20))
-        n_right = int(rng.integers(1, 20))
-        indptr, indices = random_csr(rng, n_left, n_right, float(rng.uniform(0, 0.5)))
-        got = kernels.match_count(indptr, indices, n_left, n_right)
-        want = scipy_match_count(indptr, indices, n_left, n_right)
-        assert got == want, (trial, n_left, n_right)
+    checked = 0
+    for trial in range(3000):
+        tol = (0.0, 0.025, 0.05)[trial % 3]
+        grid = trial % 2 == 0
+        e_on, e_mid = random_notes(rng, int(rng.integers(0, 25)), grid)
+        r_on, r_mid = random_notes(rng, int(rng.integers(0, 25)), grid)
+        indptr, indices = _onset_adjacency(e_on, r_on, tol)
+        graphs = [(indptr, indices)] + [
+            _equal_pitch_subgraph(indptr, indices, e_mid + 12 * sigma, r_mid)
+            for sigma in (-1, 0, 1)
+        ]
+        for sub_indptr, sub_indices in graphs:
+            got = kernels.match_count(sub_indptr, sub_indices, len(e_on), len(r_on))
+            want = scipy_match_count(sub_indptr, sub_indices, len(e_on), len(r_on))
+            assert got == want, (trial, tol, e_on.tolist(), r_on.tolist())
+            checked += 1
+    assert checked == 4 * 3000
 
 
 def test_match_count_edge_cases():
