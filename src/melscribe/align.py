@@ -9,7 +9,6 @@ linearly between entries (``align``); ``beat_position`` inverts that.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -18,13 +17,13 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
-    FormatError,
     InputError,
     InsufficientBeatsError,
     OrderingError,
+    ParseError,
     RangeError,
 )
-from .jsonio import read_json
+from .jsonio import check_keys, column, field, read_json, write_json
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,20 +57,17 @@ class BeatGrid:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "BeatGrid":
-        if not isinstance(obj, dict) or set(obj) != {"beats_s", "downbeats"}:
-            raise FormatError('beat grid JSON must have exactly "beats_s" and "downbeats"')
-        try:
-            times = np.asarray(obj["beats_s"], dtype=np.float64)
-            downbeats = list(obj["downbeats"])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise FormatError(f"beat grid JSON: {exc}") from exc
-        if times.ndim != 1:
-            raise FormatError('beat grid "beats_s" must be a list of numbers')
+        check_keys(obj, ("beats_s", "downbeats"), "$")
+        times = column(field(obj, "beats_s", list, "$"), float, "$.beats_s")
+        downbeats = column(field(obj, "downbeats", list, "$"), int, "$.downbeats")
+        outside = np.flatnonzero((downbeats < 0) | (downbeats >= len(times)))
+        if len(outside):
+            i = outside[0]
+            raise ParseError(
+                f"entry {i} ({downbeats[i]}) is outside the beat list", "$.downbeats"
+            )
         flags = np.zeros(len(times), dtype=bool)
-        for i in downbeats:
-            if not isinstance(i, int) or not 0 <= i < len(times):
-                raise FormatError(f"downbeat index {i!r} outside the beat list")
-            flags[i] = True
+        flags[downbeats] = True
         return cls(times, flags)
 
 
@@ -100,18 +96,11 @@ class AlignmentMap:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "AlignmentMap":
-        if not isinstance(obj, dict) or set(obj) != {"beat_to_time_s"}:
-            raise FormatError('alignment JSON must have exactly "beat_to_time_s"')
-        try:
-            times = np.asarray(obj["beat_to_time_s"], dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise FormatError(f"alignment JSON: {exc}") from exc
-        return cls(times)
+        check_keys(obj, ("beat_to_time_s",), "$")
+        return cls(column(field(obj, "beat_to_time_s", list, "$"), float, "$.beat_to_time_s"))
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path) -> "AlignmentMap":

@@ -18,7 +18,13 @@ from . import htparse
 from .align import AlignmentMap, BeatGrid, refine_alignment
 from .core import ChordSymbol, KeySignature, Meter, PitchClass, MODES
 from .errors import FormatError, InputError, MelscribeError
-from .evaluate import load_transcript, note_f1, octave_invariant_f1, save_transcript
+from .evaluate import (
+    DEFAULT_TOL_S,
+    load_transcript,
+    note_f1,
+    octave_invariant_f1,
+    save_transcript,
+)
 from .features import (
     beatwise_resample,
     load_features,
@@ -28,7 +34,7 @@ from .features import (
     save_features,
     save_resampled,
 )
-from .jsonio import read_json
+from .jsonio import check_keys, field, read_json, write_json
 from .labeler import (
     DESK_CONFIG,
     FULL_CONFIG,
@@ -80,31 +86,21 @@ def _parse_key(text: str) -> KeySignature | None:
 
 def _load_chord_changes(path) -> list[tuple[int, ChordSymbol]]:
     obj = read_json(path)
-    if not isinstance(obj, dict) or set(obj) != {"changes"}:
-        raise FormatError(f'{path}: expected an object with exactly "changes"')
-    if not isinstance(obj["changes"], list):
-        raise FormatError(f'{path}: "changes" must be a list')
+    check_keys(obj, ("changes",), "$")
     changes = []
-    for i, entry in enumerate(obj["changes"]):
-        if not isinstance(entry, dict) or set(entry) != {"tick", "root", "quality"}:
-            raise FormatError(f"{path}: change {i} needs tick, root, quality")
-        try:
-            tick = int(entry["tick"])
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"{path}: change {i} tick is not an integer") from exc
-        changes.append((tick, ChordSymbol(PitchClass(entry["root"]), entry["quality"])))
+    for i, entry in enumerate(field(obj, "changes", list, "$")):
+        where = f"$.changes[{i}]"
+        check_keys(entry, ("tick", "root", "quality"), where)
+        chord = ChordSymbol(
+            PitchClass(field(entry, "root", int, where)), field(entry, "quality", str, where)
+        )
+        changes.append((field(entry, "tick", int, where), chord))
     return changes
 
 
 def _save_chord_changes(path, changes: list[tuple[int, ChordSymbol]]) -> None:
-    obj = {
-        "changes": [
-            {"tick": t, "root": c.root.pc, "quality": c.quality} for t, c in changes
-        ]
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    entries = [{"tick": t, "root": c.root.pc, "quality": c.quality} for t, c in changes]
+    write_json(path, {"changes": entries})
 
 
 def cmd_dataset_convert(args) -> int:
@@ -134,9 +130,7 @@ def cmd_dataset_convert(args) -> int:
             artists[segment.id] = artist
         htparse.save_segment(out_dir / f"{segment.id}.segment.json", segment)
         converted += 1
-    with open(out_dir / "artists.json", "w", encoding="utf-8") as fh:
-        json.dump(artists, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "artists.json", artists)
     _emit({"converted": converted, "rejected": rejected, "out": str(out_dir)})
     return 0 if converted or not rejected else 1
 
@@ -146,8 +140,10 @@ def cmd_dataset_split(args) -> int:
     if not seg_paths:
         raise FileNotFoundError(f"no *.segment.json files under {args.dir}")
     artists = read_json(args.artists)
-    if not isinstance(artists, dict) or not all(isinstance(a, str) for a in artists.values()):
+    if not isinstance(artists, dict):
         raise FormatError(f"{args.artists}: expected an object mapping segment ids to artists")
+    for seg_id in artists:
+        field(artists, seg_id, str, "$")
     segments = [htparse.load_segment(p) for p in seg_paths]
     try:
         assignment = htparse.stratified_split([s.id for s in segments], artists, args.seed)
@@ -393,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--estimate", required=True, help="transcript JSON")
     evaluate.add_argument("--reference", required=True, help="transcript JSON")
     evaluate.add_argument("--octave-invariant", action="store_true")
-    evaluate.add_argument("--tolerance", type=float, default=0.05,
+    evaluate.add_argument("--tolerance", type=float, default=DEFAULT_TOL_S,
                           help="onset tolerance in seconds")
     evaluate.set_defaults(func=cmd_evaluate)
 

@@ -18,20 +18,20 @@ class OrderingError(MelscribeError):
     """A sequence that must be (strictly) increasing is not."""
 
 
-class ParseError(MelscribeError):
-    """Malformed annotation input; ``path`` names the offending field."""
-
-    def __init__(self, message: str, path: str = ""):
-        super().__init__(f"{path}: {message}" if path else message)
-        self.path = path
-
-
 class ShapeError(MelscribeError):
     """Array dimensions do not match their contract."""
 
 
 class FormatError(MelscribeError):
     """A binary or JSON file does not follow its documented layout."""
+
+
+class ParseError(FormatError):
+    """A JSON value breaks its format; ``path`` names it, like ``$.melody[3].midi``."""
+
+    def __init__(self, message: str, path: str = ""):
+        super().__init__(f"{path}: {message}" if path else message)
+        self.path = path
 
 
 class CoverageError(MelscribeError):

@@ -29,7 +29,7 @@ import numpy as np
 from . import kernels
 from .core import MIDI_MAX, MIDI_MIN, Melody, perf_melody
 from .errors import FormatError, InputError, OrderingError, RangeError
-from .jsonio import read_json
+from .jsonio import check_keys, column, read_json
 
 DEFAULT_TOL_S = 0.05
 
@@ -204,36 +204,8 @@ def save_transcript(path, melody: Melody) -> None:
         fh.write("\n")
 
 
-#: Python types and array dtype of each transcript field: JSON numbers for
-#: times, JSON integers for pitches (bool is an int, but not a JSON number).
-_ENTRY_FIELDS = {
-    "onset_s": ((float, int), np.float64),
-    "offset_s": ((float, int), np.float64),
-    "midi": ((int,), np.int64),
-}
-
-
-def _column_array(entries: list, key: str) -> np.ndarray:
-    """One field of every entry as an array; errors name the first bad entry."""
-    values = [entry[key] for entry in entries]
-    types, dtype = _ENTRY_FIELDS[key]
-    if not set(map(type, values)) <= set(types):
-        i = next(i for i, v in enumerate(values) if type(v) not in types)
-        kind = "integer" if dtype is np.int64 else "number"
-        raise FormatError(f"entry {i}: {key} must be a JSON {kind}, got {values[i]!r}")
-    try:
-        return np.array(values, dtype=dtype)
-    except OverflowError:
-        i = next(i for i, v in enumerate(values) if _overflows(v, dtype))
-        raise FormatError(f"entry {i}: {key} does not fit a {dtype.__name__}") from None
-
-
-def _overflows(value, dtype) -> bool:
-    try:
-        np.array(value, dtype=dtype)
-    except OverflowError:
-        return True
-    return False
+#: Kind of each transcript field: JSON numbers for times, a JSON integer for pitch.
+_ENTRY_FIELDS = {"onset_s": float, "offset_s": float, "midi": int}
 
 
 def load_transcript(path) -> Melody:
@@ -241,17 +213,19 @@ def load_transcript(path) -> Melody:
 
     Each entry must be an object of exactly onset_s, offset_s (JSON
     numbers) and midi (a JSON integer).  Values are checked as arrays,
-    by ``core.perf_melody``; errors name the first bad entry.
+    by ``jsonio.column`` and ``core.perf_melody``; errors name the first
+    bad entry.
     """
     entries = read_json(path)
     if not isinstance(entries, list):
         raise FormatError(f"{path}: transcript must be a JSON list")
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or entry.keys() != _ENTRY_FIELDS.keys():
-            raise FormatError(
-                f"{path}: entry {i} must have exactly onset_s, offset_s, midi"
-            )
     try:
-        return perf_melody(*(_column_array(entries, key) for key in _ENTRY_FIELDS))
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict) or entry.keys() != _ENTRY_FIELDS.keys():
+                check_keys(entry, _ENTRY_FIELDS, f"entry {i}")
+        return perf_melody(*(
+            column([entry[key] for entry in entries], kind, f"$[*].{key}")
+            for key, kind in _ENTRY_FIELDS.items()
+        ))
     except (FormatError, RangeError, OrderingError) as exc:
         raise FormatError(f"{path}: {exc}") from exc

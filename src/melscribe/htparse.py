@@ -40,8 +40,8 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
-from fractions import Fraction
+from contextlib import contextmanager
+from dataclasses import replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -63,8 +63,8 @@ from .core import (
     Segment,
     canonical_octave_shift,
 )
-from .errors import ParseError, RangeError
-from .jsonio import read_json
+from .errors import InputError, OrderingError, ParseError, RangeError
+from .jsonio import check_keys, field, read_json, write_json
 
 SPLITS = ("train", "valid", "test")
 SPLIT_RATIOS = (8, 1, 1)
@@ -83,28 +83,11 @@ SEVENTH_QUALITY = {
 
 _CHORD_REJECT_FIELDS = ("inversion", "suspension", "secondary_degree", "pedal")
 
-
-@dataclass(frozen=True)
-class FunctionalNote:
-    """A melody note relative to the key: degree, accidental, octave."""
-
-    scale_degree: int
-    accidental: int
-    rel_octave: int
-    onset_beats: Fraction
-    duration_beats: Fraction
-
-
-@dataclass(frozen=True)
-class FunctionalChord:
-    """A Roman-numeral chord: degree, accidental, kind, optional borrow."""
-
-    degree: int
-    accidental: int
-    kind: str
-    borrowed_mode: str | None
-    onset_beats: Fraction
-    duration_beats: Fraction
+#: Keys of the absolute segment form.
+_SEGMENT_FIELDS = (
+    "id", "audio_ref", "split", "user_start_s", "user_end_s", "meter", "key",
+    "melody", "chords",
+)
 
 
 def degree_to_pitch_midi(
@@ -161,33 +144,20 @@ def roman_to_chord(
     return ChordSymbol(PitchClass(root), table[mode][degree - 1])
 
 
-def _expect(obj, key: str, kind, path: str):
-    if not isinstance(obj, dict):
-        raise ParseError(f"expected an object, got {type(obj).__name__}", path)
-    if key not in obj:
-        raise ParseError(f"missing field {key!r}", path)
-    value = obj[key]
-    if kind is int:
-        # bool is an int subclass; reject it explicitly.
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ParseError(f"field {key!r} must be an integer", f"{path}.{key}")
-    elif kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ParseError(f"field {key!r} must be a number", f"{path}.{key}")
-        value = float(value)
-    elif not isinstance(value, kind):
-        raise ParseError(
-            f"field {key!r} must be {kind.__name__}", f"{path}.{key}"
-        )
-    return value
+@contextmanager
+def _at(path: str):
+    """Report a domain error raised inside the block as a ParseError at ``path``."""
+    try:
+        yield
+    except (InputError, OrderingError, RangeError) as exc:
+        raise ParseError(str(exc), path) from exc
 
 
-def _parse_fraction(obj, path: str) -> Fraction:
-    num = _expect(obj, "num", int, path)
-    den = _expect(obj, "den", int, path)
-    extra = set(obj) - {"num", "den"}
-    if extra:
-        raise ParseError(f"unknown fields {sorted(extra)}", path)
+def _parse_ticks(obj, path: str) -> int:
+    """A {num, den} beat fraction as whole ticks; den must divide TICKS_PER_BEAT."""
+    check_keys(obj, ("num", "den"), path)
+    num = field(obj, "num", int, path)
+    den = field(obj, "den", int, path)
     if den < 1:
         raise ParseError(f"denominator {den} must be positive", path)
     if TICKS_PER_BEAT % den:
@@ -196,13 +166,39 @@ def _parse_fraction(obj, path: str) -> Fraction:
             "(finer than sixteenth-note resolution)",
             path,
         )
-    return Fraction(num, den)
+    return num * (TICKS_PER_BEAT // den)
 
 
-def _to_ticks(beats: Fraction) -> int:
-    ticks = beats * TICKS_PER_BEAT
-    assert ticks.denominator == 1
-    return int(ticks)
+def _parse_span(entry, path: str) -> tuple[int, int]:
+    """Onset and duration ticks of a melody or chord entry."""
+    onset = _parse_ticks(field(entry, "onset_beats", dict, path), f"{path}.onset_beats")
+    duration = _parse_ticks(
+        field(entry, "duration_beats", dict, path), f"{path}.duration_beats"
+    )
+    if onset < 0:
+        raise ParseError(f"onset of {onset} ticks is negative", f"{path}.onset_beats")
+    if duration <= 0:
+        raise ParseError(
+            f"duration of {duration} ticks not positive", f"{path}.duration_beats"
+        )
+    return onset, duration
+
+
+def _parse_meter(obj, path: str) -> Meter:
+    check_keys(obj, ("beats_per_bar", "beat_unit"), path)
+    with _at(path):
+        return Meter(field(obj, "beats_per_bar", int, path), field(obj, "beat_unit", int, path))
+
+
+def _parse_key(obj, path: str) -> KeySignature:
+    check_keys(obj, ("tonic_pc", "mode"), path)
+    tonic_pc = field(obj, "tonic_pc", int, path)
+    mode = field(obj, "mode", str, path)
+    if not 0 <= tonic_pc <= 11:
+        raise ParseError(f"tonic_pc {tonic_pc} outside 0..11", f"{path}.tonic_pc")
+    if mode not in MODES:
+        raise ParseError(f"mode {mode!r} not one of {MODES}", f"{path}.mode")
+    return KeySignature(PitchClass(tonic_pc), mode)
 
 
 def parse_functional(doc: bytes | str) -> tuple[dict, str | None]:
@@ -216,18 +212,13 @@ def parse_functional(doc: bytes | str) -> tuple[dict, str | None]:
         obj = json.loads(doc)
     except ValueError as exc:  # also bytes that are not UTF-8, and over-long integers
         raise ParseError(f"invalid JSON: {exc}", "$") from exc
-    if not isinstance(obj, dict):
-        raise ParseError("top level must be an object", "$")
-    allowed = {
-        "id", "artist", "audio_ref", "start_s", "end_s", "meter", "key",
-        "key_changes", "meter_changes", "melody", "chords",
-    }
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ParseError(f"unknown fields {sorted(unknown)}", "$")
-    artist = obj.get("artist")
-    if artist is not None and not isinstance(artist, str):
-        raise ParseError("field 'artist' must be str", "$.artist")
+    check_keys(
+        obj,
+        ("id", "audio_ref", "start_s", "end_s", "meter", "key", "melody", "chords"),
+        "$",
+        optional=("artist", "key_changes", "meter_changes"),
+    )
+    artist = field(obj, "artist", str, "$") if obj.get("artist") is not None else None
     return obj, artist
 
 
@@ -245,78 +236,37 @@ def segment_from_functional(obj: dict) -> Segment:
     the lower octave).  Key or meter changes reject the segment with a
     counted warning.
     """
-    seg_id = _expect(obj, "id", str, "$")
-    audio_ref = _expect(obj, "audio_ref", str, "$")
-    start_s = _expect(obj, "start_s", float, "$")
-    end_s = _expect(obj, "end_s", float, "$")
+    seg_id = field(obj, "id", str, "$")
+    audio_ref = field(obj, "audio_ref", str, "$")
+    start_s = field(obj, "start_s", float, "$")
+    end_s = field(obj, "end_s", float, "$")
 
-    for field in ("key_changes", "meter_changes"):
-        changes = obj.get(field, [])
-        if not isinstance(changes, list):
-            raise ParseError(f"{field} must be a list", f"$.{field}")
-        if changes:
-            warnings.warn(f"segment {seg_id!r} rejected: {field} present")
+    for name in ("key_changes", "meter_changes"):
+        if name in obj and field(obj, name, list, "$"):
+            warnings.warn(f"segment {seg_id!r} rejected: {name} present")
             raise ParseError(
-                f"segments with {field.replace('_', ' ')} are not supported",
-                f"$.{field}",
+                f"segments with {name.replace('_', ' ')} are not supported",
+                f"$.{name}",
             )
 
-    meter_obj = _expect(obj, "meter", dict, "$")
-    extra = set(meter_obj) - {"beats_per_bar", "beat_unit"}
-    if extra:
-        raise ParseError(f"unknown fields {sorted(extra)}", "$.meter")
-    try:
-        meter = Meter(
-            _expect(meter_obj, "beats_per_bar", int, "$.meter"),
-            _expect(meter_obj, "beat_unit", int, "$.meter"),
-        )
-    except RangeError as exc:
-        raise ParseError(str(exc), "$.meter") from exc
+    meter = _parse_meter(field(obj, "meter", dict, "$"), "$.meter")
+    key = _parse_key(field(obj, "key", dict, "$"), "$.key")
 
-    key_obj = _expect(obj, "key", dict, "$")
-    extra = set(key_obj) - {"tonic_pc", "mode"}
-    if extra:
-        raise ParseError(f"unknown fields {sorted(extra)}", "$.key")
-    tonic_pc = _expect(key_obj, "tonic_pc", int, "$.key")
-    mode = _expect(key_obj, "mode", str, "$.key")
-    if not 0 <= tonic_pc <= 11:
-        raise ParseError(f"tonic_pc {tonic_pc} outside 0..11", "$.key.tonic_pc")
-    if mode not in MODES:
-        raise ParseError(f"mode {mode!r} not one of {MODES}", "$.key.mode")
-    key = KeySignature(PitchClass(tonic_pc), mode)
-
-    melody_list = _expect(obj, "melody", list, "$")
     raw_notes: list[tuple[int, int, int]] = []
-    for i, entry in enumerate(melody_list):
+    for i, entry in enumerate(field(obj, "melody", list, "$")):
         path = f"$.melody[{i}]"
-        if not isinstance(entry, dict):
-            raise ParseError("melody entry must be an object", path)
-        extra = set(entry) - {
-            "scale_degree", "accidental", "rel_octave", "onset_beats",
-            "duration_beats",
-        }
-        if extra:
-            raise ParseError(f"unknown fields {sorted(extra)}", path)
-        degree = _expect(entry, "scale_degree", int, path)
-        accidental = _expect(entry, "accidental", int, path)
-        rel_octave = _expect(entry, "rel_octave", int, path)
-        onset = _parse_fraction(
-            _expect(entry, "onset_beats", dict, path), f"{path}.onset_beats"
+        check_keys(
+            entry,
+            ("scale_degree", "accidental", "rel_octave", "onset_beats", "duration_beats"),
+            path,
         )
-        duration = _parse_fraction(
-            _expect(entry, "duration_beats", dict, path), f"{path}.duration_beats"
-        )
-        if onset < 0:
-            raise ParseError(f"onset {onset} is negative", f"{path}.onset_beats")
-        if duration <= 0:
-            raise ParseError(
-                f"duration {duration} not positive", f"{path}.duration_beats"
-            )
-        try:
+        degree = field(entry, "scale_degree", int, path)
+        accidental = field(entry, "accidental", int, path)
+        rel_octave = field(entry, "rel_octave", int, path)
+        onset_ticks, duration_ticks = _parse_span(entry, path)
+        with _at(path):
             midi = degree_to_pitch_midi(key, degree, accidental, rel_octave)
-        except RangeError as exc:
-            raise ParseError(str(exc), path) from exc
-        raw_notes.append((_to_ticks(onset), _to_ticks(duration), midi))
+        raw_notes.append((onset_ticks, duration_ticks, midi))
 
     shift = canonical_octave_shift([m for _, _, m in raw_notes])
     notes = []
@@ -330,55 +280,39 @@ def segment_from_functional(obj: dict) -> Segment:
         notes.append(ScoreNote(onset_ticks, duration_ticks, Pitch(midi)))
     try:
         melody = Melody(tuple(notes))
-    except Exception as exc:
+    except OrderingError as exc:
         raise ParseError(f"melody is not monophonic: {exc}", "$.melody") from exc
 
-    chords_list = _expect(obj, "chords", list, "$")
     spans = []
-    for i, entry in enumerate(chords_list):
+    for i, entry in enumerate(field(obj, "chords", list, "$")):
         path = f"$.chords[{i}]"
-        if not isinstance(entry, dict):
-            raise ParseError("chord entry must be an object", path)
+        check_keys(
+            entry,
+            ("degree", "accidental", "kind", "onset_beats", "duration_beats"),
+            path,
+            optional=("borrowed_mode", *_CHORD_REJECT_FIELDS),
+        )
         for rejected in _CHORD_REJECT_FIELDS:
             if entry.get(rejected) not in (None, 0):
                 raise ParseError(
                     f"chord construct {rejected!r} is not supported",
                     f"{path}.{rejected}",
                 )
-        extra = set(entry) - {
-            "degree", "accidental", "kind", "borrowed_mode", "onset_beats",
-            "duration_beats", *_CHORD_REJECT_FIELDS,
-        }
-        if extra:
-            raise ParseError(f"unknown fields {sorted(extra)}", path)
-        degree = _expect(entry, "degree", int, path)
-        accidental = _expect(entry, "accidental", int, path)
-        kind = _expect(entry, "kind", str, path)
+        degree = field(entry, "degree", int, path)
+        accidental = field(entry, "accidental", int, path)
+        kind = field(entry, "kind", str, path)
         borrowed = entry.get("borrowed_mode")
         if borrowed is not None and borrowed not in MODES:
             raise ParseError(
                 f"borrowed_mode {borrowed!r} not one of {MODES}",
                 f"{path}.borrowed_mode",
             )
-        onset = _parse_fraction(
-            _expect(entry, "onset_beats", dict, path), f"{path}.onset_beats"
-        )
-        duration = _parse_fraction(
-            _expect(entry, "duration_beats", dict, path), f"{path}.duration_beats"
-        )
-        if onset < 0:
-            raise ParseError(f"onset {onset} is negative", f"{path}.onset_beats")
-        if duration <= 0:
-            raise ParseError(
-                f"duration {duration} not positive", f"{path}.duration_beats"
-            )
-        try:
+        onset_ticks, duration_ticks = _parse_span(entry, path)
+        with _at(path):
             chord = roman_to_chord(key, degree, accidental, kind, borrowed)
-        except RangeError as exc:
-            raise ParseError(str(exc), path) from exc
-        spans.append(ChordSpan(_to_ticks(onset), _to_ticks(duration), chord))
+        spans.append(ChordSpan(onset_ticks, duration_ticks, chord))
 
-    try:
+    with _at("$"):
         return Segment(
             id=seg_id,
             audio_ref=audio_ref,
@@ -390,10 +324,6 @@ def segment_from_functional(obj: dict) -> Segment:
             melody=melody,
             chords=tuple(spans),
         )
-    except ParseError:
-        raise
-    except Exception as exc:
-        raise ParseError(str(exc), "$") from exc
 
 
 def segment_to_json_dict(segment: Segment) -> dict:
@@ -431,57 +361,49 @@ def segment_to_json_dict(segment: Segment) -> dict:
 
 def segment_from_json_dict(obj: dict) -> Segment:
     """Load a segment from its absolute interchange form."""
-    required = {
-        "id", "audio_ref", "split", "user_start_s", "user_end_s", "meter",
-        "key", "melody", "chords",
-    }
-    if not isinstance(obj, dict) or set(obj) != required:
-        raise ParseError(
-            f"absolute segment must have exactly fields {sorted(required)}", "$"
-        )
+    check_keys(obj, _SEGMENT_FIELDS, "$")
     split = obj["split"]
     if split is not None and split not in SPLITS:
         raise ParseError(f"split {split!r} invalid", "$.split")
-    try:
-        meter = Meter(obj["meter"]["beats_per_bar"], obj["meter"]["beat_unit"])
-        key = KeySignature(PitchClass(obj["key"]["tonic_pc"]), obj["key"]["mode"])
-        melody = Melody(
-            tuple(
-                ScoreNote(e["onset_ticks"], e["duration_ticks"], Pitch(e["midi"]))
-                for e in obj["melody"]
-            )
-        )
-        chords = tuple(
-            ChordSpan(
-                e["onset_ticks"],
-                e["duration_ticks"],
-                ChordSymbol(PitchClass(e["root_pc"]), e["quality"]),
-            )
-            for e in obj["chords"]
-        )
+    notes = []
+    for i, entry in enumerate(field(obj, "melody", list, "$")):
+        path = f"$.melody[{i}]"
+        check_keys(entry, ("onset_ticks", "duration_ticks", "midi"), path)
+        with _at(path):
+            notes.append(ScoreNote(
+                field(entry, "onset_ticks", int, path),
+                field(entry, "duration_ticks", int, path),
+                Pitch(field(entry, "midi", int, path)),
+            ))
+    chords = []
+    for i, entry in enumerate(field(obj, "chords", list, "$")):
+        path = f"$.chords[{i}]"
+        check_keys(entry, ("onset_ticks", "duration_ticks", "root_pc", "quality"), path)
+        with _at(path):
+            chords.append(ChordSpan(
+                field(entry, "onset_ticks", int, path),
+                field(entry, "duration_ticks", int, path),
+                ChordSymbol(
+                    PitchClass(field(entry, "root_pc", int, path)),
+                    field(entry, "quality", str, path),
+                ),
+            ))
+    with _at("$"):
         return Segment(
-            id=obj["id"],
-            audio_ref=obj["audio_ref"],
+            id=field(obj, "id", str, "$"),
+            audio_ref=field(obj, "audio_ref", str, "$"),
             split=split,
-            user_start_s=float(obj["user_start_s"]),
-            user_end_s=float(obj["user_end_s"]),
-            meter=meter,
-            key=key,
-            melody=melody,
-            chords=chords,
+            user_start_s=field(obj, "user_start_s", float, "$"),
+            user_end_s=field(obj, "user_end_s", float, "$"),
+            meter=_parse_meter(field(obj, "meter", dict, "$"), "$.meter"),
+            key=_parse_key(field(obj, "key", dict, "$"), "$.key"),
+            melody=Melody(tuple(notes)),
+            chords=tuple(chords),
         )
-    except ParseError:
-        raise
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed absolute segment: {exc!r}", "$") from exc
-    except Exception as exc:
-        raise ParseError(str(exc), "$") from exc
 
 
 def save_segment(path, segment: Segment) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(segment_to_json_dict(segment), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, segment_to_json_dict(segment))
 
 
 def load_segment(path) -> Segment:
@@ -491,17 +413,7 @@ def load_segment(path) -> Segment:
 def with_split(segment: Segment, split: str) -> Segment:
     if split not in SPLITS:
         raise ParseError(f"split {split!r} invalid", "$.split")
-    return Segment(
-        id=segment.id,
-        audio_ref=segment.audio_ref,
-        split=split,
-        user_start_s=segment.user_start_s,
-        user_end_s=segment.user_end_s,
-        meter=segment.meter,
-        key=segment.key,
-        melody=segment.melody,
-        chords=segment.chords,
-    )
+    return replace(segment, split=split)
 
 
 def stratified_split(

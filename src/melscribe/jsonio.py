@@ -1,10 +1,32 @@
-"""Reading JSON files: one place that turns undecodable input into FormatError."""
+"""Reading and writing JSON files under one set of type rules.
+
+Every JSON format melscribe reads goes through this module, so the rules
+are the same for each of them:
+
+- a JSON integer is a Python ``int`` that is not a ``bool``;
+- a JSON number is an ``int`` or ``float`` that is not a ``bool``, so
+  ``true`` and numeric strings such as ``"0.5"`` are neither;
+- an object carries exactly its documented keys: unknown keys and
+  missing keys are refused;
+- a value that breaks a rule raises ``ParseError`` (a ``FormatError``)
+  naming its JSON path, such as ``$.changes[3].tick``; the CLI exits 1.
+
+Bytes that are not UTF-8 or not JSON raise ``FormatError`` as well.
+"""
 
 from __future__ import annotations
 
 import json
 
-from .errors import FormatError
+import numpy as np
+
+from .errors import FormatError, ParseError
+
+#: Element types, array dtype and name of the two ``column`` kinds.
+_COLUMNS = {
+    float: ({int, float}, np.float64, "number"),
+    int: ({int}, np.int64, "integer"),
+}
 
 
 def read_json(path):
@@ -18,3 +40,69 @@ def read_json(path):
             return json.load(fh)
     except ValueError as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` indented, with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def field(obj, key: str, kind, where: str):
+    """``obj[key]``, checked to be of ``kind``; ``where`` is the path of ``obj``.
+
+    ``kind`` is ``int`` (a JSON integer), ``float`` (a JSON number, returned
+    as a float), ``str``, ``list`` or ``dict``.
+    """
+    if not isinstance(obj, dict):
+        raise ParseError(f"expected an object, got {type(obj).__name__}", where)
+    if key not in obj:
+        raise ParseError(f"missing field {key!r}", where)
+    value = obj[key]
+    if kind is int:
+        # bool is an int subclass; reject it explicitly.
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ParseError(f"field {key!r} must be an integer", f"{where}.{key}")
+    elif kind is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ParseError(f"field {key!r} must be a number", f"{where}.{key}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ParseError(f"field {key!r} does not fit a float64", f"{where}.{key}") from None
+    elif not isinstance(value, kind):
+        raise ParseError(f"field {key!r} must be {kind.__name__}", f"{where}.{key}")
+    return value
+
+
+def check_keys(obj, required, where: str, optional=()) -> None:
+    """Refuse ``obj`` unless it is an object with every ``required`` key and no others but ``optional``."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"expected an object, got {type(obj).__name__}", where)
+    unknown = obj.keys() - set(required) - set(optional)
+    if unknown:
+        raise ParseError(f"unknown fields {sorted(unknown)}", where)
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ParseError(f"missing field {missing[0]!r}", where)
+
+
+def column(values: list, kind, where: str) -> np.ndarray:
+    """A list of JSON numbers (``kind`` float) or integers (int) as a float64 or int64 array.
+
+    ``where`` is the path of the list; errors name its first bad entry.
+    """
+    types, dtype, name = _COLUMNS[kind]
+    if not set(map(type, values)) <= types:
+        i = next(i for i, v in enumerate(values) if type(v) not in types)
+        raise ParseError(f"entry {i} must be a JSON {name}, got {values[i]!r}", where)
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError:
+        for i, value in enumerate(values):
+            try:
+                dtype(value)
+            except OverflowError:
+                raise ParseError(f"entry {i} does not fit a {dtype.__name__}", where) from None
+        raise

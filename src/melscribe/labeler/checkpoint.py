@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import FormatError, ShapeError
+from ..jsonio import check_keys, column, field
 from .config import LabelerConfig
 from .model import param_names, param_shapes
 
@@ -74,13 +75,19 @@ def load_checkpoint(
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, over-long integers
         raise FormatError(f"{path}: invalid checkpoint header: {exc}") from exc
     try:
-        cfg = LabelerConfig.from_dict(header["config"])
-        tau = float(header["tau"])
-        step = int(header["step"])
+        check_keys(header, ("config", "step", "tau", "tensors"), "$")
+        cfg = LabelerConfig.from_dict(field(header, "config", dict, "$"))
+        tau = field(header, "tau", float, "$")
+        step = field(header, "step", int, "$")
         shapes = param_shapes(cfg)
-        listed = [(t["name"], tuple(int(n) for n in t["shape"])) for t in header["tensors"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"{path}: malformed checkpoint header") from exc
+        listed = []
+        for i, tensor in enumerate(field(header, "tensors", list, "$")):
+            where = f"$.tensors[{i}]"
+            check_keys(tensor, ("name", "shape"), where)
+            shape = column(field(tensor, "shape", list, where), int, f"{where}.shape")
+            listed.append((field(tensor, "name", str, where), tuple(shape.tolist())))
+    except (FormatError, TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{path}: malformed checkpoint header: {exc}") from exc
 
     if [name for name, _ in listed] != list(shapes):
         raise FormatError(f"{path}: tensor list does not match the stored config")

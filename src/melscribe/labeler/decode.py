@@ -11,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..align import AlignmentMap, align
-from ..core import ChordSymbol, Melody, TICKS_PER_BEAT, legato_offsets
+from ..core import MIDI_MIN, TICKS_PER_BEAT, ChordSymbol, Melody, perf_melody
 from ..errors import RangeError, ShapeError
-from .labels import CHORD_VOCAB, MELODY_VOCAB, class_to_chord, class_to_pitch
+from .labels import CHORD_VOCAB, MELODY_VOCAB, class_to_chord
 from .loss import log_softmax
 
 
@@ -51,11 +51,14 @@ def decode(logits: np.ndarray, tau: float, amap: AlignmentMap) -> Melody:
         )
     if logits.shape[1] != MELODY_VOCAB.n_classes:
         raise ShapeError(f"melody decode needs {MELODY_VOCAB.n_classes} classes")
-    ticks, classes = onset_classes(logits, tau)
-    times = align(amap, ticks / TICKS_PER_BEAT).tolist()
-    onsets = [(t, class_to_pitch(int(c))) for t, c in zip(times, classes)]
-    end_s = align(amap, amap.num_beats)
-    return Melody(tuple(legato_offsets(onsets, end_s)))
+    return onset_melody(amap, *onset_classes(logits, tau))
+
+
+def onset_melody(amap: AlignmentMap, ticks: np.ndarray, classes: np.ndarray) -> Melody:
+    """Legato notes for melody classes at onset ticks, in increasing order."""
+    times = align(amap, np.asarray(ticks) / TICKS_PER_BEAT)
+    ends = np.append(times, align(amap, amap.num_beats))[1:]
+    return perf_melody(times, ends, np.asarray(classes) + (MIDI_MIN - 1))
 
 
 def decode_chords(logits: np.ndarray, tau: float) -> list[tuple[int, ChordSymbol]]:

@@ -13,13 +13,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..align import AlignmentMap, align
-from ..core import Melody, TICKS_PER_BEAT, legato_offsets
+from ..align import AlignmentMap
+from ..core import Melody, TICKS_PER_BEAT
 from ..errors import InputError, ShapeError
 from ..evaluate import octave_invariant_f1
 from .config import LabelerConfig
-from .decode import decode
-from .labels import DenseLabelSequence, class_to_pitch
+from .decode import decode, onset_melody
+from .labels import DenseLabelSequence
 from .loss import _loss_and_grad
 from .model import backward, forward_cached, forward_windowed, init_params
 
@@ -83,11 +83,8 @@ class TrainResult:
 
 def reference_melody(labels: DenseLabelSequence, amap: AlignmentMap) -> Melody:
     """Performance-form melody implied by dense labels under an alignment."""
-    events = labels.onset_events()
-    ticks = np.array([tick for tick, _ in events], dtype=np.float64)
-    times = align(amap, ticks / TICKS_PER_BEAT).tolist()
-    onsets = [(t, class_to_pitch(cls)) for t, (_, cls) in zip(times, events)]
-    return Melody(tuple(legato_offsets(onsets, align(amap, amap.num_beats))))
+    ticks = np.flatnonzero(labels.classes)
+    return onset_melody(amap, ticks, labels.classes[ticks])
 
 
 def _sample_slice(

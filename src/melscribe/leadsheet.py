@@ -166,11 +166,13 @@ class LeadSheet:
             prev = tick
 
     def chord_spans(self) -> list[ChordSpan]:
-        spans = []
-        for i, (tick, chord) in enumerate(self.chords):
-            end = self.chords[i + 1][0] if i + 1 < len(self.chords) else self.total_ticks
-            spans.append(ChordSpan(tick, end - tick, chord))
-        return spans
+        return _chord_spans(self.chords, self.total_ticks)
+
+
+def _chord_spans(chords, total_ticks: int) -> list[ChordSpan]:
+    """Each chord lasts until the next change, the last one until ``total_ticks``."""
+    ends = [tick for tick, _ in chords[1:]] + [total_ticks]
+    return [ChordSpan(tick, end - tick, chord) for (tick, chord), end in zip(chords, ends)]
 
 
 def assemble(
@@ -225,11 +227,7 @@ def assemble(
 
     chord_list = tuple((int(t), c) for t, c in chords)
     if key is None:
-        spans = []
-        for i, (tick, chord) in enumerate(chord_list):
-            end = chord_list[i + 1][0] if i + 1 < len(chord_list) else total
-            spans.append(ChordSpan(tick, end - tick, chord))
-        key = estimate_key(score_melody, spans)
+        key = estimate_key(score_melody, _chord_spans(chord_list, total))
     return LeadSheet(
         key=key,
         meter=meter,

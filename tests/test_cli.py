@@ -399,3 +399,41 @@ def test_module_entry_point():
     assert proc.returncode == 0
     assert "melscribe" in proc.stdout
     assert "transcribe" in proc.stdout
+
+
+def _wrong_typed_inputs(tmp_path):
+    """Per command: its argv over one file with a wrong-typed field, the
+    JSON path the error must name, and the output it must not write."""
+    segment = htparse.segment_to_json_dict(htparse.parse_segment(functional_doc("s", "a")))
+    segment.update(id=5, split="train")
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "s.segment.json").write_text(json.dumps(segment))
+    (tmp_path / "grid.json").write_text(
+        json.dumps({"beats_s": [0.5, 1.0, 1.5, 2.0], "downbeats": [True]}))
+    AlignmentMap([0.5, 1.0, 1.5, 2.0]).save(tmp_path / "a.json")
+    (tmp_path / "t.json").write_text(json.dumps([{"onset_s": 0.5, "offset_s": 1.0, "midi": 60}]))
+    (tmp_path / "c.json").write_text(
+        json.dumps({"changes": [{"tick": 5.7, "root": 0, "quality": "maj"}]}))
+    return {
+        "train": (["train", "--data", str(data), "--out", str(tmp_path / "m.ckpt"),
+                   "--steps", "1"], "$.id", "m.ckpt"),
+        "align-refine": (["align", "refine", "--grid", str(tmp_path / "grid.json"),
+                          "--start", "0.5", "--beats", "2",
+                          "--out", str(tmp_path / "out.json")], "$.downbeats", "out.json"),
+        "leadsheet": (["leadsheet", "--transcript", str(tmp_path / "t.json"),
+                       "--alignment", str(tmp_path / "a.json"),
+                       "--chords", str(tmp_path / "c.json"),
+                       "--lilypond", str(tmp_path / "out.ly")], "$.changes[0].tick", "out.ly"),
+    }
+
+
+@pytest.mark.parametrize("command", ["train", "align-refine", "leadsheet"])
+def test_wrong_typed_json_field_exits_1_naming_it(tmp_path, command):
+    argv, where, output = _wrong_typed_inputs(tmp_path)[command]
+    proc = subprocess.run([sys.executable, "-m", "melscribe.cli", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.stderr.startswith("error:") and where in proc.stderr, proc.stderr
+    assert not (tmp_path / output).exists()

@@ -17,6 +17,7 @@ import pytest
 
 from melscribe import htparse
 from melscribe.align import AlignmentMap, BeatGrid, constant_tempo_grid
+from melscribe.cli import _load_chord_changes
 from melscribe.core import Melody, Pitch, ScoreNote
 from melscribe.errors import MelscribeError
 from melscribe.evaluate import load_transcript, save_transcript
@@ -73,7 +74,8 @@ def files(tmp_path_factory):
     melody = Melody((ScoreNote(0, 4, Pitch(60)), ScoreNote(4, 6, Pitch(64)),
                      ScoreNote(10, 2, Pitch(67))))
     paths = {name: root / name for name in (
-        "fixed.ssft", "ticks.ssft", "m.ckpt", "a.json", "t.json", "s.json", "g.json")}
+        "fixed.ssft", "ticks.ssft", "m.ckpt", "a.json", "t.json", "s.json", "g.json",
+        "c.json", "f.json")}
     save_features(paths["fixed.ssft"], FeatureMatrix(31.25, rng.normal(size=(80, 3))))
     save_resampled(paths["ticks.ssft"], ResampledFeatures(rng.normal(size=(12, 3))))
     save_checkpoint(paths["m.ckpt"], CFG, init_params(CFG), 0.4, 10)
@@ -89,7 +91,21 @@ def files(tmp_path_factory):
                     "quality": "maj"}],
     }))
     paths["g.json"].write_text(json.dumps(constant_tempo_grid(120.0, 0.5, 6).to_json_dict()))
+    paths["c.json"].write_text(json.dumps({"changes": [
+        {"tick": 0, "root": 0, "quality": "maj"}, {"tick": 8, "root": 7, "quality": "dom7"}]}))
+    beat = {"num": 1, "den": 1}
+    paths["f.json"].write_text(json.dumps({
+        "id": "f", "artist": "a", "audio_ref": "f.wav", "start_s": 0.5, "end_s": 2.0,
+        "meter": {"beats_per_bar": 4, "beat_unit": 4},
+        "key": {"tonic_pc": 0, "mode": "major"}, "key_changes": [], "meter_changes": [],
+        "melody": [{"scale_degree": 1, "accidental": 0, "rel_octave": 0,
+                    "onset_beats": {"num": 0, "den": 1}, "duration_beats": beat}],
+        "chords": [{"degree": 5, "accidental": 0, "kind": "seventh", "borrowed_mode": None,
+                    "onset_beats": {"num": 1, "den": 2}, "duration_beats": beat}],
+    }))
     htparse.load_segment(paths["s.json"])  # the undamaged files load
+    _load_chord_changes(paths["c.json"])
+    htparse.parse_segment(paths["f.json"].read_bytes())
     return paths
 
 
@@ -115,7 +131,9 @@ def test_checkpoint_loader_fails_closed(files, tmp_path):
     ("t.json", load_transcript, 7),
     ("s.json", htparse.load_segment, 8),
     ("g.json", lambda p: BeatGrid.from_json_dict(read_json(p)), 9),
-], ids=["alignment", "transcript", "segment", "beat-grid"])
+    ("c.json", _load_chord_changes, 10),
+    ("f.json", lambda p: htparse.parse_segment(p.read_bytes()), 11),
+], ids=["alignment", "transcript", "segment", "beat-grid", "chord-changes", "functional"])
 def test_json_loaders_fail_closed(files, tmp_path, name, load, seed):
     blob = files[name].read_bytes()
     assert_fails_closed(load, tmp_path / "x.json", damaged(blob, len(blob), seed))

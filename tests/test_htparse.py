@@ -136,6 +136,8 @@ def test_parse_segment_structural_errors():
         htparse.parse_segment("{nope")
     with pytest.raises(ParseError, match="invalid JSON"):  # beyond Python's int parsing limit
         htparse.parse_segment('{"id": "x", "start_s": 1%s}' % ("0" * 5000))
+    with pytest.raises(ParseError, match="does not fit a float64"):  # beyond float64
+        htparse.parse_segment(doc(start_s=10**400))
     with pytest.raises(ParseError, match="unknown fields"):
         htparse.parse_segment(doc(extra_stuff=1))
     with pytest.raises(ParseError, match="missing field"):
