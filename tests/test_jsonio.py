@@ -73,10 +73,6 @@ def test_write_json_is_sorted_indented_with_newline(tmp_path):
     assert read_json(path) == {"a": {"c": 2, "d": 1}, "b": [1]}
 
 
-def test_parse_error_is_a_format_error():
-    assert issubclass(ParseError, FormatError)
-
-
 def _beats(num, den=1):
     return {"num": num, "den": den}
 
