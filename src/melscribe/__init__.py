@@ -26,7 +26,6 @@ from .core import (
     ScoreNote,
     Segment,
     canonical_octave_shift,
-    legato_offsets,
     octave_shift,
 )
 from .errors import (
@@ -72,7 +71,6 @@ __all__ = [
     "Segment",
     "ShapeError",
     "canonical_octave_shift",
-    "legato_offsets",
     "octave_shift",
     "__version__",
 ]

@@ -26,11 +26,13 @@ from .evaluate import (
     save_transcript,
 )
 from .features import (
+    FeatureMatrix,
     beatwise_resample,
     load_features,
     load_resampled,
     load_wav,
     logmel,
+    read_ssft,
     save_features,
     save_resampled,
 )
@@ -263,13 +265,12 @@ def cmd_train(args) -> int:
 def cmd_transcribe(args) -> int:
     cfg, params, tau, _step = load_checkpoint(args.checkpoint)
     amap = AlignmentMap.load(args.alignment)
-    try:
-        resampled = load_resampled(args.features)
-    except FormatError:
-        resampled = beatwise_resample(load_features(args.features), amap)
+    feats = read_ssft(args.features)
+    if isinstance(feats, FeatureMatrix):
+        feats = beatwise_resample(feats, amap)
     if args.tau is not None:
         tau = args.tau
-    logits = forward_windowed(cfg, params, resampled.frames)
+    logits = forward_windowed(cfg, params, feats.frames)
     if cfg.vocab == "melody":
         melody = decode(logits, tau, amap)
         save_transcript(args.out, melody)

@@ -382,31 +382,13 @@ def octave_shift(melody: Melody, sigma: int) -> Melody:
     return Melody(tuple(shifted))
 
 
-def legato_offsets(
-    onsets: Sequence[tuple[float, Pitch]], segment_end_s: float
-) -> list[PerfNote]:
-    """Turn (onset, pitch) detections into notes via the legato rule.
-
-    Each note sounds until the next onset; the final note sounds until
-    ``segment_end_s``.  Onsets must be strictly increasing and end
-    before ``segment_end_s``.
-    """
-    notes = []
-    for i, (onset, pitch) in enumerate(onsets):
-        if i + 1 < len(onsets):
-            offset = onsets[i + 1][0]
-            if offset <= onset:
-                raise OrderingError(
-                    f"onsets not strictly increasing at index {i + 1}"
-                )
-        else:
-            offset = segment_end_s
-            if offset <= onset:
-                raise OrderingError(
-                    f"final onset {onset} is not before segment end {segment_end_s}"
-                )
-        notes.append(PerfNote(float(onset), float(offset), pitch))
-    return notes
+def octave_shifts(midis: np.ndarray) -> list[int]:
+    """Whole-octave shifts keeping every pitch in range, in the order 0, -1, 1, -2, ..."""
+    if midis.size == 0:
+        return [0]
+    lo = -((int(midis.min()) - MIDI_MIN) // 12)
+    hi = (MIDI_MAX - int(midis.max())) // 12
+    return sorted(range(lo, hi + 1), key=lambda s: (abs(s), s))
 
 
 def canonical_octave_shift(midis: Sequence[int]) -> int:

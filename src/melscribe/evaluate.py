@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import MIDI_MAX, MIDI_MIN, Melody, perf_melody
+from .core import Melody, octave_shifts, perf_melody
 from .errors import FormatError, InputError, OrderingError, RangeError
 from .jsonio import check_keys, column, read_json
 
@@ -100,15 +100,6 @@ def _scores(tp: int, n_est: int, n_ref: int) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
-def _sigma_candidates(midis: np.ndarray) -> list[int]:
-    """Feasible whole-octave shifts in a canonical order: 0, -1, 1, -2, ..."""
-    if len(midis) == 0:
-        return [0]
-    lo = -((int(midis.min()) - MIDI_MIN) // 12)
-    hi = (MIDI_MAX - int(midis.max())) // 12
-    return sorted(range(lo, hi + 1), key=lambda s: (abs(s), s))
-
-
 def _best_shift_f1(
     estimate: Melody, reference: Melody, tol_s: float, octave_free: bool
 ) -> EvalReport:
@@ -121,7 +112,7 @@ def _best_shift_f1(
     matched = kernels.match_count(indptr, indices, len(e_on), len(r_on))
     best_tp = -1
     best_sigma = 0
-    for sigma in _sigma_candidates(e_mid) if octave_free else [0]:
+    for sigma in octave_shifts(e_mid) if octave_free else [0]:
         eq_indptr, eq_indices = _equal_pitch_subgraph(
             indptr, indices, e_mid + 12 * sigma, r_mid
         )

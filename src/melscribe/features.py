@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -123,7 +124,9 @@ def load_wav(path) -> tuple[np.ndarray, int]:
 
     try:
         sr, data = scipy.io.wavfile.read(path)
-    except ValueError as exc:
+    except OSError:
+        raise
+    except Exception as exc:  # scipy's parser fails on damaged headers in many ways
         raise FormatError(f"unreadable WAV file {path}: {exc}") from exc
     if data.size == 0:
         raise InputError(f"WAV file {path} holds no samples")
@@ -156,6 +159,7 @@ def mel_band_centers_hz() -> np.ndarray:
     return pts[1:-1]
 
 
+@cache
 def _mel_filterbank() -> np.ndarray:
     pts = _mel_to_hz(np.linspace(_hz_to_mel(FMIN_HZ), _hz_to_mel(FMAX_HZ), N_MELS + 2))
     freqs = np.fft.rfftfreq(N_FFT, 1.0 / SAMPLE_RATE)
@@ -165,16 +169,6 @@ def _mel_filterbank() -> np.ndarray:
     rising = (freqs[None, :] - lo) / (center - lo)
     falling = (hi - freqs[None, :]) / (hi - center)
     return np.clip(np.minimum(rising, falling), 0.0, None)
-
-
-_FILTERBANK_CACHE: np.ndarray | None = None
-
-
-def _filterbank() -> np.ndarray:
-    global _FILTERBANK_CACHE
-    if _FILTERBANK_CACHE is None:
-        _FILTERBANK_CACHE = _mel_filterbank()
-    return _FILTERBANK_CACHE
 
 
 #: Frames transformed per step of ``logmel``.  Of 128 to 2048, 256 ran
@@ -210,7 +204,7 @@ def logmel(samples: np.ndarray, sample_rate_hz: int) -> FeatureMatrix:
     xp = np.pad(x, (pad, tail))
     frames = np.lib.stride_tricks.sliding_window_view(xp, N_FFT)[::HOP]
     window = np.hanning(N_FFT)
-    fb_t = _filterbank().T
+    fb_t = _mel_filterbank().T
     out = np.empty((n_frames, N_MELS), dtype=np.float32)
     for start in range(0, n_frames, _LOGMEL_BLOCK):
         stop = min(start + _LOGMEL_BLOCK, n_frames)
@@ -231,8 +225,8 @@ def _write_ssft(path, frames: np.ndarray, rate_hz: float, t0_s: float) -> None:
         fh.write(frames.astype("<f4", copy=False).tobytes())
 
 
-def _read_ssft(path, tick_indexed: bool) -> tuple[float, np.ndarray, float]:
-    """(rate_hz, frames, t0_s) of an SSFT file of the expected kind."""
+def read_ssft(path) -> FeatureMatrix | ResampledFeatures:
+    """Read an SSFT file of either kind; a rate of 0 marks tick-indexed rows."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _SSFT_HEADER.size:
@@ -242,14 +236,6 @@ def _read_ssft(path, tick_indexed: bool) -> tuple[float, np.ndarray, float]:
         raise FormatError(f"{path}: bad magic {magic!r}")
     if version != SSFT_VERSION:
         raise FormatError(f"{path}: unsupported SSFT version {version}")
-    if tick_indexed and rate != 0.0:
-        raise FormatError(
-            f"{path} holds fixed-rate frames ({rate} Hz); use load_features"
-        )
-    if not tick_indexed and rate == 0.0:
-        raise FormatError(
-            f"{path} holds tick-indexed rows (rate 0); use load_resampled"
-        )
     expected = _SSFT_HEADER.size + 4 * dim * n
     if len(blob) != expected:
         raise FormatError(
@@ -260,7 +246,9 @@ def _read_ssft(path, tick_indexed: bool) -> tuple[float, np.ndarray, float]:
     frames = data.reshape(n, dim).copy()
     if not np.all(np.isfinite(frames)):
         raise FormatError(f"{path}: payload contains non-finite values")
-    return rate, frames, t0
+    if rate == 0.0:
+        return ResampledFeatures(frames)
+    return FeatureMatrix(rate_hz=rate, frames=frames, t0_s=t0)
 
 
 def save_features(path, feats: FeatureMatrix) -> None:
@@ -268,8 +256,10 @@ def save_features(path, feats: FeatureMatrix) -> None:
 
 
 def load_features(path) -> FeatureMatrix:
-    rate, frames, t0 = _read_ssft(path, tick_indexed=False)
-    return FeatureMatrix(rate_hz=rate, frames=frames, t0_s=t0)
+    feats = read_ssft(path)
+    if not isinstance(feats, FeatureMatrix):
+        raise FormatError(f"{path} holds tick-indexed rows (rate 0); use load_resampled")
+    return feats
 
 
 def save_resampled(path, resampled: ResampledFeatures) -> None:
@@ -278,8 +268,12 @@ def save_resampled(path, resampled: ResampledFeatures) -> None:
 
 
 def load_resampled(path) -> ResampledFeatures:
-    _, frames, _ = _read_ssft(path, tick_indexed=True)
-    return ResampledFeatures(frames)
+    feats = read_ssft(path)
+    if not isinstance(feats, ResampledFeatures):
+        raise FormatError(
+            f"{path} holds fixed-rate frames ({feats.rate_hz} Hz); use load_features"
+        )
+    return feats
 
 
 def _cell_boundaries(amap: AlignmentMap) -> tuple[np.ndarray, np.ndarray]:

@@ -63,7 +63,7 @@ from .core import (
     Segment,
     canonical_octave_shift,
 )
-from .errors import InputError, OrderingError, ParseError, RangeError
+from .errors import FormatError, InputError, OrderingError, ParseError, RangeError
 from .jsonio import check_keys, field, read_json, write_json
 
 SPLITS = ("train", "valid", "test")
@@ -407,7 +407,11 @@ def save_segment(path, segment: Segment) -> None:
 
 
 def load_segment(path) -> Segment:
-    return segment_from_json_dict(read_json(path))
+    obj = read_json(path)
+    try:
+        return segment_from_json_dict(obj)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def with_split(segment: Segment, split: str) -> Segment:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core import MIDI_MIN, octave_shifts
 from ..errors import ShapeError
 from .labels import DenseLabelSequence, LabelVocab
 
@@ -24,14 +25,7 @@ def feasible_shifts(classes: np.ndarray, vocab: LabelVocab) -> list[int]:
     """Octave shifts keeping all non-silent classes in range, nearest first."""
     if not vocab.octave_shiftable:
         return [0]
-    nonzero = classes[classes > 0]
-    if nonzero.size == 0:
-        return [0]
-    lo = int(nonzero.min())
-    hi = int(nonzero.max())
-    smin = -((lo - 1) // 12)
-    smax = (vocab.n_classes - 1 - hi) // 12
-    return sorted(range(smin, smax + 1), key=lambda s: (abs(s), s))
+    return octave_shifts(classes[classes > 0] + (MIDI_MIN - 1))
 
 
 def _loss_and_grad(

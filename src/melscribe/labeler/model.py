@@ -122,9 +122,11 @@ def forward_cached(
     x: np.ndarray,
     mask: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
-    train: bool = False,
 ) -> tuple[np.ndarray, dict]:
-    """Batched forward pass returning logits (N, L, C) plus a cache."""
+    """Batched forward pass returning logits (N, L, C) plus a cache.
+
+    Dropout runs exactly when ``rng`` is given, drawing its masks from it.
+    """
     if x.ndim != 3:
         raise ShapeError(f"expected (batch, ticks, dim), got {x.shape}")
     n, length, dim = x.shape
@@ -139,7 +141,7 @@ def forward_cached(
     if cfg.standardize_input:
         x = _standardize(x, mask)
 
-    drop_p = cfg.dropout if train and rng is not None else 0.0
+    drop_p = cfg.dropout if rng is not None else 0.0
 
     def dropout(t):
         if drop_p == 0.0:
@@ -249,7 +251,7 @@ def forward(cfg: LabelerConfig, params: dict[str, np.ndarray], feats) -> np.ndar
     x = np.asarray(getattr(feats, "frames", feats))
     if x.ndim != 2:
         raise ShapeError(f"expected (ticks, dim) features, got shape {x.shape}")
-    logits, _ = forward_cached(cfg, params, x[None], train=False)
+    logits, _ = forward_cached(cfg, params, x[None])
     out = logits[0]
     if not np.all(np.isfinite(out)):
         raise InputError("forward pass produced non-finite logits")
@@ -259,10 +261,8 @@ def forward(cfg: LabelerConfig, params: dict[str, np.ndarray], feats) -> np.ndar
 def forward_windowed(cfg: LabelerConfig, params: dict[str, np.ndarray], feats) -> np.ndarray:
     """Logits for arbitrarily long inputs, processed in max_ticks windows."""
     x = np.asarray(getattr(feats, "frames", feats))
-    if x.shape[0] <= cfg.max_ticks:
-        return forward(cfg, params, x)
     parts = [
         forward(cfg, params, x[start : start + cfg.max_ticks])
-        for start in range(0, x.shape[0], cfg.max_ticks)
+        for start in range(0, max(len(x), 1), cfg.max_ticks)
     ]
     return np.concatenate(parts, axis=0)

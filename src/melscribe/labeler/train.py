@@ -3,7 +3,7 @@
 Each step draws beat-aligned slices from the training split, minimizes
 the octave-tolerant cross-entropy, and periodically sweeps the onset
 threshold on the validation split, keeping the parameters and threshold
-with the best octave-invariant note F1.
+with the best validation F1 (see ``validation_f1``).
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ import numpy as np
 from ..align import AlignmentMap
 from ..core import Melody, TICKS_PER_BEAT
 from ..errors import InputError, ShapeError
-from ..evaluate import octave_invariant_f1
+from ..evaluate import _scores, octave_invariant_f1
 from .config import LabelerConfig
-from .decode import decode, onset_melody
+from .decode import decode, onset_classes, onset_melody
 from .labels import DenseLabelSequence
 from .loss import _loss_and_grad
 from .model import backward, forward_cached, forward_windowed, init_params
@@ -118,14 +118,22 @@ def validation_f1(
     examples: Sequence[TrainExample],
     thresholds: Sequence[float],
 ) -> np.ndarray:
-    """Macro-mean octave-invariant note F1 per threshold."""
+    """Macro-mean F1 per threshold: octave-invariant note F1 for melody
+    labels, exact F1 over (tick, class) onset events for chord labels."""
     sums = np.zeros(len(thresholds))
     for ex in examples:
         logits = forward_windowed(cfg, params, ex.features)
-        ref = reference_melody(ex.labels, ex.amap)
-        for k, tau in enumerate(thresholds):
-            est = decode(logits, tau, ex.amap)
-            sums[k] += octave_invariant_f1(est, ref).f1
+        if cfg.vocab == "melody":
+            ref = reference_melody(ex.labels, ex.amap)
+            for k, tau in enumerate(thresholds):
+                est = decode(logits, tau, ex.amap)
+                sums[k] += octave_invariant_f1(est, ref).f1
+        else:
+            events = set(ex.labels.onset_events())
+            for k, tau in enumerate(thresholds):
+                ticks, classes = onset_classes(logits, tau)
+                found = set(zip(ticks.tolist(), classes.tolist()))
+                sums[k] += _scores(len(found & events), len(found), len(events))[2]
     return sums / len(examples)
 
 
@@ -142,9 +150,8 @@ def train(
             f"need train and valid examples, got {len(train_ex)} train "
             f"and {len(valid_ex)} valid"
         )
-    vocab_name = cfg.vocab
     for ex in train_ex + valid_ex:
-        if ex.labels.vocab.name != vocab_name:
+        if ex.labels.vocab.name != cfg.vocab:
             raise InputError(f"{ex.seg_id}: labels use vocab {ex.labels.vocab.name}")
         if ex.features.shape[1] != cfg.input_dim:
             raise ShapeError(f"{ex.seg_id}: feature dim {ex.features.shape[1]}")
@@ -153,6 +160,18 @@ def train(
     params = init_params(cfg)
     m = {k: np.zeros_like(p) for k, p in params.items()}
     v = {k: np.zeros_like(p) for k, p in params.items()}
+
+    def evaluated(at_step: int) -> TrainResult:
+        """The current params, copied, at their best validation threshold."""
+        f1s = validation_f1(cfg, params, valid_ex, settings.thresholds)
+        k = int(np.argmax(f1s))
+        return TrainResult(
+            params={name: p.copy() for name, p in params.items()},
+            tau=float(settings.thresholds[k]),
+            valid_f1=float(f1s[k]),
+            best_step=at_step,
+            steps_run=at_step,
+        )
 
     best: TrainResult | None = None
     history: list[dict] = []
@@ -170,7 +189,7 @@ def train(
             batch[row, : hi - lo] = ex.features[lo:hi]
             mask[row, : hi - lo] = True
 
-        logits, cache = forward_cached(cfg, params, batch, mask, rng=rng, train=True)
+        logits, cache = forward_cached(cfg, params, batch, mask, rng=rng)
         dlogits = np.zeros_like(logits)
         loss_total = 0.0
         for row, (ex, lo, hi) in enumerate(slices):
@@ -183,13 +202,12 @@ def train(
         _adam_step(params, grads, m, v, step, settings.lr)
 
         if step % settings.eval_every == 0:
-            f1s = validation_f1(cfg, params, valid_ex, settings.thresholds)
-            k = int(np.argmax(f1s))
+            result = evaluated(step)
             entry = {
                 "step": step,
                 "loss": loss_total / len(slices),
-                "f1": float(f1s[k]),
-                "tau": float(settings.thresholds[k]),
+                "f1": result.valid_f1,
+                "tau": result.tau,
             }
             history.append(entry)
             if log is not None:
@@ -197,14 +215,8 @@ def train(
                     f"step {entry['step']}: loss {entry['loss']:.4f} "
                     f"valid F1 {entry['f1']:.4f} at tau {entry['tau']:.2f}"
                 )
-            if best is None or entry["f1"] > best.valid_f1:
-                best = TrainResult(
-                    params={k2: p.copy() for k2, p in params.items()},
-                    tau=entry["tau"],
-                    valid_f1=entry["f1"],
-                    best_step=step,
-                    steps_run=step,
-                )
+            if best is None or result.valid_f1 > best.valid_f1:
+                best = result
                 stale_evals = 0
             else:
                 stale_evals += 1
@@ -212,15 +224,7 @@ def train(
                     break
 
     if best is None:
-        f1s = validation_f1(cfg, params, valid_ex, settings.thresholds)
-        k = int(np.argmax(f1s))
-        best = TrainResult(
-            params={k2: p.copy() for k2, p in params.items()},
-            tau=float(settings.thresholds[k]),
-            valid_f1=float(f1s[k]),
-            best_step=step,
-            steps_run=step,
-        )
+        best = evaluated(step)
     best.steps_run = step
     best.history = history
     return best

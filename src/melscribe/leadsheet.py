@@ -106,16 +106,8 @@ def estimate_key(melody: Melody, chords: Sequence[ChordSpan] = ()) -> KeySignatu
     if len(melody) == 0 and not chords:
         raise InputError("cannot estimate a key from empty input")
     scores = key_scores(pitch_class_histogram(melody, chords))
-    best: tuple[int, str] | None = None
-    best_score = -math.inf
-    for tonic in range(12):
-        for mode in ("major", "minor"):
-            s = scores[(tonic, mode)]
-            if s > best_score:
-                best_score = s
-                best = (tonic, mode)
-    assert best is not None
-    return KeySignature(PitchClass(best[0]), best[1])
+    tonic, mode = max(scores, key=scores.get)  # scores run by tonic, major first
+    return KeySignature(PitchClass(tonic), mode)
 
 
 def key_fifths(key: KeySignature) -> int:

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from melscribe import htparse
@@ -187,6 +188,56 @@ def test_transcribe_both_feature_kinds_match(corpus):
     assert est_tick.read_text() == est_rate.read_text()
     assert out_a["notes"] == out_b["notes"]
     assert out_a["tau"] == corpus["train"]["tau"]
+
+
+def test_transcribe_names_the_fault_in_a_damaged_tick_file(corpus, tmp_path):
+    """A damaged tick-indexed SSFT is reported as such, not as the wrong kind."""
+    blob = (corpus["data"] / "s00.features.ssft").read_bytes()
+    cases = {
+        "short.ssft": (blob[:-8], "header implies"),
+        "nan.ssft": (blob[:-4] + np.array([np.nan], dtype="<f4").tobytes(), "non-finite"),
+    }
+    for name, (data, message) in cases.items():
+        (tmp_path / name).write_bytes(data)
+        proc = subprocess.run(
+            [sys.executable, "-m", "melscribe.cli", "transcribe",
+             "--checkpoint", str(corpus["ckpt"]), "--features", str(tmp_path / name),
+             "--alignment", str(corpus["data"] / "s00.alignment.json"),
+             "--out", str(tmp_path / "est.json")],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1, (name, proc.stderr)
+        assert proc.stderr.startswith("error:") and message in proc.stderr, proc.stderr
+        assert "use load_resampled" not in proc.stderr, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert not (tmp_path / "est.json").exists()
+
+
+def test_chord_labeler_trains_and_feeds_the_lead_sheet(corpus, tmp_path):
+    ckpt = tmp_path / "chords.ckpt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "melscribe.cli", "train", "--data", str(corpus["data"]),
+         "--out", str(ckpt), "--vocab", "chords", "--steps", "4", "--eval-every", "2"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert 0.0 <= json.loads(proc.stdout)["valid_f1"] <= 1.0
+    assert ckpt.exists()
+    changes = tmp_path / "changes.json"
+    alignment = str(corpus["data"] / "s00.alignment.json")
+    code, out = run([
+        "transcribe", "--checkpoint", str(ckpt),
+        "--features", str(corpus["data"] / "s00.features.ssft"),
+        "--alignment", alignment, "--out", str(changes),
+    ])
+    assert code == 0
+    assert out["chords"] == len(json.loads(changes.read_text())["changes"])
+    code, out = run([
+        "leadsheet", "--transcript", str(corpus["ref"]), "--alignment", alignment,
+        "--chords", str(changes), "--lilypond", str(tmp_path / "sheet.ly"),
+    ])
+    assert code == 0
+    assert (tmp_path / "sheet.ly").exists()
 
 
 def test_transcribe_tau_override(corpus):
@@ -437,3 +488,5 @@ def test_wrong_typed_json_field_exits_1_naming_it(tmp_path, command):
     assert "Traceback" not in proc.stderr, proc.stderr
     assert proc.stderr.startswith("error:") and where in proc.stderr, proc.stderr
     assert not (tmp_path / output).exists()
+    if command == "train":
+        assert "s.segment.json" in proc.stderr, proc.stderr

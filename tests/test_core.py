@@ -20,7 +20,6 @@ from melscribe.core import (
     ScoreNote,
     Segment,
     canonical_octave_shift,
-    legato_offsets,
     octave_shift,
 )
 from melscribe.errors import InputError, OrderingError, RangeError
@@ -210,16 +209,6 @@ def test_octave_shift():
     assert down.notes[0].onset_s == 0.0
     with pytest.raises(RangeError, match="note 1"):
         octave_shift(score([(0, 2, 60), (2, 2, 104)]), 1)
-
-
-def test_legato_offsets():
-    notes = legato_offsets([(0.0, Pitch(60)), (0.5, Pitch(62))], 2.0)
-    assert [(n.onset_s, n.offset_s) for n in notes] == [(0.0, 0.5), (0.5, 2.0)]
-    assert legato_offsets([], 1.0) == []
-    with pytest.raises(OrderingError):
-        legato_offsets([(0.0, Pitch(60)), (0.0, Pitch(62))], 2.0)
-    with pytest.raises(OrderingError):
-        legato_offsets([(2.0, Pitch(60))], 2.0)
 
 
 def test_canonical_octave_shift_known_values():

@@ -11,6 +11,7 @@ without a traceback.
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from melscribe.features import (
     ResampledFeatures,
     load_features,
     load_resampled,
+    load_wav,
     save_features,
     save_resampled,
 )
@@ -38,6 +40,7 @@ from melscribe.labeler import (
     reference_melody,
     save_checkpoint,
 )
+from melscribe.synth import write_wav
 
 SSFT_HEADER = 32
 CFG = LabelerConfig(layers=1, model_dim=4, heads=1, ff_dim=4, input_dim=3)
@@ -137,6 +140,31 @@ def test_checkpoint_loader_fails_closed(files, tmp_path):
 def test_json_loaders_fail_closed(files, tmp_path, name, load, seed):
     blob = files[name].read_bytes()
     assert_fails_closed(load, tmp_path / "x.json", damaged(blob, len(blob), seed))
+
+
+def test_wav_loader_fails_closed(tmp_path):
+    path = tmp_path / "good.wav"
+    write_wav(path, np.random.default_rng(12).uniform(-0.5, 0.5, size=200))
+    load_wav(path)  # the undamaged file loads
+    blob = path.read_bytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy may still read a damaged payload, warning
+        assert_fails_closed(load_wav, tmp_path / "x.wav", damaged(blob, 44, 12))
+
+
+def test_cli_mel_exits_1_on_a_damaged_wav_and_2_on_an_unusable_path(tmp_path):
+    (tmp_path / "x.wav").write_bytes(b"RIFF")
+    (tmp_path / "dir.wav").mkdir()
+    for name, code in (("x.wav", 1), ("dir.wav", 2), ("missing.wav", 2)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "melscribe.cli", "features", "mel",
+             str(tmp_path / name), "--out", str(tmp_path / "x.ssft")],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == code, (name, proc.stderr)
+        assert proc.stderr.startswith("error:"), proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert not (tmp_path / "x.ssft").exists()
 
 
 def test_cli_exits_without_traceback_on_damaged_files(files, tmp_path):

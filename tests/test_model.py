@@ -135,7 +135,7 @@ def test_dropout_only_active_in_training():
     x = np.random.default_rng(5).normal(size=(1, 10, 12)).astype(np.float32)
     plain, _ = forward_cached(cfg, params, x)
     rng = np.random.default_rng(6)
-    dropped, _ = forward_cached(cfg, params, x, rng=rng, train=True)
+    dropped, _ = forward_cached(cfg, params, x, rng=rng)
     assert not np.array_equal(plain, dropped)
     again, _ = forward_cached(cfg, params, x)
     assert np.array_equal(plain, again)
