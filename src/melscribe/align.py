@@ -10,7 +10,6 @@ linearly between entries (``align``); ``beat_position`` inverts that.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -160,15 +159,20 @@ def align(
     return float(times) if b.ndim == 0 else times
 
 
-def beat_position(amap: AlignmentMap, t: float) -> float:
-    """Fractional beat position of a time inside the aligned span; inverts align."""
+def beat_position(amap: AlignmentMap, t: float | np.ndarray) -> float | np.ndarray:
+    """Fractional beat position of a time, or of each of an array of times,
+    inside the aligned span; inverts align."""
     times = amap.beat_to_time_s
-    if not times[0] <= t <= times[-1]:
+    ts = np.asarray(t, dtype=np.float64)
+    bad = ~((ts >= times[0]) & (ts <= times[-1]))  # NaN compares False
+    if bad.any():
+        first = t if ts.ndim == 0 else ts[bad][0]
         raise RangeError(
-            f"time {t} outside the aligned span {times[0]}..{times[-1]}"
+            f"time {first} outside the aligned span {times[0]}..{times[-1]}"
         )
-    i = min(bisect_right(times, t) - 1, amap.num_beats - 1)
-    return i + (t - times[i]) / (times[i + 1] - times[i])
+    i = np.minimum(np.searchsorted(times, ts, side="right") - 1, amap.num_beats - 1)
+    beats = i + (ts - times[i]) / (times[i + 1] - times[i])
+    return float(beats) if beats.ndim == 0 else beats
 
 
 def constant_tempo_grid(

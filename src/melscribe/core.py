@@ -3,7 +3,8 @@
 Design notes:
 
 - Every type is a frozen dataclass and every operation returns new
-  values; nothing here mutates in place.
+  values; nothing here mutates in place.  A Melody holds its notes as
+  read-only onset, end and pitch columns rather than as note objects.
 - Invariants are enforced at construction time, so a value that exists
   is a valid value.
 - Symbolic time is measured in ticks: sixteenth notes of the notated
@@ -18,7 +19,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -95,6 +96,9 @@ class ScoreNote:
     pitch: Pitch
 
     def __post_init__(self) -> None:
+        for ticks in (self.onset_ticks, self.duration_ticks):
+            if type(ticks) is not int:  # refuses floats and bools
+                raise RangeError(f"note ticks must be integers, got {ticks!r}")
         if self.onset_ticks < 0:
             raise RangeError(f"note onset {self.onset_ticks} is negative")
         if self.duration_ticks < 1:
@@ -122,58 +126,83 @@ class PerfNote:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Melody:
-    """A monophonic note sequence, either all ScoreNote or all PerfNote.
+    """A monophonic note sequence, held as read-only columns.
 
-    Score form additionally forbids overlap: each note must end no later
-    than the next begins.  Perf form requires strictly increasing onsets.
+    Note i spans [onsets[i], ends[i]) at pitch midis[i].  Score form
+    (``is_score`` True) holds int64 ticks, perf form (False) float64
+    seconds; ``midis`` is int64, and ``is_score`` is None when empty.
+    Onsets strictly increase, and in score form no note overlaps the next.
+    ``Melody(notes)`` takes all ScoreNotes or all PerfNotes; iterating
+    builds them back from the columns.
     """
 
-    notes: tuple
+    onsets: np.ndarray
+    ends: np.ndarray
+    midis: np.ndarray
+    is_score: bool | None
 
-    def __post_init__(self) -> None:
-        notes = tuple(self.notes)
-        object.__setattr__(self, "notes", notes)
-        if not notes:
-            return
+    # Melody(notes) is built in __new__, so that _of_columns can make a
+    # melody from columns already checked without running these checks.
+    def __new__(cls, notes: Iterable = ()) -> Melody:
+        notes = tuple(notes)
         kinds = {type(n) for n in notes}
         if kinds == {ScoreNote}:
-            for i in range(len(notes) - 1):
-                if notes[i].onset_ticks >= notes[i + 1].onset_ticks:
-                    raise OrderingError(
-                        f"melody onsets not strictly increasing at note {i + 1}"
-                    )
-                if notes[i].end_ticks > notes[i + 1].onset_ticks:
-                    raise OrderingError(
-                        f"note {i} (ends tick {notes[i].end_ticks}) overlaps "
-                        f"note {i + 1} (onset tick {notes[i + 1].onset_ticks})"
-                    )
-        elif kinds == {PerfNote}:
-            for i in range(len(notes) - 1):
-                if notes[i].onset_s >= notes[i + 1].onset_s:
-                    raise OrderingError(
-                        f"melody onsets not strictly increasing at note {i + 1}"
-                    )
+            onsets = np.array([n.onset_ticks for n in notes], dtype=np.int64)
+            ends = np.array([n.end_ticks for n in notes], dtype=np.int64)
+        elif kinds <= {PerfNote}:
+            onsets = np.array([n.onset_s for n in notes], dtype=np.float64)
+            ends = np.array([n.offset_s for n in notes], dtype=np.float64)
         else:
             raise InputError("melody must be homogeneously score or perf notes")
+        is_score = kinds == {ScoreNote}
+        # Each note has checked itself; only the order between notes is left.
+        # A score onset that fails to increase also overlaps its successor,
+        # because every duration is at least one tick.
+        bad = np.flatnonzero(
+            ends[:-1] > onsets[1:] if is_score else onsets[:-1] >= onsets[1:]
+        )
+        if len(bad):
+            i = bad[0]
+            if onsets[i] >= onsets[i + 1]:
+                raise OrderingError(
+                    f"melody onsets not strictly increasing at note {i + 1}"
+                )
+            raise OrderingError(
+                f"note {i} (ends tick {ends[i]}) overlaps "
+                f"note {i + 1} (onset tick {onsets[i + 1]})"
+            )
+        midis = np.array([n.pitch.midi for n in notes], dtype=np.int64)
+        return cls._of_columns(onsets, ends, midis, is_score)
+
+    @classmethod
+    def _of_columns(cls, onsets, ends, midis, is_score: bool | None) -> Melody:
+        """A melody of sorted columns that already hold every invariant."""
+        melody = super().__new__(cls)
+        for name, column in (("onsets", onsets), ("ends", ends), ("midis", midis)):
+            column.flags.writeable = False
+            object.__setattr__(melody, name, column)
+        object.__setattr__(melody, "is_score", is_score if len(midis) else None)
+        return melody
 
     def __len__(self) -> int:
-        return len(self.notes)
+        return len(self.midis)
 
     def __iter__(self) -> Iterator:
-        return iter(self.notes)
+        pitches = (_PITCHES[m - MIDI_MIN] for m in self.midis.tolist())
+        times = (self.onsets.tolist(), self.ends.tolist())
+        if self.is_score:
+            return map(lambda on, end, p: ScoreNote(on, end - on, p), *times, pitches)
+        return map(PerfNote, *times, pitches)
 
-    @property
-    def is_score(self) -> bool | None:
-        """True for score form, False for perf form, None when empty."""
-        if not self.notes:
-            return None
-        return isinstance(self.notes[0], ScoreNote)
-
-    @property
-    def pitches(self) -> tuple[Pitch, ...]:
-        return tuple(n.pitch for n in self.notes)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Melody):
+            return NotImplemented
+        return self.is_score == other.is_score and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("onsets", "ends", "midis")
+        )
 
 
 #: One shared instance per playable pitch; Pitch is immutable.
@@ -183,11 +212,11 @@ _PITCHES = tuple(Pitch(m) for m in range(MIDI_MIN, MIDI_MAX + 1))
 def perf_melody(onsets, offsets, midis) -> Melody:
     """A performance melody from parallel arrays of notes in any order.
 
-    Checks over whole arrays what PerfNote, Pitch and Melody check one
-    note at a time: finite times, each offset after its onset, integer
-    pitches in range, no two onsets equal.  Errors name the first
+    Checks over whole arrays what PerfNote, Pitch and Melody(notes)
+    check: finite times, each offset after its onset, integer pitches in
+    range, no two onsets equal.  Errors name the first
     offending index of the input.  The notes come back sorted by onset
-    (stably), sharing one Pitch instance per pitch.
+    (stably).
     """
     onsets = np.asarray(onsets, dtype=np.float64)
     offsets = np.asarray(offsets, dtype=np.float64)
@@ -219,20 +248,7 @@ def perf_melody(onsets, offsets, midis) -> Melody:
         raise OrderingError(
             f"notes {order[k]} and {order[k + 1]} share onset {onsets[k].item()}"
         )
-    # Every PerfNote, Pitch and Melody invariant holds by the checks above,
-    # so the objects are filled in directly rather than re-checked one by one.
-    notes = []
-    new = object.__new__
-    for onset, offset, midi in zip(onsets.tolist(), offsets.tolist(), midis.tolist()):
-        note = new(PerfNote)
-        fields = note.__dict__
-        fields["onset_s"] = onset
-        fields["offset_s"] = offset
-        fields["pitch"] = _PITCHES[midi - MIDI_MIN]
-        notes.append(note)
-    melody = new(Melody)
-    melody.__dict__["notes"] = tuple(notes)
-    return melody
+    return Melody._of_columns(onsets, offsets, midis.astype(np.int64, copy=False), False)
 
 
 @dataclass(frozen=True)
@@ -346,9 +362,7 @@ class Segment:
 
     @property
     def num_beats(self) -> int:
-        last = 0
-        for note in self.melody:
-            last = max(last, note.end_ticks)
+        last = int(self.melody.ends.max(initial=0))
         for span in self.chords:
             last = max(last, span.end_ticks)
         return max(1, -(-last // TICKS_PER_BEAT))
@@ -364,22 +378,16 @@ def octave_shift(melody: Melody, sigma: int) -> Melody:
     Raises RangeError naming the first note the shift would push outside
     the pitch range.
     """
-    shifted = []
-    for i, note in enumerate(melody):
-        midi = note.pitch.midi + 12 * sigma
-        if not MIDI_MIN <= midi <= MIDI_MAX:
-            raise RangeError(
-                f"octave shift {sigma:+d} moves note {i} "
-                f"(midi {note.pitch.midi}) to {midi}, outside "
-                f"{MIDI_MIN}..{MIDI_MAX}"
-            )
-        if isinstance(note, ScoreNote):
-            shifted.append(
-                ScoreNote(note.onset_ticks, note.duration_ticks, Pitch(midi))
-            )
-        else:
-            shifted.append(PerfNote(note.onset_s, note.offset_s, Pitch(midi)))
-    return Melody(tuple(shifted))
+    midis = melody.midis + 12 * sigma
+    bad = np.flatnonzero((midis < MIDI_MIN) | (midis > MIDI_MAX))
+    if len(bad):
+        i = bad[0]
+        raise RangeError(
+            f"octave shift {sigma:+d} moves note {i} "
+            f"(midi {melody.midis[i]}) to {midis[i]}, outside "
+            f"{MIDI_MIN}..{MIDI_MAX}"
+        )
+    return Melody._of_columns(melody.onsets, melody.ends, midis, melody.is_score)
 
 
 def octave_shifts(midis: np.ndarray) -> list[int]:

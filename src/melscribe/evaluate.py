@@ -55,9 +55,7 @@ class EvalReport:
 def _perf_arrays(melody: Melody) -> tuple[np.ndarray, np.ndarray]:
     if melody.is_score is True:
         raise InputError("evaluation expects melodies in performance (seconds) form")
-    onsets = np.array([n.onset_s for n in melody], dtype=np.float64)
-    midis = np.array([n.pitch.midi for n in melody], dtype=np.int64)
-    return onsets, midis
+    return melody.onsets, melody.midis
 
 
 def _onset_adjacency(
@@ -182,21 +180,19 @@ def oracle_note_f1(
     return EvalReport(precision, recall, f1, 0, best["matched"])
 
 
+#: Kind of each transcript field: JSON numbers for times, a JSON integer for pitch.
+_ENTRY_FIELDS = {"onset_s": float, "offset_s": float, "midi": int}
+
+
 def save_transcript(path, melody: Melody) -> None:
     """Write a performance melody as the JSON interchange list."""
     if melody.is_score is True:
         raise InputError("transcripts are in performance (seconds) form")
-    entries = [
-        {"onset_s": n.onset_s, "offset_s": n.offset_s, "midi": n.pitch.midi}
-        for n in melody
-    ]
+    notes = zip(melody.onsets.tolist(), melody.ends.tolist(), melody.midis.tolist())
+    entries = [dict(zip(_ENTRY_FIELDS, note)) for note in notes]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(entries, fh, indent=2)
         fh.write("\n")
-
-
-#: Kind of each transcript field: JSON numbers for times, a JSON integer for pitch.
-_ENTRY_FIELDS = {"onset_s": float, "offset_s": float, "midi": int}
 
 
 def load_transcript(path) -> Melody:

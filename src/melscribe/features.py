@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import math
 import struct
+import warnings
 from dataclasses import dataclass
 from functools import cache
-from typing import Sequence
 
 import numpy as np
 
@@ -123,7 +123,10 @@ def load_wav(path) -> tuple[np.ndarray, int]:
     import scipy.io.wavfile
 
     try:
-        sr, data = scipy.io.wavfile.read(path)
+        with warnings.catch_warnings():
+            # scipy only warns when the payload is shorter than the header says
+            warnings.filterwarnings("error", "Reached EOF prematurely")
+            sr, data = scipy.io.wavfile.read(path)
     except OSError:
         raise
     except Exception as exc:  # scipy's parser fails on damaged headers in many ways
@@ -337,13 +340,3 @@ def beatwise_resample(feats: FeatureMatrix, amap: AlignmentMap) -> ResampledFeat
             j = int(np.argmin(np.abs(times - tick_times[t])))
             pooled[t] = feats.frames[j]
     return ResampledFeatures(pooled)
-
-
-def concat_features(parts: Sequence[ResampledFeatures]) -> ResampledFeatures:
-    """Join per-source resampled features along the feature axis."""
-    if not parts:
-        raise InputError("no feature blocks to concatenate")
-    ticks = {p.num_ticks for p in parts}
-    if len(ticks) != 1:
-        raise ShapeError(f"tick counts differ across blocks: {sorted(ticks)}")
-    return ResampledFeatures(np.concatenate([p.frames for p in parts], axis=1))

@@ -105,20 +105,6 @@ def degree_to_pitch_midi(
     return 60 + key.tonic.pc + offset + accidental + 12 * rel_octave
 
 
-def degree_to_pitch(
-    key: KeySignature, degree: int, accidental: int, rel_octave: int
-) -> Pitch:
-    """Single-note absolute pitch (canonicalization is a melody-level step)."""
-    midi = degree_to_pitch_midi(key, degree, accidental, rel_octave)
-    if not MIDI_MIN <= midi <= MIDI_MAX:
-        raise RangeError(
-            f"degree {degree} (accidental {accidental:+d}, octave "
-            f"{rel_octave:+d}) in this key maps to midi {midi}, outside "
-            f"{MIDI_MIN}..{MIDI_MAX}"
-        )
-    return Pitch(midi)
-
-
 def roman_to_chord(
     key: KeySignature,
     degree: int,

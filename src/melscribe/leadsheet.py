@@ -26,6 +26,7 @@ from .core import (
     KeySignature,
     Melody,
     Meter,
+    Pitch,
     PitchClass,
     ScoreNote,
     TICKS_PER_BEAT,
@@ -65,13 +66,9 @@ def pitch_class_histogram(
     melody: Melody, chords: Sequence[ChordSpan] = ()
 ) -> np.ndarray:
     """Duration-weighted pitch-class counts; chords weight each tone."""
-    hist = np.zeros(12)
-    for note in melody:
-        if isinstance(note, ScoreNote):
-            weight = float(note.duration_ticks)
-        else:
-            weight = note.offset_s - note.onset_s
-        hist[note.pitch.pitch_class] += weight
+    hist = np.bincount(
+        melody.midis % 12, weights=melody.ends - melody.onsets, minlength=12
+    )
     for span in chords:
         for pc in span.chord.tone_pcs:
             hist[pc] += float(span.duration_ticks)
@@ -138,12 +135,12 @@ class LeadSheet:
             raise RangeError(
                 f"pickup of {self.pickup_ticks} ticks must be shorter than a bar"
             )
-        for note in self.melody:
-            if note.end_ticks > self.total_ticks:
-                raise RangeError(
-                    f"note ending at tick {note.end_ticks} exceeds "
-                    f"total_ticks {self.total_ticks}"
-                )
+        over = np.flatnonzero(self.melody.ends > self.total_ticks)
+        if len(over):
+            raise RangeError(
+                f"note ending at tick {self.melody.ends[over[0]]} exceeds "
+                f"total_ticks {self.total_ticks}"
+            )
         object.__setattr__(self, "chords", tuple(self.chords))
         prev = -1
         for tick, chord in self.chords:
@@ -186,22 +183,17 @@ def assemble(
     tempo_bpm = 60.0 * amap.num_beats / span
 
     if melody.is_score is False:
-        pairs = []
-        dropped = 0
-        for note in melody:
-            try:
-                beat = beat_position(amap, note.onset_s)
-            except RangeError:
-                dropped += 1
-                continue
-            if beat >= amap.num_beats:
-                dropped += 1
-                continue
-            pairs.append((beat, note.pitch))
+        times = amap.beat_to_time_s
+        inside = (melody.onsets >= times[0]) & (melody.onsets <= times[-1])
+        beats = beat_position(amap, melody.onsets[inside])
+        kept = beats < amap.num_beats
+        dropped = len(melody) - int(kept.sum())
         if dropped:
             warnings.warn(
                 f"dropped {dropped} notes outside the aligned span", stacklevel=2
             )
+        pitches = map(Pitch, melody.midis[inside][kept].tolist())
+        pairs = list(zip(beats[kept].tolist(), pitches))
         events = densify(pairs, amap.num_beats).onset_events()
         notes = []
         for i, (tick, cls) in enumerate(events):
@@ -209,12 +201,12 @@ def assemble(
             notes.append(ScoreNote(tick, end - tick, class_to_pitch(cls)))
         score_melody = Melody(tuple(notes))
     else:
-        for note in melody:
-            if note.end_ticks > total:
-                raise RangeError(
-                    f"note ending at tick {note.end_ticks} exceeds the "
-                    f"{amap.num_beats}-beat alignment"
-                )
+        over = np.flatnonzero(melody.ends > total)
+        if len(over):
+            raise RangeError(
+                f"note ending at tick {melody.ends[over[0]]} exceeds the "
+                f"{amap.num_beats}-beat alignment"
+            )
         score_melody = melody
 
     chord_list = tuple((int(t), c) for t, c in chords)
@@ -306,15 +298,10 @@ def _bar_chunks(start: int, length: int, bar_len: int, pickup: int):
 
 def _effective_notes(sheet: LeadSheet) -> list[tuple[int, int, int]]:
     """(onset, duration, midi) with legato durations, last note as stored."""
-    notes = list(sheet.melody)
-    out = []
-    for i, note in enumerate(notes):
-        if i + 1 < len(notes):
-            dur = notes[i + 1].onset_ticks - note.onset_ticks
-        else:
-            dur = note.duration_ticks
-        out.append((note.onset_ticks, dur, note.pitch.midi))
-    return out
+    melody = sheet.melody
+    legato_ends = np.concatenate([melody.onsets[1:], melody.ends[-1:]])
+    durations = legato_ends - melody.onsets
+    return list(zip(melody.onsets.tolist(), durations.tolist(), melody.midis.tolist()))
 
 
 def emit_lilypond(sheet: LeadSheet) -> str:

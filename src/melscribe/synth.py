@@ -99,10 +99,10 @@ def render_audio(
         raise InputError("render expects a score-form melody")
     end_s = align(amap, amap.num_beats) + tail_s
     out = np.zeros(int(round(end_s * sample_rate)), dtype=np.float64)
-    onsets = align(amap, np.array([n.onset_ticks for n in melody]) / TICKS_PER_BEAT)
-    ends = np.minimum([n.end_ticks for n in melody], amap.num_beats * TICKS_PER_BEAT)
+    onsets = align(amap, melody.onsets / TICKS_PER_BEAT)
+    ends = np.minimum(melody.ends, amap.num_beats * TICKS_PER_BEAT)
     offsets = align(amap, ends / TICKS_PER_BEAT)
-    for note, onset, offset in zip(melody, onsets.tolist(), offsets.tolist()):
+    for midi, onset, offset in zip(melody.midis.tolist(), onsets.tolist(), offsets.tolist()):
         length = max(offset - onset - RELEASE_S, 0.04)
         i0 = int(round(onset * sample_rate))
         n = int(round(length * sample_rate))
@@ -110,7 +110,7 @@ def render_audio(
         if n <= 0:
             continue
         t = np.arange(n) / sample_rate
-        freq = note.pitch.frequency_hz
+        freq = Pitch(midi).frequency_hz
         tone = np.sin(2 * np.pi * freq * t)
         if 2 * freq < sample_rate / 2:
             tone += PARTIAL_GAIN * np.sin(4 * np.pi * freq * t)

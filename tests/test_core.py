@@ -65,6 +65,9 @@ def test_score_note():
         ScoreNote(-1, 1, Pitch(60))
     with pytest.raises(RangeError):
         ScoreNote(0, 0, Pitch(60))
+    for onset, duration in ((0.5, 1.25), (True, 1), (0, 2.0), (0, True)):
+        with pytest.raises(RangeError, match="integer"):
+            ScoreNote(onset, duration, Pitch(60))
 
 
 def test_perf_note():
@@ -81,7 +84,7 @@ def test_melody_score_form_rules():
     m = score([(0, 2, 60), (2, 2, 62), (4, 4, 64)])
     assert m.is_score is True
     assert len(m) == 3
-    assert [p.midi for p in m.pitches] == [60, 62, 64]
+    assert m.midis.tolist() == [60, 62, 64]
     with pytest.raises(OrderingError):
         score([(0, 2, 60), (0, 2, 62)])
     # overlap: first note ends past the second onset
@@ -198,15 +201,40 @@ def test_segment_num_beats_is_derived():
     assert both.num_ticks == 24
 
 
+def test_melody_columns():
+    sm = score([(0, 2, 60), (2, 3, 67)])
+    pm = perf([(0.0, 60), (1.0, 67)])
+    assert sm.ends.tolist() == [2, 5]
+    assert pm.ends.tolist() == [0.01, 1.01]
+    for m, time_dtype in ((sm, np.int64), (pm, np.float64)):
+        assert (m.onsets.dtype, m.ends.dtype, m.midis.dtype) == (time_dtype, time_dtype, np.int64)
+        for column in (m.onsets, m.ends, m.midis):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 1
+        with pytest.raises(AttributeError):
+            m.midis = np.array([21, 22])
+        assert Melody(list(m)) == m
+        shifted = octave_shift(m, 1)
+        assert shifted.onsets is m.onsets and shifted.ends is m.ends
+        assert shifted != m
+        assert octave_shift(shifted, -1) == m
+        with pytest.raises(RangeError, match="note 1"):
+            octave_shift(m, 4)
+    assert sm != pm
+    assert score([(0, 2, 60), (2, 4, 67)]) != sm
+    assert Melody(()) == Melody(())
+
+
 def test_octave_shift():
     m = score([(0, 2, 60), (2, 2, 67)])
     up = octave_shift(m, 1)
-    assert [p.midi for p in up.pitches] == [72, 79]
+    assert up.midis.tolist() == [72, 79]
     assert [n.onset_ticks for n in up] == [0, 2]
     pm = perf([(0.0, 60), (1.0, 67)])
     down = octave_shift(pm, -2)
-    assert [p.midi for p in down.pitches] == [36, 43]
-    assert down.notes[0].onset_s == 0.0
+    assert down.midis.tolist() == [36, 43]
+    assert down.onsets[0] == 0.0
     with pytest.raises(RangeError, match="note 1"):
         octave_shift(score([(0, 2, 60), (2, 2, 104)]), 1)
 

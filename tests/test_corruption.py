@@ -20,7 +20,7 @@ from melscribe import htparse
 from melscribe.align import AlignmentMap, BeatGrid, constant_tempo_grid
 from melscribe.cli import _load_chord_changes
 from melscribe.core import Melody, Pitch, ScoreNote
-from melscribe.errors import MelscribeError
+from melscribe.errors import FormatError, MelscribeError
 from melscribe.evaluate import load_transcript, save_transcript
 from melscribe.features import (
     FeatureMatrix,
@@ -147,6 +147,10 @@ def test_wav_loader_fails_closed(tmp_path):
     write_wav(path, np.random.default_rng(12).uniform(-0.5, 0.5, size=200))
     load_wav(path)  # the undamaged file loads
     blob = path.read_bytes()
+    for n in range(44, len(blob)):  # a payload shorter than the header says
+        (tmp_path / "short.wav").write_bytes(blob[:n])
+        with pytest.raises(FormatError):
+            load_wav(tmp_path / "short.wav")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # scipy may still read a damaged payload, warning
         assert_fails_closed(load_wav, tmp_path / "x.wav", damaged(blob, 44, 12))
@@ -154,8 +158,11 @@ def test_wav_loader_fails_closed(tmp_path):
 
 def test_cli_mel_exits_1_on_a_damaged_wav_and_2_on_an_unusable_path(tmp_path):
     (tmp_path / "x.wav").write_bytes(b"RIFF")
+    write_wav(tmp_path / "half.wav", np.zeros(32000))  # 2 s, then cut in half
+    blob = (tmp_path / "half.wav").read_bytes()
+    (tmp_path / "half.wav").write_bytes(blob[: len(blob) // 2])
     (tmp_path / "dir.wav").mkdir()
-    for name, code in (("x.wav", 1), ("dir.wav", 2), ("missing.wav", 2)):
+    for name, code in (("x.wav", 1), ("half.wav", 1), ("dir.wav", 2), ("missing.wav", 2)):
         proc = subprocess.run(
             [sys.executable, "-m", "melscribe.cli", "features", "mel",
              str(tmp_path / name), "--out", str(tmp_path / "x.ssft")],

@@ -10,7 +10,6 @@ from melscribe.features import (
     FeatureMatrix,
     ResampledFeatures,
     beatwise_resample,
-    concat_features,
     load_features,
     load_resampled,
     load_wav,
@@ -308,14 +307,3 @@ def test_beatwise_resample_coverage_error():
     with pytest.raises(CoverageError, match="sixteenth"):
         beatwise_resample(short, amap)
 
-
-def test_concat_features():
-    a = ResampledFeatures(np.ones((8, 2), dtype=np.float32))
-    b = ResampledFeatures(np.zeros((8, 3), dtype=np.float32))
-    joined = concat_features([a, b])
-    assert joined.frames.shape == (8, 5)
-    assert np.all(joined.frames[:, :2] == 1) and np.all(joined.frames[:, 2:] == 0)
-    with pytest.raises(InputError):
-        concat_features([])
-    with pytest.raises(ShapeError):
-        concat_features([a, ResampledFeatures(np.zeros((4, 3), dtype=np.float32))])

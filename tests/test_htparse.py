@@ -28,12 +28,6 @@ def test_degree_to_pitch_midi():
         htparse.degree_to_pitch_midi(key(), 1, 3, 0)
 
 
-def test_degree_to_pitch_range_check():
-    assert htparse.degree_to_pitch(key(), 1, 0, 0).midi == 60
-    with pytest.raises(RangeError):
-        htparse.degree_to_pitch(key(), 1, 0, 5)
-
-
 def test_roman_to_chord_major():
     cases = {
         (1, "triad"): (0, "maj"),
@@ -104,7 +98,7 @@ def test_parse_segment_happy_path():
     assert seg.split is None
     assert [(n.onset_ticks, n.duration_ticks) for n in seg.melody] == [(0, 4), (6, 2)]
     # mean of (60, 67) is 63.5, already nearest 60: no octave shift
-    assert [p.midi for p in seg.melody.pitches] == [60, 67]
+    assert seg.melody.midis.tolist() == [60, 67]
     assert len(seg.chords) == 1
     assert seg.chords[0].chord.quality == "maj"
     assert seg.num_beats == 4
@@ -117,7 +111,7 @@ def test_parse_segment_canonicalizes_octave():
     ])
     seg = htparse.parse_segment(high)
     # raw midi 84 shifts down two octaves toward 60
-    assert seg.melody.pitches[0].midi == 60
+    assert seg.melody.midis[0] == 60
 
 
 def test_parse_segment_rejects_changes():
@@ -174,7 +168,7 @@ def test_parse_segment_fraction_resolution():
          "onset_beats": beats(1, 4), "duration_beats": beats(3, 4)},
     ])
     seg = htparse.parse_segment(fine)
-    assert (seg.melody.notes[0].onset_ticks, seg.melody.notes[0].duration_ticks) == (1, 3)
+    assert (seg.melody.onsets[0], seg.melody.ends[0] - seg.melody.onsets[0]) == (1, 3)
 
 
 def test_parse_segment_melody_errors():

@@ -187,6 +187,10 @@ def test_beat_position_inverts_align():
         beat_position(amap, times[0] - 0.01)
     with pytest.raises(RangeError):
         beat_position(amap, float(times[-1]) + 0.01)
+    ts = np.concatenate([align(amap, rng.uniform(0, 12, size=50)), times[[0, -1]]])
+    assert beat_position(amap, ts).tolist() == [beat_position(amap, float(t)) for t in ts]
+    with pytest.raises(RangeError, match=r"time -0\.01 outside"):
+        beat_position(amap, np.array([1.0, times[0] - 0.01, times[-1] + 1.0]))
 
 
 def test_assemble_quantizes_performance():
@@ -203,8 +207,8 @@ def test_assemble_quantizes_performance():
 
 def test_assemble_drops_notes_outside_span():
     amap = AlignmentMap([0.0, 0.5, 1.0, 1.5, 2.0])
-    mel = perf([(0.0, 60), (2.5, 64)])
-    with pytest.warns(UserWarning, match="dropped 1 note"):
+    mel = perf([(-0.25, 62), (0.0, 60), (2.0, 65), (2.5, 64)])
+    with pytest.warns(UserWarning, match="dropped 3 notes"):
         sh = assemble(mel, [], amap, FOUR_FOUR, key=C_MAJOR)
     assert len(sh.melody) == 1
 
