@@ -306,4 +306,3 @@ def test_beatwise_resample_coverage_error():
     )  # ends at 2.5 s, segment runs to 3.0 s
     with pytest.raises(CoverageError, match="sixteenth"):
         beatwise_resample(short, amap)
-
