@@ -7,10 +7,10 @@ full pipeline can be exercised end to end without recordings.
 
 from __future__ import annotations
 
+import wave
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.io import wavfile
 
 from .align import AlignmentMap, align, constant_tempo_grid, refine_alignment
 from .core import (
@@ -130,5 +130,10 @@ def render_audio(
 
 
 def write_wav(path, samples: np.ndarray, sample_rate: int = 16000) -> None:
+    """Write samples in [-1, 1] (clipped) as a 16-bit mono PCM WAV file."""
     clipped = np.clip(np.asarray(samples, dtype=np.float64), -1.0, 1.0)
-    wavfile.write(path, sample_rate, (clipped * 32767.0).astype(np.int16))
+    with open(path, "wb") as fh, wave.open(fh, "wb") as out:
+        out.setnchannels(1)
+        out.setsampwidth(2)
+        out.setframerate(sample_rate)
+        out.writeframes((clipped * 32767.0).astype("<i2").tobytes())

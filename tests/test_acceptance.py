@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 from helpers import perf, synth_examples
+from melscribe import kernels
 from melscribe.align import AlignmentMap
 from melscribe.core import (
     KeySignature,
@@ -24,11 +25,12 @@ from melscribe.core import (
 from melscribe.evaluate import note_f1, octave_invariant_f1, oracle_note_f1
 from melscribe.features import (
     FeatureMatrix,
+    _cell_boundaries,
+    _frame_starts,
     beatwise_resample,
     load_features,
     logmel,
     save_features,
-    tick_frame_counts,
 )
 from melscribe.labeler import (
     DESK_CONFIG,
@@ -146,7 +148,7 @@ def test_criterion_3_resampling_arithmetic():
     n_frames = int(np.ceil((8.0 + 0.4) * rate))
     rng = np.random.default_rng(1003)
     fm = FeatureMatrix(rate, rng.normal(size=(n_frames, 5)).astype(np.float32), t0)
-    counts = tick_frame_counts(fm, amap)
+    _, counts = kernels.pool_segments(fm.frames, _frame_starts(fm, _cell_boundaries(amap)[1]))
     assert counts.shape == (4 * num_beats,)
     assert counts.min() >= 42 and counts.max() <= 44, set(counts.tolist())
 

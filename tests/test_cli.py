@@ -373,6 +373,22 @@ def test_import_loads_no_scipy_or_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
+def test_wav_codec_and_logmel_load_no_scipy(tmp_path):
+    path = str(tmp_path / "a.wav")
+    code = (
+        "import sys, numpy as np\n"
+        "from melscribe.features import load_wav, logmel\n"
+        "from melscribe.synth import write_wav\n"
+        f"write_wav({path!r}, 0.5 * np.sin(np.arange(44100) / 7.0), 44100)\n"
+        f"assert logmel(*load_wav({path!r})).n_frames == 32\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_domain_errors_exit_1(corpus, tmp_path):
     wavs = [str(corpus["raw"] / "s00.wav"), str(corpus["raw"] / "s01.wav")]
     code, _ = run(["features", "mel", *wavs, "--out", str(tmp_path / "x.ssft")])

@@ -152,7 +152,7 @@ def test_wav_loader_fails_closed(tmp_path):
         with pytest.raises(FormatError):
             load_wav(tmp_path / "short.wav")
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # scipy may still read a damaged payload, warning
+        warnings.simplefilter("error")  # damage is refused, never read with a warning
         assert_fails_closed(load_wav, tmp_path / "x.wav", damaged(blob, 44, 12))
 
 

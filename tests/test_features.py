@@ -1,9 +1,11 @@
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
 
-from melscribe import features
+from melscribe import features, kernels
 from melscribe.align import AlignmentMap
 from melscribe.errors import CoverageError, FormatError, InputError, ShapeError
 from melscribe.features import (
@@ -17,7 +19,6 @@ from melscribe.features import (
     mel_band_centers_hz,
     save_features,
     save_resampled,
-    tick_frame_counts,
 )
 from melscribe.synth import write_wav
 
@@ -159,6 +160,123 @@ def test_load_wav_formats(tmp_path):
         load_wav(bad)
 
 
+@pytest.mark.parametrize("rate", [8000, 11025, 22050, 32000, 44100, 48000])
+def test_resample_matches_scipy_resample_poly(rate):
+    import scipy.signal
+
+    g = math.gcd(rate, features.SAMPLE_RATE)
+    rng = np.random.default_rng(rate)
+    for n in (1, 7, 441, 3 * rate + 13):
+        x = rng.normal(size=n)
+        want = scipy.signal.resample_poly(x, features.SAMPLE_RATE // g, rate // g)
+        got = features._resample(x, rate, features.SAMPLE_RATE)
+        assert got.shape == want.shape, (n, got.shape, want.shape)
+        assert np.max(np.abs(got - want)) <= 1e-12, n
+
+
+def scipy_samples(path):
+    """load_wav's conversion of scipy.io.wavfile.read's array, before it read WAV itself."""
+    import scipy.io.wavfile
+
+    rate, data = scipy.io.wavfile.read(path)
+    if data.dtype == np.uint8:
+        samples = (data.astype(np.float64) - 128.0) / 128.0
+    elif data.dtype == np.int16:
+        samples = data.astype(np.float64) / 32768.0
+    elif data.dtype == np.int32:
+        samples = data.astype(np.float64) / 2147483648.0
+    else:
+        samples = data.astype(np.float64)
+    return (samples.mean(axis=1) if samples.ndim == 2 else samples), rate
+
+
+def riff(*chunks, magic=b"RIFF"):
+    """A RIFF WAVE file of (id, body) chunks, odd bodies padded."""
+    body = b"".join(
+        cid + struct.pack("<I", len(data)) + data + b"\0" * (len(data) % 2)
+        for cid, data in chunks
+    )
+    return magic + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+def fmt_chunk(tag, channels, rate, width, extensible_tag=None):
+    fmt = struct.pack("<HHIIHH", tag, channels, rate, rate * channels * width,
+                      channels * width, 8 * width)
+    if extensible_tag is not None:  # cbSize, valid bits, channel mask, subformat GUID
+        fmt += struct.pack("<HHI", 22, 8 * width, 0) + struct.pack("<I", extensible_tag)
+        fmt += b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+    return fmt
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("dtype", ["uint8", "int16", "int32", "float32", "float64"])
+def test_load_wav_matches_scipy_reader(tmp_path, dtype, channels):
+    import scipy.io.wavfile
+
+    rng = np.random.default_rng(channels)
+    if dtype.startswith("float"):
+        data = rng.uniform(-1.0, 1.0, size=(999, channels)).astype(dtype)
+    else:
+        info = np.iinfo(dtype)
+        data = rng.integers(info.min, info.max, size=(999, channels), endpoint=True, dtype=dtype)
+    path = tmp_path / "a.wav"
+    scipy.io.wavfile.write(path, 22050, data[:, 0] if channels == 1 else data)
+    samples, rate = load_wav(path)
+    want, want_rate = scipy_samples(path)
+    assert rate == want_rate == 22050
+    assert samples.shape == (999,)
+    assert np.array_equal(samples, want)
+
+
+def test_load_wav_reads_24_bit_extensible_and_odd_chunks(tmp_path):
+    rng = np.random.default_rng(3)
+    ints = rng.integers(-(2**23), 2**23, size=(500, 2))
+    pcm24 = ints.astype("<i4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+    pcm16 = rng.integers(-(2**15), 2**15, size=(300, 3)).astype("<i2").tobytes()
+    files = {
+        "pcm24.wav": riff((b"fmt ", fmt_chunk(1, 2, 44100, 3)), (b"data", pcm24)),
+        "ext16.wav": riff((b"fmt ", fmt_chunk(0xFFFE, 3, 48000, 2, extensible_tag=1)),
+                          (b"data", pcm16)),
+        "list.wav": riff((b"fmt ", fmt_chunk(1, 3, 8000, 2)), (b"LIST", b"INFOx"),
+                         (b"data", pcm16)),
+    }
+    for name, blob in files.items():
+        (tmp_path / name).write_bytes(blob)
+        samples, rate = load_wav(tmp_path / name)
+        want, want_rate = scipy_samples(tmp_path / name)
+        assert rate == want_rate, name
+        assert np.array_equal(samples, want), name
+    assert np.array_equal(load_wav(tmp_path / "pcm24.wav")[0], ints.mean(axis=1) / 2.0**23)
+
+
+@pytest.mark.parametrize("blob", [
+    riff((b"fmt ", fmt_chunk(1, 1, 8000, 2)), (b"data", b"\0\1" * 8), magic=b"RIFX"),
+    b"RF64" + b"\xff" * 4 + b"WAVE" + b"ds64" + struct.pack("<IQQQI", 28, 0, 0, 0, 0),
+    riff((b"fmt ", fmt_chunk(1, 1, 8000, 8)), (b"data", b"\0" * 16)),  # int64 PCM
+    riff((b"fmt ", fmt_chunk(6, 1, 8000, 1)), (b"data", b"\0" * 16)),  # A-law
+    riff((b"fmt ", fmt_chunk(1, 2, 8000, 2)), (b"data", b"\0" * 6)),  # 1.5 frames
+    riff((b"fmt ", fmt_chunk(1, 1, 8000, 2))),  # no data chunk
+    riff((b"data", b"\0" * 16)),  # no fmt chunk
+    riff((b"fmt ", fmt_chunk(1, 1, 8000, 2)), (b"data", b"\0" * 16))[:-1],  # truncated
+], ids=["rifx", "rf64", "int64", "alaw", "partial-frame", "no-data", "no-fmt", "truncated"])
+def test_load_wav_refuses_with_the_file_named(tmp_path, blob):
+    path = tmp_path / "x.wav"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError, match=re.escape(str(path))):
+        load_wav(path)
+
+
+@pytest.mark.parametrize("n", [1, 2, 199, 200])
+def test_write_wav_bytes_match_scipy_writer(tmp_path, n):
+    import scipy.io.wavfile
+
+    samples = np.random.default_rng(n).uniform(-1.2, 1.2, size=n)
+    write_wav(tmp_path / "a.wav", samples, 44100)
+    clipped = (np.clip(samples, -1.0, 1.0) * 32767.0).astype(np.int16)
+    scipy.io.wavfile.write(tmp_path / "b.wav", 44100, clipped)
+    assert (tmp_path / "a.wav").read_bytes() == (tmp_path / "b.wav").read_bytes()
+
+
 def test_ssft_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     fm = FeatureMatrix(345.0, rng.normal(size=(40, 7)).astype(np.float32), t0_s=0.125)
@@ -242,10 +360,16 @@ def features_covering(amap, rate, dim=3, margin=1.0, fill=None, seed=0):
     return FeatureMatrix(rate, frames, t0_s=lo)
 
 
+def cell_frame_counts(fm, amap):
+    """Frames pooled per sixteenth-note cell, as beatwise_resample counts them."""
+    starts = features._frame_starts(fm, features._cell_boundaries(amap)[1])
+    return kernels.pool_segments(fm.frames, starts)[1]
+
+
 def test_tick_frame_counts_uniform_case():
     amap = constant_map(8)  # 120 BPM: a sixteenth is 0.125 s
     fm = features_covering(amap, rate=80.0)  # exactly 10 frames per cell
-    counts = tick_frame_counts(fm, amap)
+    counts = cell_frame_counts(fm, amap)
     assert counts.shape == (32,)
     assert set(counts.tolist()) <= {9, 10, 11}
     assert counts.sum() <= fm.n_frames
@@ -256,7 +380,7 @@ def test_boundary_frame_ties_to_lower_tick():
     # the frame at each cell boundary (multiples of 0.1 s) belongs below.
     amap = AlignmentMap([0.0, 0.4, 0.8])
     fm = FeatureMatrix(20.0, np.ones((20, 1), dtype=np.float32), t0_s=0.0)
-    counts = tick_frame_counts(fm, amap)
+    counts = cell_frame_counts(fm, amap)
     assert counts.tolist() == [2, 2, 2, 2, 2, 2, 2, 2]
 
 
