@@ -353,8 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     feats_sub = feats.add_subparsers(dest="subcommand", required=True)
     mel = feats_sub.add_parser("mel", help="log-mel spectrogram to SSFT")
     mel.add_argument("audio", nargs="+", help="input WAV files")
-    mel.add_argument("--out", help="output SSFT path (single input)")
-    mel.add_argument("--out-dir", help="output directory (batch)")
+    mel_out = mel.add_mutually_exclusive_group(required=True)
+    mel_out.add_argument("--out", help="output SSFT path (single input)")
+    mel_out.add_argument("--out-dir", help="output directory (batch)")
     mel.add_argument("--jobs", type=int, default=1, help="parallel workers")
     mel.set_defaults(func=cmd_features_mel)
     resample = feats_sub.add_parser("resample", help="pool frames per sixteenth")

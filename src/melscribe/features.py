@@ -317,10 +317,11 @@ def logmel(samples: np.ndarray, sample_rate_hz: int) -> FeatureMatrix:
         raise InputError("samples must be a non-empty 1-D array")
     if not np.all(np.isfinite(x)):
         raise InputError("samples contain non-finite values")
-    if sample_rate_hz <= 0:
-        raise InputError(f"sample rate {sample_rate_hz} must be positive")
-    if sample_rate_hz != SAMPLE_RATE:
-        x = _resample(x, int(sample_rate_hz), SAMPLE_RATE)
+    rate = float(sample_rate_hz)
+    if not (rate > 0 and rate.is_integer()):  # also refuses nan and inf
+        raise InputError(f"sample rate {sample_rate_hz} must be a positive whole number")
+    if rate != SAMPLE_RATE:
+        x = _resample(x, int(rate), SAMPLE_RATE)
 
     n_frames = -(-len(x) // HOP)
     pad = N_FFT // 2

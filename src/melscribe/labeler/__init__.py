@@ -11,15 +11,15 @@ from .labels import (
     LabelVocab,
     chord_to_class,
     class_to_chord,
-    class_to_pitch,
+    class_to_midi,
     densify,
     densify_chords,
     densify_melody,
+    midi_to_class,
     one_hot_logits,
-    pitch_to_class,
     vocab_by_name,
 )
-from .loss import feasible_shifts, log_softmax, octave_tolerant_loss
+from .loss import feasible_shifts, log_softmax
 from .model import (
     backward,
     forward,
@@ -53,7 +53,7 @@ __all__ = [
     "chord_to_class",
     "class_probabilities",
     "class_to_chord",
-    "class_to_pitch",
+    "class_to_midi",
     "decode",
     "decode_chords",
     "densify",
@@ -67,11 +67,10 @@ __all__ = [
     "init_params",
     "load_checkpoint",
     "log_softmax",
-    "octave_tolerant_loss",
+    "midi_to_class",
     "one_hot_logits",
     "onset_classes",
     "param_names",
-    "pitch_to_class",
     "positional_encoding",
     "reference_melody",
     "save_checkpoint",

@@ -11,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..align import AlignmentMap, align
-from ..core import MIDI_MIN, TICKS_PER_BEAT, ChordSymbol, Melody, perf_melody
+from ..core import TICKS_PER_BEAT, ChordSymbol, Melody, perf_melody
 from ..errors import RangeError, ShapeError
-from .labels import CHORD_VOCAB, MELODY_VOCAB, class_to_chord
+from .labels import CHORD_VOCAB, MELODY_VOCAB, class_to_chord, class_to_midi
 from .loss import log_softmax
 
 
@@ -58,7 +58,7 @@ def onset_melody(amap: AlignmentMap, ticks: np.ndarray, classes: np.ndarray) -> 
     """Legato notes for melody classes at onset ticks, in increasing order."""
     times = align(amap, np.asarray(ticks) / TICKS_PER_BEAT)
     ends = np.append(times, align(amap, amap.num_beats))[1:]
-    return perf_melody(times, ends, np.asarray(classes) + (MIDI_MIN - 1))
+    return perf_melody(times, ends, class_to_midi(classes))
 
 
 def decode_chords(logits: np.ndarray, tau: float) -> list[tuple[int, ChordSymbol]]:

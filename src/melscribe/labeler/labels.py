@@ -9,7 +9,6 @@ index by 12.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -18,13 +17,13 @@ import numpy as np
 
 from ..core import (
     CHORD_QUALITIES,
+    MIDI_MAX,
     MIDI_MIN,
     PITCH_VOCAB_SIZE,
     TICKS_PER_BEAT,
     ChordSpan,
     ChordSymbol,
     Melody,
-    Pitch,
     PitchClass,
 )
 from ..errors import InputError, RangeError
@@ -49,14 +48,13 @@ def vocab_by_name(name: str) -> LabelVocab:
     return _VOCABS[name]
 
 
-def pitch_to_class(pitch: Pitch) -> int:
-    return pitch.midi - (MIDI_MIN - 1)
+def class_to_midi(classes: np.ndarray) -> np.ndarray:
+    """MIDI numbers of non-silent melody classes; ``midi_to_class`` inverts it."""
+    return np.asarray(classes, dtype=np.int64) + (MIDI_MIN - 1)
 
 
-def class_to_pitch(index: int) -> Pitch:
-    if not 1 <= index <= PITCH_VOCAB_SIZE:
-        raise RangeError(f"melody class {index} outside 1..{PITCH_VOCAB_SIZE}")
-    return Pitch(index + (MIDI_MIN - 1))
+def midi_to_class(midis: np.ndarray) -> np.ndarray:
+    return np.asarray(midis, dtype=np.int64) - (MIDI_MIN - 1)
 
 
 def chord_to_class(chord: ChordSymbol) -> int:
@@ -105,9 +103,9 @@ class DenseLabelSequence:
 
 
 def densify(
-    onsets: Sequence[tuple[float, Pitch]], num_beats: int
+    onset_beats: np.ndarray, midis: np.ndarray, num_beats: int
 ) -> DenseLabelSequence:
-    """Quantize (onset_beats, pitch) pairs onto the sixteenth grid.
+    """Quantize parallel onset (in beats) and MIDI arrays onto the sixteenth grid.
 
     Ticks are round(4 * onset) with exact halves rounded down.  Onsets
     must lie in [0, num_beats); a rounding result of 4B clamps to the
@@ -117,28 +115,33 @@ def densify(
     """
     if num_beats < 1:
         raise InputError(f"num_beats {num_beats} below 1")
+    beats = np.asarray(onset_beats, dtype=np.float64)
+    midis = np.asarray(midis)
+    if beats.ndim != 1 or beats.shape != midis.shape:
+        raise InputError("onsets and pitches must be 1-D arrays of one length")
+    bad = np.flatnonzero(~((beats >= 0) & (beats < num_beats)))
+    if len(bad):
+        raise RangeError(f"onset {onset_beats[bad[0]]} outside [0, {num_beats}) beats")
+    if len(midis) and midis.dtype.kind not in "iu":
+        raise RangeError(f"pitches must be integer MIDI numbers, got {midis.dtype}")
+    bad = np.flatnonzero((midis < MIDI_MIN) | (midis > MIDI_MAX))
+    if len(bad):
+        raise RangeError(
+            f"note {bad[0]}: pitch {midis[bad[0]]} outside playable range "
+            f"{MIDI_MIN}..{MIDI_MAX}"
+        )
     n_ticks = num_beats * TICKS_PER_BEAT
+    scaled = beats * TICKS_PER_BEAT
+    # rounding can reach 4B at the very edge
+    ticks = np.minimum(np.ceil(scaled - 0.5), n_ticks - 1).astype(np.int64)
+    # by tick, then distance from its center; lexsort is stable, so ties keep
+    # input order and the first note of each tick is the one that stays
+    order = np.lexsort((np.abs(scaled - ticks), ticks))
+    ticks = ticks[order]
+    first = np.flatnonzero(np.diff(ticks, prepend=-1))
     classes = np.zeros(n_ticks, dtype=np.int64)
-    distance = np.full(n_ticks, np.inf)
-    collisions = 0
-    for onset, pitch in onsets:
-        b = float(onset)
-        if not (0 <= b < num_beats) or not math.isfinite(b):
-            raise RangeError(
-                f"onset {onset} outside [0, {num_beats}) beats"
-            )
-        tick = math.ceil(b * TICKS_PER_BEAT - 0.5)
-        if tick >= n_ticks:  # rounding can reach 4B at the very edge
-            tick = n_ticks - 1
-        d = abs(b * TICKS_PER_BEAT - tick)
-        if classes[tick] == 0:
-            classes[tick] = pitch_to_class(pitch)
-            distance[tick] = d
-        else:
-            collisions += 1
-            if d < distance[tick]:
-                classes[tick] = pitch_to_class(pitch)
-                distance[tick] = d
+    classes[ticks[first]] = midi_to_class(midis[order[first]])
+    collisions = len(ticks) - len(first)
     if collisions:
         warnings.warn(
             f"{collisions} note(s) lost to sixteenth-note collisions", stacklevel=2
@@ -150,9 +153,7 @@ def densify_melody(melody: Melody, num_beats: int) -> DenseLabelSequence:
     """Dense labels for a score-form melody already on the tick grid."""
     if melody.is_score is False:
         raise InputError("densify_melody expects a score-form melody")
-    return densify(
-        [(n.onset_ticks / TICKS_PER_BEAT, n.pitch) for n in melody], num_beats
-    )
+    return densify(melody.onsets / TICKS_PER_BEAT, melody.midis, num_beats)
 
 
 def densify_chords(chords: Sequence[ChordSpan], num_beats: int) -> DenseLabelSequence:

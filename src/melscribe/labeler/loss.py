@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import MIDI_MIN, octave_shifts
+from ..core import octave_shifts
 from ..errors import ShapeError
-from .labels import DenseLabelSequence, LabelVocab
+from .labels import LabelVocab, class_to_midi
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -25,7 +25,7 @@ def feasible_shifts(classes: np.ndarray, vocab: LabelVocab) -> list[int]:
     """Octave shifts keeping all non-silent classes in range, nearest first."""
     if not vocab.octave_shiftable:
         return [0]
-    return octave_shifts(classes[classes > 0] + (MIDI_MIN - 1))
+    return octave_shifts(class_to_midi(classes[classes > 0]))
 
 
 def _loss_and_grad(
@@ -58,13 +58,3 @@ def _loss_and_grad(
     dlogits[rows, best_idx] -= 1.0
     dlogits /= n
     return best_loss, best_sigma, dlogits
-
-
-def octave_tolerant_loss(
-    logits: np.ndarray, labels: DenseLabelSequence
-) -> tuple[float, int]:
-    """Best-shift mean cross-entropy and the shift that achieved it."""
-    loss, sigma, _ = _loss_and_grad(
-        np.asarray(logits, dtype=np.float64), labels.classes, labels.vocab
-    )
-    return loss, sigma

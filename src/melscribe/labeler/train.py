@@ -24,6 +24,8 @@ from .loss import _loss_and_grad
 from .model import backward, forward_cached, forward_windowed, init_params
 
 DEFAULT_THRESHOLDS = tuple(round(0.05 * k, 2) for k in range(1, 20))
+MAX_SLICE_BEATS = 96
+MAX_SLICE_SECONDS = 24.0
 
 
 @dataclass(frozen=True)
@@ -58,17 +60,12 @@ class TrainSettings:
     eval_every: int = 250
     patience: int = 10
     seed: int = 0
-    max_slice_beats: int = 96
-    max_slice_seconds: float = 24.0
-    thresholds: tuple = DEFAULT_THRESHOLDS
 
     def __post_init__(self) -> None:
         if self.batch_size < 1 or self.max_steps < 0:
             raise InputError("batch_size must be >= 1 and max_steps >= 0")
         if self.eval_every < 1 or self.patience < 1:
             raise InputError("eval_every and patience must be >= 1")
-        if not self.thresholds or any(not 0.0 < t < 1.0 for t in self.thresholds):
-            raise InputError("thresholds must be a non-empty subset of (0, 1)")
 
 
 @dataclass
@@ -87,14 +84,12 @@ def reference_melody(labels: DenseLabelSequence, amap: AlignmentMap) -> Melody:
     return onset_melody(amap, ticks, labels.classes[ticks])
 
 
-def _sample_slice(
-    rng: np.random.Generator, ex: TrainExample, settings: TrainSettings
-) -> tuple[int, int]:
+def _sample_slice(rng: np.random.Generator, ex: TrainExample) -> tuple[int, int]:
     total = ex.amap.num_beats
     start = int(rng.integers(0, total))
-    length = min(settings.max_slice_beats, total - start)
+    length = min(MAX_SLICE_BEATS, total - start)
     times = ex.amap.beat_to_time_s
-    while length > 1 and times[start + length] - times[start] > settings.max_slice_seconds:
+    while length > 1 and times[start + length] - times[start] > MAX_SLICE_SECONDS:
         length -= 1
     return start * TICKS_PER_BEAT, (start + length) * TICKS_PER_BEAT
 
@@ -163,11 +158,11 @@ def train(
 
     def evaluated(at_step: int) -> TrainResult:
         """The current params, copied, at their best validation threshold."""
-        f1s = validation_f1(cfg, params, valid_ex, settings.thresholds)
+        f1s = validation_f1(cfg, params, valid_ex, DEFAULT_THRESHOLDS)
         k = int(np.argmax(f1s))
         return TrainResult(
             params={name: p.copy() for name, p in params.items()},
-            tau=float(settings.thresholds[k]),
+            tau=float(DEFAULT_THRESHOLDS[k]),
             valid_f1=float(f1s[k]),
             best_step=at_step,
             steps_run=at_step,
@@ -180,7 +175,7 @@ def train(
 
     for step in range(1, settings.max_steps + 1):
         picks = rng.integers(0, len(train_ex), size=settings.batch_size)
-        slices = [(train_ex[int(i)], *_sample_slice(rng, train_ex[int(i)], settings))
+        slices = [(train_ex[int(i)], *_sample_slice(rng, train_ex[int(i)]))
                   for i in picks]
         max_len = max(hi - lo for _, lo, hi in slices)
         batch = np.zeros((len(slices), max_len, cfg.input_dim), dtype=np.float32)

@@ -26,13 +26,11 @@ from .core import (
     KeySignature,
     Melody,
     Meter,
-    Pitch,
     PitchClass,
-    ScoreNote,
     TICKS_PER_BEAT,
 )
 from .errors import InputError, RangeError, ShapeError
-from .labeler.labels import class_to_pitch, densify
+from .labeler.labels import class_to_midi, densify
 from . import smf
 
 # Krumhansl-Kessler tonal hierarchy profiles, C-based.
@@ -192,14 +190,13 @@ def assemble(
             warnings.warn(
                 f"dropped {dropped} notes outside the aligned span", stacklevel=2
             )
-        pitches = map(Pitch, melody.midis[inside][kept].tolist())
-        pairs = list(zip(beats[kept].tolist(), pitches))
-        events = densify(pairs, amap.num_beats).onset_events()
-        notes = []
-        for i, (tick, cls) in enumerate(events):
-            end = events[i + 1][0] if i + 1 < len(events) else total
-            notes.append(ScoreNote(tick, end - tick, class_to_pitch(cls)))
-        score_melody = Melody(tuple(notes))
+        classes = densify(
+            beats[kept], melody.midis[inside][kept], amap.num_beats
+        ).classes
+        ticks = np.flatnonzero(classes)
+        score_melody = Melody._of_columns(
+            ticks, np.append(ticks[1:], total), class_to_midi(classes[ticks]), True
+        )
     else:
         over = np.flatnonzero(melody.ends > total)
         if len(over):

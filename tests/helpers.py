@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import math
 import struct
+import warnings
 
 import numpy as np
 
-from melscribe.core import Melody, PerfNote, Pitch, ScoreNote
+from melscribe.core import TICKS_PER_BEAT, Melody, PerfNote, Pitch, ScoreNote
+from melscribe.errors import InputError, RangeError
 from melscribe.features import beatwise_resample, logmel
-from melscribe.labeler import TrainExample, densify_melody
+from melscribe.labeler import (
+    MELODY_VOCAB,
+    DenseLabelSequence,
+    TrainExample,
+    densify_melody,
+)
 from melscribe.synth import random_segment, render_audio
 
 
@@ -30,6 +38,39 @@ def random_perf(rng, n, midi_lo=40, midi_hi=80, spacing=(0.05, 0.4)) -> Melody:
     onsets = np.cumsum(rng.uniform(*spacing, size=n))
     midis = rng.integers(midi_lo, midi_hi, size=n)
     return perf(zip(onsets, midis))
+
+
+def densify_per_note(onsets, num_beats: int) -> DenseLabelSequence:
+    """Reference for ``densify``: one (onset_beats, Pitch) pair at a time."""
+    if num_beats < 1:
+        raise InputError(f"num_beats {num_beats} below 1")
+    n_ticks = num_beats * TICKS_PER_BEAT
+    classes = np.zeros(n_ticks, dtype=np.int64)
+    distance = np.full(n_ticks, np.inf)
+    collisions = 0
+    for onset, pitch in onsets:
+        b = float(onset)
+        if not (0 <= b < num_beats) or not math.isfinite(b):
+            raise RangeError(
+                f"onset {onset} outside [0, {num_beats}) beats"
+            )
+        tick = math.ceil(b * TICKS_PER_BEAT - 0.5)
+        if tick >= n_ticks:  # rounding can reach 4B at the very edge
+            tick = n_ticks - 1
+        d = abs(b * TICKS_PER_BEAT - tick)
+        if classes[tick] == 0:
+            classes[tick] = pitch.midi - 20
+            distance[tick] = d
+        else:
+            collisions += 1
+            if d < distance[tick]:
+                classes[tick] = pitch.midi - 20
+                distance[tick] = d
+    if collisions:
+        warnings.warn(
+            f"{collisions} note(s) lost to sixteenth-note collisions", stacklevel=2
+        )
+    return DenseLabelSequence(classes, MELODY_VOCAB)
 
 
 def synth_examples(

@@ -34,7 +34,6 @@ from melscribe.features import (
 )
 from melscribe.labeler import (
     DESK_CONFIG,
-    DenseLabelSequence,
     MELODY_VOCAB,
     TrainSettings,
     decode,
@@ -45,13 +44,13 @@ from melscribe.labeler import (
     gradient_check,
     init_params,
     load_checkpoint,
-    octave_tolerant_loss,
     one_hot_logits,
     onset_classes,
     reference_melody,
     save_checkpoint,
     train,
 )
+from melscribe.labeler.loss import _loss_and_grad
 from melscribe.labeler.train import DEFAULT_THRESHOLDS
 from melscribe.leadsheet import LeadSheet, emit_lilypond, emit_midi, estimate_key
 from melscribe.synth import random_segment
@@ -131,10 +130,10 @@ def test_criterion_2_octave_invariance_suite():
         classes = np.where(
             rng.random(n) < 0.4, 0, rng.integers(20, 70, size=n)
         ).astype(np.int64)
-        base_loss, _ = octave_tolerant_loss(logits, DenseLabelSequence(classes))
+        base_loss, _, _ = _loss_and_grad(logits, classes, MELODY_VOCAB)
         for sigma in feasible_shifts(classes, MELODY_VOCAB):
             shifted = np.where(classes == 0, 0, classes + 12 * sigma)
-            loss, _ = octave_tolerant_loss(logits, DenseLabelSequence(shifted))
+            loss, _, _ = _loss_and_grad(logits, shifted, MELODY_VOCAB)
             assert loss == base_loss, (trial, sigma)
     _ok(2, "octave invariance of F1 and loss, 200 melodies")
 
@@ -311,7 +310,7 @@ def test_criterion_9_densify_quantization():
     for _ in range(total):
         j = int(rng.integers(0, 16 * num_beats))
         b = j / 16.0
-        labels = densify([(b, Pitch(60))], num_beats)
+        labels = densify(np.array([b]), np.array([60]), num_beats)
         events = labels.onset_events()
         assert len(events) == 1
         tick = events[0][0]
@@ -322,6 +321,6 @@ def test_criterion_9_densify_quantization():
 
     # onsets already on the tick grid are never moved
     for k in range(4 * num_beats):
-        labels = densify([(k / 4.0, Pitch(60))], num_beats)
+        labels = densify(np.array([k / 4.0]), np.array([60]), num_beats)
         assert labels.onset_events()[0][0] == k
     _ok(9, f"moved fraction {fraction:.4f} vs analytic 0.75; grid onsets fixed")

@@ -423,6 +423,10 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["train", "--data"])
     assert exc.value.code == 2
+    for outs in ([], ["--out", "a.ssft", "--out-dir", "d"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["features", "mel", "a.wav", *outs])
+        assert exc.value.code == 2, outs
 
 
 def test_convert_skips_bad_documents(tmp_path):

@@ -8,12 +8,12 @@ from melscribe.labeler import (
     CHORD_VOCAB,
     DenseLabelSequence,
     chord_to_class,
-    class_to_pitch,
+    class_to_midi,
     decode,
     decode_chords,
     densify_melody,
+    midi_to_class,
     one_hot_logits,
-    pitch_to_class,
 )
 from melscribe.labeler.decode import class_probabilities, onset_classes
 
@@ -121,11 +121,11 @@ def test_decode_chords_round_trip():
 
 
 def test_class_pitch_consistency_through_decode():
-    # decoding a single labeled tick recovers the same Pitch the class encodes
+    # decoding a single labeled tick recovers the same pitch the class encodes
     for midi in (21, 60, 108):
         classes = np.zeros(4, dtype=np.int64)
-        classes[0] = pitch_to_class(Pitch(midi))
+        classes[0] = midi_to_class(midi)
         logits = one_hot_logits(DenseLabelSequence(classes))
         out = decode(logits, 0.5, flat_map(1))
         assert [n.pitch.midi for n in out] == [midi]
-        assert class_to_pitch(int(classes[0])).midi == midi
+        assert class_to_midi(classes[0]) == midi

@@ -134,8 +134,14 @@ def test_logmel_input_validation():
         logmel(np.zeros((10, 2)), 16000)
     with pytest.raises(InputError):
         logmel(np.full(100, np.nan), 16000)
-    with pytest.raises(InputError):
-        logmel(np.zeros(100), 0)
+    for rate in (44100.5, float("nan"), float("inf"), 0, -1):
+        with pytest.raises(InputError, match="positive whole number"):
+            logmel(np.zeros(100), rate)
+
+
+def test_logmel_takes_a_whole_float_rate():
+    samples = np.random.default_rng(5).normal(0, 0.1, size=44100)
+    assert np.array_equal(logmel(samples, 44100.0).frames, logmel(samples, 44100).frames)
 
 
 def test_load_wav_formats(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,16 +11,16 @@ from melscribe.labeler import (
     DenseLabelSequence,
     chord_to_class,
     class_to_chord,
-    class_to_pitch,
+    class_to_midi,
     densify,
     densify_chords,
     densify_melody,
+    midi_to_class,
     one_hot_logits,
-    pitch_to_class,
     vocab_by_name,
 )
 
-from helpers import score
+from helpers import densify_per_note, score
 
 
 def test_vocabularies():
@@ -33,15 +35,10 @@ def test_vocabularies():
 
 
 def test_pitch_class_round_trip():
-    for midi in range(21, 109):
-        cls = pitch_to_class(Pitch(midi))
-        assert 1 <= cls <= 88
-        assert class_to_pitch(cls).midi == midi
-    assert pitch_to_class(Pitch(21)) == 1
-    assert pitch_to_class(Pitch(108)) == 88
-    for bad in (0, 89, -3):
-        with pytest.raises(RangeError):
-            class_to_pitch(bad)
+    midis = np.arange(21, 109)
+    classes = midi_to_class(midis)
+    assert classes.tolist() == list(range(1, 89))
+    assert np.array_equal(class_to_midi(classes), midis)
 
 
 def test_chord_class_round_trip():
@@ -75,40 +72,87 @@ def test_dense_label_sequence_validation():
     DenseLabelSequence(np.array([0, 0, 0, 96]), CHORD_VOCAB)
 
 
+def one(beats, midi=60):
+    return np.array([beats]), np.array([midi])
+
+
 def test_densify_rounding_rules():
     # exact grid point
-    assert densify([(2.0, Pitch(60))], 4).onset_events() == [(8, 40)]
+    assert densify(*one(2.0), 4).onset_events() == [(8, 40)]
     # 2.13 beats -> 8.52 ticks -> tick 9
-    assert densify([(2.13, Pitch(60))], 4).onset_events() == [(9, 40)]
+    assert densify(*one(2.13), 4).onset_events() == [(9, 40)]
     # exact half ties round down: 2.125 beats -> 8.5 ticks -> tick 8
-    assert densify([(2.125, Pitch(60))], 4).onset_events() == [(8, 40)]
+    assert densify(*one(2.125), 4).onset_events() == [(8, 40)]
     # top-edge rounding clamps onto the final tick
-    assert densify([(3.99, Pitch(60))], 4).onset_events() == [(15, 40)]
+    assert densify(*one(3.99), 4).onset_events() == [(15, 40)]
     # empty input
-    assert densify([], 2).onset_events() == []
-    assert densify([], 2).num_ticks == 8
+    assert densify([], [], 2).onset_events() == []
+    assert densify([], [], 2).num_ticks == 8
 
 
 def test_densify_range_checks():
-    with pytest.raises(RangeError):
-        densify([(4.0, Pitch(60))], 4)
-    with pytest.raises(RangeError):
-        densify([(-0.01, Pitch(60))], 4)
+    with pytest.raises(RangeError, match=r"^onset 4\.0 outside \[0, 4\) beats$"):
+        densify(*one(4.0), 4)
+    with pytest.raises(RangeError, match=r"^onset -0\.01 outside"):
+        densify(*one(-0.01), 4)
+    # the first bad onset in input order is named
+    with pytest.raises(RangeError, match=r"^onset nan outside"):
+        densify(np.array([1.0, np.nan, -1.0]), np.array([60, 60, 60]), 4)
     with pytest.raises(InputError):
-        densify([], 0)
+        densify([], [], 0)
+    for midi in (20, 109):
+        with pytest.raises(RangeError, match=f"pitch {midi} outside"):
+            densify(*one(1.0, midi), 4)
+    with pytest.raises(RangeError, match="integer"):
+        densify(np.array([1.0]), np.array([60.0]), 4)
+    with pytest.raises(InputError):
+        densify(np.array([1.0, 2.0]), np.array([60]), 4)
 
 
 def test_densify_collision_keeps_nearest():
     # 1.05 beats (4.2 ticks) and 0.95 beats (3.8 ticks) both hit tick 4;
     # each sits 0.2 ticks away, so the earlier note wins the tie
     with pytest.warns(UserWarning, match="collision"):
-        labels = densify([(0.95, Pitch(60)), (1.05, Pitch(72))], 2)
+        labels = densify(np.array([0.95, 1.05]), np.array([60, 72]), 2)
     assert labels.onset_events() == [(4, 40)]
     # a clearly nearer later note displaces the earlier one
     # (0.9 beats -> 3.6 ticks and 1.05 beats -> 4.2 ticks both round to 4)
     with pytest.warns(UserWarning, match="collision"):
-        labels = densify([(0.9, Pitch(60)), (1.05, Pitch(72))], 2)
+        labels = densify(np.array([0.9, 1.05]), np.array([60, 72]), 2)
     assert labels.onset_events() == [(4, 52)]
+
+
+def _densify_outcome(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        classes = fn(*args).classes
+    return classes, [str(w.message) for w in caught]
+
+
+def test_densify_matches_per_note_reference():
+    rng = np.random.default_rng(13)
+    cases = [(np.zeros(0), np.zeros(0, dtype=np.int64), 3)]
+    for trial in range(600):
+        num_beats = int(rng.integers(1, 9))
+        n = int(rng.integers(0, 5 * num_beats))
+        kind = trial % 3
+        if kind == 0:  # dense random onsets: many collisions
+            beats = rng.uniform(0, num_beats, size=n)
+        elif kind == 1:  # pairs at equal distance either side of a tick
+            centre = rng.integers(1, 4 * num_beats, size=n) / 4
+            off = rng.choice([0.05, 0.1, 0.125], size=n) * rng.choice([-1, 1], size=n)
+            beats = np.clip(centre + off, 0, np.nextafter(num_beats, 0))
+        else:  # grid points, exact halves and the clamped top edge
+            beats = rng.integers(0, 8 * num_beats, size=n) / 8
+            beats[rng.random(n) < 0.2] = np.nextafter(num_beats, 0)
+        midis = rng.integers(21, 109, size=n)
+        cases.append((beats, midis, num_beats))
+    for beats, midis, num_beats in cases:
+        pairs = list(zip(beats.tolist(), map(Pitch, midis.tolist())))
+        want, want_warned = _densify_outcome(densify_per_note, pairs, num_beats)
+        got, got_warned = _densify_outcome(densify, beats, midis, num_beats)
+        assert np.array_equal(got, want), (beats, midis)
+        assert got_warned == want_warned
 
 
 def test_densify_melody_on_grid():

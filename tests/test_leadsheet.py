@@ -205,6 +205,18 @@ def test_assemble_quantizes_performance():
     assert sh.key == C_MAJOR
 
 
+def test_assemble_collision_keeps_the_nearer_note():
+    # 0.45 s (3.6 ticks) and 0.525 s (4.2 ticks) both round to tick 4;
+    # the later note sits nearer its centre and wins
+    amap = AlignmentMap([0.0, 0.5, 1.0, 1.5, 2.0])
+    mel = perf([(0.0, 60), (0.45, 64), (0.525, 72)])
+    with pytest.warns(UserWarning, match=r"^1 note\(s\) lost to sixteenth-note collisions$"):
+        sh = assemble(mel, [], amap, FOUR_FOUR, key=C_MAJOR)
+    assert [(n.onset_ticks, n.duration_ticks, n.pitch.midi) for n in sh.melody] == [
+        (0, 4, 60), (4, 12, 72)
+    ]
+
+
 def test_assemble_drops_notes_outside_span():
     amap = AlignmentMap([0.0, 0.5, 1.0, 1.5, 2.0])
     mel = perf([(-0.25, 62), (0.0, 60), (2.0, 65), (2.5, 64)])

@@ -3,14 +3,7 @@ import pytest
 import scipy.special
 
 from melscribe.errors import ShapeError
-from melscribe.labeler import (
-    CHORD_VOCAB,
-    MELODY_VOCAB,
-    DenseLabelSequence,
-    feasible_shifts,
-    log_softmax,
-    octave_tolerant_loss,
-)
+from melscribe.labeler import CHORD_VOCAB, MELODY_VOCAB, feasible_shifts, log_softmax
 from melscribe.labeler.loss import _loss_and_grad
 
 
@@ -54,7 +47,7 @@ def test_loss_no_shift_equals_plain_ce():
     rng = np.random.default_rng(1)
     logits = rng.normal(size=(12, 89))
     classes = np.zeros(12, dtype=np.int64)  # all silence: sigma fixed at 0
-    loss, sigma = octave_tolerant_loss(logits, DenseLabelSequence(classes))
+    loss, sigma, _ = _loss_and_grad(logits, classes, MELODY_VOCAB)
     assert sigma == 0
     assert abs(loss - plain_ce(logits, classes)) < 1e-12
 
@@ -67,8 +60,7 @@ def test_loss_minimizes_over_shifts():
         classes = np.where(
             rng.random(n) < 0.3, 0, rng.integers(25, 65, size=n)
         ).astype(np.int64)
-        labels = DenseLabelSequence(classes)
-        loss, sigma = octave_tolerant_loss(logits, labels)
+        loss, sigma, _ = _loss_and_grad(logits, classes, MELODY_VOCAB)
         best = min(
             plain_ce(logits, np.where(classes == 0, 0, classes + 12 * s))
             for s in feasible_shifts(classes, MELODY_VOCAB)
@@ -86,19 +78,18 @@ def test_loss_invariant_under_octave_relabeling():
         logits = rng.normal(scale=3.0, size=(n, 89))
         classes = rng.integers(30, 60, size=n).astype(np.int64)
         classes[rng.random(n) < 0.25] = 0
-        base, _ = octave_tolerant_loss(logits, DenseLabelSequence(classes))
+        base, _, _ = _loss_and_grad(logits, classes, MELODY_VOCAB)
         for s in (-1, 1):
             # classes are drawn from [30, 60) so a one-octave move stays in range
             moved = np.where(classes == 0, 0, classes + 12 * s)
-            got, _ = octave_tolerant_loss(logits, DenseLabelSequence(moved))
+            got, _, _ = _loss_and_grad(logits, moved, MELODY_VOCAB)
             assert abs(got - base) < 1e-10
 
 
 def test_loss_silence_only_targets_column_zero():
     rng = np.random.default_rng(4)
     logits = rng.normal(size=(8, 89))
-    labels = DenseLabelSequence(np.zeros(8, dtype=np.int64))
-    loss, sigma = octave_tolerant_loss(logits, labels)
+    loss, sigma, _ = _loss_and_grad(logits, np.zeros(8, dtype=np.int64), MELODY_VOCAB)
     logp = scipy.special.log_softmax(logits, axis=1)
     assert sigma == 0
     assert abs(loss + logp[:, 0].mean()) < 1e-12
@@ -108,7 +99,7 @@ def test_loss_chord_vocab_never_shifts():
     rng = np.random.default_rng(5)
     logits = rng.normal(size=(8, 97))
     classes = rng.integers(0, 97, size=8).astype(np.int64)
-    loss, sigma = octave_tolerant_loss(logits, DenseLabelSequence(classes, CHORD_VOCAB))
+    loss, sigma, _ = _loss_and_grad(logits, classes, CHORD_VOCAB)
     assert sigma == 0
     assert abs(loss - plain_ce(logits, classes)) < 1e-12
 
@@ -119,7 +110,6 @@ def test_gradient_matches_finite_differences():
     logits = rng.normal(scale=2.0, size=(n, 89))
     classes = rng.integers(30, 55, size=n).astype(np.int64)
     classes[:3] = 0
-    labels = DenseLabelSequence(classes)
     loss, sigma, grad = _loss_and_grad(logits, classes, MELODY_VOCAB)
     assert grad.shape == logits.shape
     h = 1e-6
@@ -142,9 +132,10 @@ def test_gradient_matches_finite_differences():
 
 def test_loss_shape_errors():
     logits = np.zeros((8, 89))
+    silence = np.zeros(8, dtype=np.int64)
     with pytest.raises(ShapeError):
-        octave_tolerant_loss(logits, DenseLabelSequence(np.zeros(4, dtype=np.int64)))
+        _loss_and_grad(logits, silence[:4], MELODY_VOCAB)
     with pytest.raises(ShapeError):
-        octave_tolerant_loss(np.zeros((8, 97)), DenseLabelSequence(np.zeros(8, dtype=np.int64)))
+        _loss_and_grad(np.zeros((8, 97)), silence, MELODY_VOCAB)
     with pytest.raises(ShapeError):
-        octave_tolerant_loss(np.zeros(8), DenseLabelSequence(np.zeros(8, dtype=np.int64)))
+        _loss_and_grad(np.zeros(8), silence, MELODY_VOCAB)
