@@ -187,8 +187,6 @@ def cmd_features_mel(args) -> int:
         if not Path(path).exists():
             raise FileNotFoundError(path)
     if args.out is not None:
-        if len(args.audio) != 1:
-            raise InputError("--out takes exactly one input; use --out-dir for batches")
         jobs = [(args.audio[0], args.out)]
     else:
         out_dir = Path(args.out_dir)
@@ -410,7 +408,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.func is cmd_features_mel and args.out is not None and len(args.audio) != 1:
+        parser.error(
+            "features mel: --out takes exactly one input; use --out-dir for batches"
+        )
     try:
         return args.func(args)
     except MelscribeError as exc:

@@ -201,15 +201,19 @@ def _mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+def _mel_points() -> np.ndarray:
+    """The N_MELS + 2 band edges in Hz, evenly spaced in mel."""
+    return _mel_to_hz(np.linspace(_hz_to_mel(FMIN_HZ), _hz_to_mel(FMAX_HZ), N_MELS + 2))
+
+
 def mel_band_centers_hz() -> np.ndarray:
     """Center frequencies of the 229 mel bands."""
-    pts = _mel_to_hz(np.linspace(_hz_to_mel(FMIN_HZ), _hz_to_mel(FMAX_HZ), N_MELS + 2))
-    return pts[1:-1]
+    return _mel_points()[1:-1]
 
 
 @cache
 def _mel_filterbank() -> np.ndarray:
-    pts = _mel_to_hz(np.linspace(_hz_to_mel(FMIN_HZ), _hz_to_mel(FMAX_HZ), N_MELS + 2))
+    pts = _mel_points()
     freqs = np.fft.rfftfreq(N_FFT, 1.0 / SAMPLE_RATE)
     lo = pts[:-2, None]
     center = pts[1:-1, None]

@@ -4,6 +4,10 @@ Layout: magic ``MSCK``, u32 format version, u32 header length, a JSON
 header (sorted keys, no whitespace), then raw float32 little-endian
 tensor data concatenated in the header's listed order.  Writing the
 same model twice yields byte-identical files.
+
+The header's config also carries ``"standardize_input": true`` and
+``"use_positions": true``: the model always standardizes its input and
+adds positional encodings, and a header that says otherwise is refused.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .model import param_names, param_shapes
 MAGIC = b"MSCK"
 VERSION = 1
 _PREFIX = struct.Struct("<4sII")
+_FIXED_SWITCHES = ("standardize_input", "use_positions")
 
 
 def save_checkpoint(
@@ -44,7 +49,7 @@ def save_checkpoint(
         tensors.append({"name": name, "shape": list(arr.shape)})
         blobs.append(arr.tobytes())
     header = {
-        "config": cfg.to_dict(),
+        "config": {**cfg.to_dict(), **dict.fromkeys(_FIXED_SWITCHES, True)},
         "step": int(step),
         "tau": float(tau),
         "tensors": tensors,
@@ -76,7 +81,11 @@ def load_checkpoint(
         raise FormatError(f"{path}: invalid checkpoint header: {exc}") from exc
     try:
         check_keys(header, ("config", "step", "tau", "tensors"), "$")
-        cfg = LabelerConfig.from_dict(field(header, "config", dict, "$"))
+        config = dict(field(header, "config", dict, "$"))
+        for key in _FIXED_SWITCHES:
+            if config.pop(key, None) is not True:
+                raise FormatError(f"$.config.{key}: must be true")
+        cfg = LabelerConfig.from_dict(config)
         tau = field(header, "tau", float, "$")
         step = field(header, "step", int, "$")
         shapes = param_shapes(cfg)

@@ -25,8 +25,6 @@ class LabelerConfig:
     seed: int = 0
     vocab: str = "melody"
     dropout: float = 0.0
-    use_positions: bool = True
-    standardize_input: bool = True
 
     def __post_init__(self) -> None:
         if min(self.layers, self.model_dim, self.heads, self.ff_dim,

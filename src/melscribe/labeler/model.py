@@ -138,8 +138,7 @@ def forward_cached(
     x = np.ascontiguousarray(x, dtype=dt)
     if mask is None:
         mask = np.ones((n, length), dtype=bool)
-    if cfg.standardize_input:
-        x = _standardize(x, mask)
+    x = _standardize(x, mask)
 
     drop_p = cfg.dropout if rng is not None else 0.0
 
@@ -149,9 +148,7 @@ def forward_cached(
         keep = (rng.random(t.shape) >= drop_p).astype(dt) / dt.type(1.0 - drop_p)
         return t * keep, keep
 
-    h = x @ params["w_in"] + params["b_in"]
-    if cfg.use_positions:
-        h = h + positional_encoding(length, cfg.model_dim, dt)
+    h = x @ params["w_in"] + params["b_in"] + positional_encoding(length, cfg.model_dim, dt)
 
     key_bias = np.where(mask, dt.type(0.0), dt.type(MASK_BIAS))[:, None, None, :]
     scale = dt.type(1.0 / np.sqrt(cfg.head_dim))

@@ -1,12 +1,15 @@
 """Lead sheets: key estimation, assembly, LilyPond and MIDI emission.
 
 A lead sheet is a score-form melody plus chord changes on the sixteenth
-grid, with a key, meter, and tempo.  Emission is deterministic text or
-bytes: the same sheet always renders identically.
+grid, with a key, meter, and tempo.  ``assemble`` builds one from a
+transcript in seconds and a beat alignment: the sheet starts on the
+alignment's first beat, a downbeat, so it has no pickup.  Emission is
+deterministic text or bytes: the same sheet always renders identically.
 
 Melody durations are emitted legato: each note sounds until the next
-onset and the final note keeps its stored duration.  Notes are split at
-barlines and tied; chord symbols restate instead of tying.
+onset and the final note keeps its stored duration.  Every LilyPond bar
+is whole: notes are split at barlines and tied, chord symbols restate
+instead of tying, and rests fill the gaps.
 """
 
 from __future__ import annotations
@@ -120,7 +123,6 @@ class LeadSheet:
     melody: Melody
     chords: tuple[tuple[int, ChordSymbol], ...]
     total_ticks: int
-    pickup_ticks: int = 0
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.tempo_bpm) or self.tempo_bpm <= 0:
@@ -129,10 +131,6 @@ class LeadSheet:
             raise InputError("lead sheet melody must be in score (tick) form")
         if self.total_ticks < 1:
             raise RangeError(f"total_ticks {self.total_ticks} below 1")
-        if not 0 <= self.pickup_ticks < self.meter.ticks_per_bar:
-            raise RangeError(
-                f"pickup of {self.pickup_ticks} ticks must be shorter than a bar"
-            )
         over = np.flatnonzero(self.melody.ends > self.total_ticks)
         if len(over):
             raise RangeError(
@@ -169,42 +167,32 @@ def assemble(
     meter: Meter,
     key: KeySignature | None = None,
 ) -> LeadSheet:
-    """Quantize a transcription onto the alignment's sixteenth grid.
+    """Quantize a performance-form transcript onto the alignment's grid.
 
-    Performance-form melodies are snapped to the nearest sixteenth with
-    the usual collision rules; notes outside the aligned span are
-    dropped with a warning.  Score-form melodies pass through.  When no
-    key is given, one is estimated from the assembled content.
+    Onsets in seconds snap to the nearest sixteenth with the usual
+    collision rules; notes outside the aligned span are dropped with a
+    warning.  Tick 0 is the alignment's first beat.  A score-form melody
+    is refused: build its ``LeadSheet`` directly.  When no key is given,
+    one is estimated from the assembled content.
     """
+    if melody.is_score:
+        raise InputError("assemble takes a performance-form (seconds) melody")
     total = amap.num_beats * TICKS_PER_BEAT
     span = align(amap, amap.num_beats) - align(amap, 0)
     tempo_bpm = 60.0 * amap.num_beats / span
 
-    if melody.is_score is False:
-        times = amap.beat_to_time_s
-        inside = (melody.onsets >= times[0]) & (melody.onsets <= times[-1])
-        beats = beat_position(amap, melody.onsets[inside])
-        kept = beats < amap.num_beats
-        dropped = len(melody) - int(kept.sum())
-        if dropped:
-            warnings.warn(
-                f"dropped {dropped} notes outside the aligned span", stacklevel=2
-            )
-        classes = densify(
-            beats[kept], melody.midis[inside][kept], amap.num_beats
-        ).classes
-        ticks = np.flatnonzero(classes)
-        score_melody = Melody._of_columns(
-            ticks, np.append(ticks[1:], total), class_to_midi(classes[ticks]), True
-        )
-    else:
-        over = np.flatnonzero(melody.ends > total)
-        if len(over):
-            raise RangeError(
-                f"note ending at tick {melody.ends[over[0]]} exceeds the "
-                f"{amap.num_beats}-beat alignment"
-            )
-        score_melody = melody
+    times = amap.beat_to_time_s
+    inside = (melody.onsets >= times[0]) & (melody.onsets <= times[-1])
+    beats = beat_position(amap, melody.onsets[inside])
+    kept = beats < amap.num_beats
+    dropped = len(melody) - int(kept.sum())
+    if dropped:
+        warnings.warn(f"dropped {dropped} notes outside the aligned span", stacklevel=2)
+    classes = densify(beats[kept], melody.midis[inside][kept], amap.num_beats).classes
+    ticks = np.flatnonzero(classes)
+    score_melody = Melody._of_columns(
+        ticks, np.append(ticks, total)[1:], class_to_midi(classes[ticks]), True
+    )
 
     chord_list = tuple((int(t), c) for t, c in chords)
     if key is None:
@@ -256,41 +244,23 @@ def _note_name(midi: int, spellings: dict, fifths: int) -> str:
 def _duration_candidates(unit: int) -> list[tuple[int, str]]:
     whole = 4 * unit
     cands = set()
-    n = 1
-    while n <= 64:
+    for n in (1, 2, 4, 8, 16, 32, 64):
         if whole % n == 0:
             v = whole // n
             cands.add((v, str(n)))
             if v % 2 == 0:
                 cands.add((v * 3 // 2, str(n) + "."))
-        n *= 2
     return sorted(cands, key=lambda p: (-p[0], len(p[1])))
 
 
-def _decompose(ticks: int, cands: list[tuple[int, str]]) -> list[str]:
-    tokens = []
-    rem = ticks
-    while rem > 0:
-        for value, token in cands:
-            if value <= rem:
-                tokens.append(token)
-                rem -= value
-                break
-    return tokens
-
-
-def _bar_chunks(start: int, length: int, bar_len: int, pickup: int):
-    """Split [start, start+length) at barlines (first barline at pickup)."""
-    end = start + length
-    t = start
-    while t < end:
-        if pickup and t < pickup:
-            boundary = pickup
-        else:
-            boundary = pickup + ((t - pickup) // bar_len + 1) * bar_len
-        nxt = min(end, boundary)
-        yield t, nxt - t
-        t = nxt
+def _decompose(ticks: int, cands: list[tuple[int, str]]) -> list[tuple[int, str]]:
+    """Greedy (ticks, token) pieces, longest first, summing to ``ticks``."""
+    pieces = []
+    while ticks > 0:
+        piece = next(c for c in cands if c[0] <= ticks)
+        pieces.append(piece)
+        ticks -= piece[0]
+    return pieces
 
 
 def _effective_notes(sheet: LeadSheet) -> list[tuple[int, int, int]]:
@@ -301,78 +271,63 @@ def _effective_notes(sheet: LeadSheet) -> list[tuple[int, int, int]]:
     return list(zip(melody.onsets.tolist(), durations.tolist(), melody.midis.tolist()))
 
 
+def _voice(events, total_ticks: int, bar_len: int, cands) -> str:
+    """One voice from sorted (onset, duration, head, tail, tied) events.
+
+    Rests fill every gap up to ``total_ticks``.  Each duration splits at
+    barlines into tokens ``head + duration + tail``; a ``|`` goes before
+    each piece that starts on a barline after tick 0, so every bar is
+    whole.  Every token of a tied event but its last carries ``~``.
+    """
+    filled = []
+    cursor = 0
+    # an empty event at total_ticks makes the tail after the last event a rest
+    for event in [*events, (total_ticks, 0, "", "", False)]:
+        if event[0] > cursor:
+            filled.append((cursor, event[0] - cursor, "r", "", False))
+        filled.append(event)
+        cursor = event[0] + event[1]
+    tokens = []
+    for start, length, head, tail, tied in filled:
+        t, end = start, start + length
+        while t < end:
+            if t % bar_len == 0 and t > 0:
+                tokens.append("|")
+            chunk = min(end, (t // bar_len + 1) * bar_len) - t
+            for ticks, token in _decompose(chunk, cands):
+                t += ticks
+                tokens.append(head + token + tail + ("~" if tied and t < end else ""))
+    return " ".join(tokens)
+
+
 def emit_lilypond(sheet: LeadSheet) -> str:
     """Deterministic LilyPond source for the sheet."""
     fifths = key_fifths(sheet.key)
     spellings = _scale_spellings(sheet.key)
     cands = _duration_candidates(sheet.meter.beat_unit)
     bar_len = sheet.meter.ticks_per_bar
-    pickup = sheet.pickup_ticks
-
-    def atoms_for(start: int, length: int, render) -> list[tuple[int, str]]:
-        pieces: list[tuple[int, str]] = []
-        for c_start, c_len in _bar_chunks(start, length, bar_len, pickup):
-            for token in _decompose(c_len, cands):
-                pieces.append((c_start, token))
-        return [(t, render(tok)) for t, tok in pieces]
-
-    def with_ties(atoms: list[tuple[int, str]]) -> list[tuple[int, str]]:
-        return [
-            (t, text + "~" if i + 1 < len(atoms) else text)
-            for i, (t, text) in enumerate(atoms)
-        ]
-
-    melody_atoms: list[tuple[int, str]] = []
-    cursor = 0
-    for onset, dur, midi in _effective_notes(sheet):
-        if onset > cursor:
-            melody_atoms += atoms_for(cursor, onset - cursor, lambda tok: "r" + tok)
-        name = _note_name(midi, spellings, fifths)
-        melody_atoms += with_ties(atoms_for(onset, dur, lambda tok: name + tok))
-        cursor = onset + dur
-    if cursor < sheet.total_ticks:
-        melody_atoms += atoms_for(
-            cursor, sheet.total_ticks - cursor, lambda tok: "r" + tok
-        )
-
-    def flow(atoms: list[tuple[int, str]]) -> list[str]:
-        tokens = []
-        for t, text in atoms:
-            if t > 0 and (t - pickup) % bar_len == 0 and tokens:
-                tokens.append("|")
-            tokens.append(text)
-        return tokens
-
     lines = ['\\version "2.24.2"', "\\score {", "  <<"]
     if sheet.chords:
-        chord_atoms: list[tuple[int, str]] = []
-        cursor = 0
-        for span in sheet.chord_spans():
-            if span.onset_ticks > cursor:
-                chord_atoms += atoms_for(
-                    cursor, span.onset_ticks - cursor, lambda tok: "r" + tok
-                )
-            root = _pc_name(span.chord.root.pc, spellings, fifths)
-            suffix = _CHORD_SUFFIX[span.chord.quality]
-            chord_atoms += atoms_for(
-                span.onset_ticks,
-                span.duration_ticks,
-                lambda tok, r=root, s=suffix: r + tok + s,
-            )
-            cursor = span.end_ticks
+        chords = [
+            (span.onset_ticks, span.duration_ticks,
+             _pc_name(span.chord.root.pc, spellings, fifths),
+             _CHORD_SUFFIX[span.chord.quality], False)
+            for span in sheet.chord_spans()
+        ]
         lines.append("    \\new ChordNames \\chordmode {")
         lines.append("      \\set chordChanges = ##t")
-        lines.append("      " + " ".join(flow(chord_atoms)))
+        lines.append("      " + _voice(chords, sheet.total_ticks, bar_len, cands))
         lines.append("    }")
+    notes = [
+        (onset, dur, _note_name(midi, spellings, fifths), "", True)
+        for onset, dur, midi in _effective_notes(sheet)
+    ]
     tonic_name = _pc_name(sheet.key.tonic.pc, spellings, fifths)
     lines.append("    \\new Staff {")
     lines.append(f"      \\key {tonic_name} \\{sheet.key.mode}")
     lines.append(f"      \\time {sheet.meter.beats_per_bar}/{sheet.meter.beat_unit}")
     lines.append(f"      \\tempo {sheet.meter.beat_unit} = {round(sheet.tempo_bpm)}")
-    if pickup:
-        lines.append("      \\partial 16*" + str(pickup))
-    if melody_atoms:
-        lines.append("      " + " ".join(flow(melody_atoms)))
+    lines.append("      " + _voice(notes, sheet.total_ticks, bar_len, cands))
     lines.append("    }")
     lines += ["  >>", "  \\layout { }", "}"]
     return "\n".join(lines) + "\n"

@@ -115,6 +115,24 @@ def test_load_rejects_header_payload_mismatch(tmp_path):
         load_checkpoint(bad)
 
 
+def test_load_refuses_a_model_switch_that_is_not_true(tmp_path):
+    path = tmp_path / "m.ckpt"
+    write_ckpt(path)
+    raw = path.read_bytes()
+    header = json.loads(raw[12 : 12 + struct.unpack_from("<4sII", raw)[2]])
+    assert header["config"]["standardize_input"] is True
+    assert header["config"]["use_positions"] is True
+    for key in ("standardize_input", "use_positions"):
+        for value in (False, 1, None, "true"):
+            bad = tmp_path / "bad.ckpt"
+            bad.write_bytes(rewrite_header(raw, lambda h: h["config"].update({key: value})))
+            with pytest.raises(FormatError, match=rf"\$\.config\.{key}: must be true"):
+                load_checkpoint(bad)
+        bad.write_bytes(rewrite_header(raw, lambda h: h["config"].pop(key)))
+        with pytest.raises(FormatError, match=rf"\$\.config\.{key}: must be true"):
+            load_checkpoint(bad)
+
+
 def test_load_rejects_non_finite_blob(tmp_path):
     path = tmp_path / "m.ckpt"
     write_ckpt(path)

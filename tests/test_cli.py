@@ -390,9 +390,6 @@ def test_wav_codec_and_logmel_load_no_scipy(tmp_path):
 
 
 def test_domain_errors_exit_1(corpus, tmp_path):
-    wavs = [str(corpus["raw"] / "s00.wav"), str(corpus["raw"] / "s01.wav")]
-    code, _ = run(["features", "mel", *wavs, "--out", str(tmp_path / "x.ssft")])
-    assert code == 1
     code, _ = run([
         "leadsheet", "--transcript", str(corpus["ref"]),
         "--alignment", str(corpus["data"] / "s00.alignment.json"),
@@ -416,7 +413,7 @@ def test_domain_errors_exit_1(corpus, tmp_path):
         assert code == 1, changes
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
@@ -427,6 +424,15 @@ def test_usage_errors_exit_2():
         with pytest.raises(SystemExit) as exc:
             main(["features", "mel", "a.wav", *outs])
         assert exc.value.code == 2, outs
+    # --out takes one input; refused before any file is opened or written
+    wavs = [str(tmp_path / f"{name}.wav") for name in ("a", "b")]
+    for wav in wavs:
+        write_wav(wav, np.zeros(1600, dtype=np.float32), 16000)
+    out = tmp_path / "x.ssft"
+    with pytest.raises(SystemExit) as exc:
+        main(["features", "mel", *wavs, "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_convert_skips_bad_documents(tmp_path):

@@ -1,4 +1,7 @@
+import math
+import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -37,11 +40,10 @@ C_MAJOR = KeySignature(PitchClass(0), "major")
 FOUR_FOUR = Meter(4, 4)
 
 
-def sheet(melody, chords=(), key=C_MAJOR, meter=FOUR_FOUR, tempo=120.0,
-          total=None, pickup=0):
+def sheet(melody, chords=(), key=C_MAJOR, meter=FOUR_FOUR, tempo=120.0, total=None):
     if total is None:
         total = max(n.end_ticks for n in melody)
-    return LeadSheet(key, meter, tempo, melody, tuple(chords), total, pickup)
+    return LeadSheet(key, meter, tempo, melody, tuple(chords), total)
 
 
 def scale_melody(tonic, mode, base=48):
@@ -148,10 +150,6 @@ def test_leadsheet_validation():
         sheet(perf([(0.0, 60)]), total=4)
     with pytest.raises(RangeError):
         sheet(mel, total=0)
-    with pytest.raises(RangeError, match="pickup"):
-        sheet(mel, total=16, pickup=16)
-    with pytest.raises(RangeError, match="pickup"):
-        sheet(mel, total=16, pickup=-1)
     with pytest.raises(RangeError, match="exceeds"):
         sheet(mel, total=3)
     c = ChordSymbol(PitchClass(0), "maj")
@@ -226,21 +224,24 @@ def test_assemble_drops_notes_outside_span():
 
 
 def test_assemble_estimates_key_when_missing():
+    # a G major scale, one note every half beat (0.125 s at 0.25 s a beat)
     amap = AlignmentMap([0.25 * i for i in range(19)])
-    mel = Melody(tuple(
-        ScoreNote(i * 2, 2, Pitch(67 + off))
-        for i, off in enumerate(list(SCALE_OFFSETS["major"]) + [12])
-    ))
-    sh = assemble(mel, [], amap, FOUR_FOUR)
+    offs = list(SCALE_OFFSETS["major"]) + [12]
+    sh = assemble(perf([(0.125 * i, 67 + off) for i, off in enumerate(offs)]),
+                  [], amap, FOUR_FOUR)
+    assert [(n.onset_ticks, n.pitch.midi) for n in sh.melody] == [
+        (2 * i, 67 + off) for i, off in enumerate(offs)
+    ]
     assert sh.key == KeySignature(PitchClass(7), "major")
 
 
-def test_assemble_score_passthrough_checks_length():
+def test_assemble_refuses_a_score_form_melody():
     amap = AlignmentMap([0.0, 0.5, 1.0, 1.5, 2.0])
-    sh = assemble(score([(0, 16, 60)]), [], amap, FOUR_FOUR, key=C_MAJOR)
-    assert [(n.onset_ticks, n.duration_ticks) for n in sh.melody] == [(0, 16)]
-    with pytest.raises(RangeError, match="exceeds"):
-        assemble(score([(0, 17, 60)]), [], amap, FOUR_FOUR, key=C_MAJOR)
+    with pytest.raises(InputError, match="performance-form"):
+        assemble(score([(0, 16, 60)]), [], amap, FOUR_FOUR, key=C_MAJOR)
+    # an empty transcript has no form and assembles to an empty melody
+    sh = assemble(Melody(()), [], amap, FOUR_FOUR, key=C_MAJOR)
+    assert sh.melody == Melody(()) and sh.total_ticks == 16
 
 
 GOLDEN_LY = """\\version "2.24.2"
@@ -296,11 +297,49 @@ def test_emit_lilypond_rest_fill_and_gap():
     assert staff == "c'2 e'4 r4"
 
 
-def test_emit_lilypond_pickup():
-    mel = score([(0, 2, 60), (2, 16, 62)])
-    text = emit_lilypond(sheet(mel, total=18, pickup=2))
-    assert "\\partial 16*2" in text
-    assert "c'8 | d'1" in text
+def test_emit_lilypond_one_barline_per_bar():
+    # the second note fills 7 ticks from the barline: two tokens, one barline
+    mel = score([(0, 16, 60), (16, 7, 62), (23, 9, 64)])
+    staff = emit_lilypond(sheet(mel, total=32)).splitlines()[-5].strip()
+    assert staff == "c'1 | d'4.~ d'16 e'2~ e'16"
+
+
+def _bar_ticks(voice: str, unit: int) -> list[float]:
+    """Ticks in each bar of a voice; a tick is a sixteenth of the beat unit."""
+    sums = []
+    for bar in voice.split(" | "):
+        total = 0.0
+        for token in bar.split():
+            n, dot = re.match(r"^[a-z]+[',]*(\d+)(\.?)", token).groups()
+            total += 4 * unit / int(n) * (1.5 if dot else 1.0)
+        sums.append(total)
+    return sums
+
+
+def test_emit_lilypond_bars_are_whole():
+    rng = np.random.default_rng(14)
+    for _ in range(300):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # 6/x looks compound
+            meter = Meter(int(rng.integers(2, 8)), int(rng.choice([2, 4, 8])))
+        bar = meter.ticks_per_bar
+        total = int(rng.integers(1, 6 * bar))
+        notes, t = [], int(rng.integers(0, 2 * bar))
+        while t < total:
+            d = int(rng.integers(1, min(3 * bar, total - t) + 1))
+            notes.append((t, d, int(rng.integers(40, 90))))
+            t += d + int(rng.integers(0, bar) if rng.random() < 0.4 else 0)
+        ticks = sorted(set(rng.integers(0, total, size=int(rng.integers(1, 6))).tolist()))
+        chords = [(k, ChordSymbol(PitchClass(k % 12), CHORD_QUALITIES[k % 8]))
+                  for k in ticks]
+        lines = emit_lilypond(sheet(
+            score(notes), chords=chords, meter=meter, total=total
+        )).splitlines()
+        for voice in (lines[5].strip(), lines[-5].strip()):  # chord names, staff
+            sums = _bar_ticks(voice, meter.beat_unit)
+            assert voice.count("|") == math.ceil(total / bar) - 1, voice
+            assert sums[:-1] == [bar] * (len(sums) - 1), voice
+            assert sum(sums) == total, voice
 
 
 def test_emit_lilypond_spellings():

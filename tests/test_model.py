@@ -141,19 +141,6 @@ def test_dropout_only_active_in_training():
     assert np.array_equal(plain, again)
 
 
-def test_use_positions_flag_changes_output():
-    cfg_off = LabelerConfig(**{**TINY.to_dict(), "use_positions": False})
-    params = init_params(TINY)
-    x = np.random.default_rng(7).normal(size=(10, 12)).astype(np.float32)
-    with_pos = forward(TINY, params, x)
-    without = forward(cfg_off, params, x)
-    assert not np.array_equal(with_pos, without)
-    # without positions, a constant input yields identical rows
-    const = np.ones((10, 12), dtype=np.float32)
-    rows = forward(cfg_off, params, const)
-    assert np.max(np.abs(rows - rows[0])) < 1e-5
-
-
 def test_backward_produces_full_gradient_dict():
     params = init_params(TINY)
     rng = np.random.default_rng(8)
