@@ -15,14 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    InputError,
-    InsufficientBeatsError,
-    OrderingError,
-    ParseError,
-    RangeError,
-)
-from .jsonio import check_keys, column, field, read_json, write_json
+from .errors import InputError, InsufficientBeatsError, OrderingError, ParseError, RangeError
+from .jsonio import at, check_keys, column, field, reading, write_json
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,26 +42,23 @@ class BeatGrid:
         if not flags.any():
             raise InputError("beat grid has no downbeats")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "beats_s": [float(t) for t in self.beat_times_s],
-            "downbeats": [int(i) for i in np.flatnonzero(self.downbeat_flags)],
-        }
-
     @classmethod
-    def from_json_dict(cls, obj: dict) -> "BeatGrid":
-        check_keys(obj, ("beats_s", "downbeats"), "$")
-        times = column(field(obj, "beats_s", list, "$"), float, "$.beats_s")
-        downbeats = column(field(obj, "downbeats", list, "$"), int, "$.downbeats")
-        outside = np.flatnonzero((downbeats < 0) | (downbeats >= len(times)))
-        if len(outside):
-            i = outside[0]
-            raise ParseError(
-                f"entry {i} ({downbeats[i]}) is outside the beat list", "$.downbeats"
-            )
-        flags = np.zeros(len(times), dtype=bool)
-        flags[downbeats] = True
-        return cls(times, flags)
+    def load(cls, path) -> "BeatGrid":
+        """Read a ``{"beats_s": [...], "downbeats": [...]}`` grid file."""
+        with reading(path) as obj:
+            check_keys(obj, ("beats_s", "downbeats"), "$")
+            times = column(field(obj, "beats_s", list, "$"), float, "$.beats_s")
+            downbeats = column(field(obj, "downbeats", list, "$"), int, "$.downbeats")
+            outside = np.flatnonzero((downbeats < 0) | (downbeats >= len(times)))
+            if len(outside):
+                i = outside[0]
+                raise ParseError(
+                    f"entry {i} ({downbeats[i]}) is outside the beat list", "$.downbeats"
+                )
+            flags = np.zeros(len(times), dtype=bool)
+            flags[downbeats] = True
+            with at("$"):
+                return cls(times, flags)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,20 +81,16 @@ class AlignmentMap:
     def num_beats(self) -> int:
         return len(self.beat_to_time_s) - 1
 
-    def to_json_dict(self) -> dict:
-        return {"beat_to_time_s": [float(t) for t in self.beat_to_time_s]}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "AlignmentMap":
-        check_keys(obj, ("beat_to_time_s",), "$")
-        return cls(column(field(obj, "beat_to_time_s", list, "$"), float, "$.beat_to_time_s"))
-
     def save(self, path) -> None:
-        write_json(path, self.to_json_dict())
+        write_json(path, {"beat_to_time_s": self.beat_to_time_s.tolist()})
 
     @classmethod
     def load(cls, path) -> "AlignmentMap":
-        return cls.from_json_dict(read_json(path))
+        with reading(path) as obj:
+            check_keys(obj, ("beat_to_time_s",), "$")
+            times = column(field(obj, "beat_to_time_s", list, "$"), float, "$.beat_to_time_s")
+            with at("$.beat_to_time_s"):
+                return cls(times)
 
 
 def refine_alignment(grid: BeatGrid, user_start_s: float, num_beats: int) -> AlignmentMap:
@@ -116,6 +103,8 @@ def refine_alignment(grid: BeatGrid, user_start_s: float, num_beats: int) -> Ali
     """
     if num_beats < 1:
         raise InputError(f"num_beats {num_beats} below 1")
+    if not math.isfinite(user_start_s):
+        raise InputError(f"start time {user_start_s} must be finite")
     times = grid.beat_times_s
     down_idx = np.flatnonzero(grid.downbeat_flags)
     dist = np.abs(times[down_idx] - float(user_start_s))

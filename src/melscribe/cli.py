@@ -9,6 +9,7 @@ are missing, are directories or cannot be read.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from collections import Counter
@@ -16,8 +17,8 @@ from pathlib import Path
 
 from . import htparse
 from .align import AlignmentMap, BeatGrid, refine_alignment
-from .core import ChordSymbol, KeySignature, Meter, PitchClass, MODES
-from .errors import FormatError, InputError, MelscribeError
+from .core import KeySignature, Meter, PitchClass, MODES
+from .errors import FormatError, InputError, MelscribeError, ParseError
 from .evaluate import (
     DEFAULT_TOL_S,
     load_transcript,
@@ -36,7 +37,7 @@ from .features import (
     save_features,
     save_resampled,
 )
-from .jsonio import check_keys, field, read_json, write_json
+from .jsonio import field, reading, write_json
 from .labeler import (
     DESK_CONFIG,
     FULL_CONFIG,
@@ -52,7 +53,13 @@ from .labeler import (
     save_checkpoint,
     train,
 )
-from .leadsheet import assemble, emit_lilypond, emit_midi
+from .leadsheet import (
+    assemble,
+    emit_lilypond,
+    emit_midi,
+    load_chord_changes,
+    save_chord_changes,
+)
 
 
 def _emit(obj: dict) -> None:
@@ -86,25 +93,6 @@ def _parse_key(text: str) -> KeySignature | None:
     return KeySignature(PitchClass(tonic_pc), mode)
 
 
-def _load_chord_changes(path) -> list[tuple[int, ChordSymbol]]:
-    obj = read_json(path)
-    check_keys(obj, ("changes",), "$")
-    changes = []
-    for i, entry in enumerate(field(obj, "changes", list, "$")):
-        where = f"$.changes[{i}]"
-        check_keys(entry, ("tick", "root", "quality"), where)
-        chord = ChordSymbol(
-            PitchClass(field(entry, "root", int, where)), field(entry, "quality", str, where)
-        )
-        changes.append((field(entry, "tick", int, where), chord))
-    return changes
-
-
-def _save_chord_changes(path, changes: list[tuple[int, ChordSymbol]]) -> None:
-    entries = [{"tick": t, "root": c.root.pc, "quality": c.quality} for t, c in changes]
-    write_json(path, {"changes": entries})
-
-
 def cmd_dataset_convert(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -122,10 +110,9 @@ def cmd_dataset_convert(args) -> int:
     rejected = 0
     for path in paths:
         try:
-            obj, artist = htparse.parse_functional(path.read_text(encoding="utf-8"))
-            segment = htparse.segment_from_functional(obj)
-        except (htparse.ParseError, UnicodeDecodeError) as exc:
-            _info(f"skipped {path.name}: {exc}")
+            segment, artist = htparse.load_functional(path)
+        except FormatError as exc:
+            _info(f"skipped {exc}")
             rejected += 1
             continue
         if artist is not None:
@@ -141,11 +128,11 @@ def cmd_dataset_split(args) -> int:
     seg_paths = sorted(Path(args.dir).glob("*.segment.json"))
     if not seg_paths:
         raise FileNotFoundError(f"no *.segment.json files under {args.dir}")
-    artists = read_json(args.artists)
-    if not isinstance(artists, dict):
-        raise FormatError(f"{args.artists}: expected an object mapping segment ids to artists")
-    for seg_id in artists:
-        field(artists, seg_id, str, "$")
+    with reading(args.artists) as artists:
+        if not isinstance(artists, dict):
+            raise ParseError("expected an object mapping segment ids to artists", "$")
+        for seg_id in artists:
+            field(artists, seg_id, str, "$")
     segments = [htparse.load_segment(p) for p in seg_paths]
     try:
         assignment = htparse.stratified_split([s.id for s in segments], artists, args.seed)
@@ -153,14 +140,14 @@ def cmd_dataset_split(args) -> int:
         _info(f"error: no artist recorded for segment {exc}")
         return 1
     for path, segment in zip(seg_paths, segments):
-        htparse.save_segment(path, htparse.with_split(segment, assignment[segment.id]))
+        htparse.save_segment(path, dataclasses.replace(segment, split=assignment[segment.id]))
     counts = Counter(assignment.values())
     _emit({split: counts.get(split, 0) for split in ("train", "valid", "test")})
     return 0
 
 
 def cmd_align_refine(args) -> int:
-    grid = BeatGrid.from_json_dict(read_json(args.grid))
+    grid = BeatGrid.load(args.grid)
     amap = refine_alignment(grid, args.start, args.beats)
     amap.save(args.out)
     _emit(
@@ -275,7 +262,7 @@ def cmd_transcribe(args) -> int:
         _emit({"notes": len(melody), "tau": tau, "out": str(args.out)})
     else:
         changes = decode_chords(logits, tau)
-        _save_chord_changes(args.out, changes)
+        save_chord_changes(args.out, changes)
         _emit({"chords": len(changes), "tau": tau, "out": str(args.out)})
     return 0
 
@@ -294,7 +281,7 @@ def cmd_evaluate(args) -> int:
 def cmd_leadsheet(args) -> int:
     melody = load_transcript(args.transcript)
     amap = AlignmentMap.load(args.alignment)
-    chords = _load_chord_changes(args.chords) if args.chords else []
+    chords = load_chord_changes(args.chords) if args.chords else []
     sheet = assemble(
         melody, chords, amap, _parse_meter(args.meter), _parse_key(args.key)
     )

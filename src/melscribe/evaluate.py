@@ -20,7 +20,6 @@ estimate, reporting the best shift.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -28,8 +27,8 @@ import numpy as np
 
 from . import kernels
 from .core import Melody, octave_shifts, perf_melody
-from .errors import FormatError, InputError, OrderingError, RangeError
-from .jsonio import check_keys, column, read_json
+from .errors import InputError, ParseError
+from .jsonio import at, check_keys, column, reading, write_json
 
 DEFAULT_TOL_S = 0.05
 
@@ -190,9 +189,7 @@ def save_transcript(path, melody: Melody) -> None:
         raise InputError("transcripts are in performance (seconds) form")
     notes = zip(melody.onsets.tolist(), melody.ends.tolist(), melody.midis.tolist())
     entries = [dict(zip(_ENTRY_FIELDS, note)) for note in notes]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(entries, fh, indent=2)
-        fh.write("\n")
+    write_json(path, entries, sort_keys=False)
 
 
 def load_transcript(path) -> Melody:
@@ -200,19 +197,17 @@ def load_transcript(path) -> Melody:
 
     Each entry must be an object of exactly onset_s, offset_s (JSON
     numbers) and midi (a JSON integer).  Values are checked as arrays,
-    by ``jsonio.column`` and ``core.perf_melody``; errors name the first
-    bad entry.
+    by ``jsonio.column`` and ``core.perf_melody``; errors name the file
+    and the first bad entry.
     """
-    entries = read_json(path)
-    if not isinstance(entries, list):
-        raise FormatError(f"{path}: transcript must be a JSON list")
-    try:
+    with reading(path) as entries:
+        if not isinstance(entries, list):
+            raise ParseError("transcript must be a JSON list", "$")
         for i, entry in enumerate(entries):
             if not isinstance(entry, dict) or entry.keys() != _ENTRY_FIELDS.keys():
-                check_keys(entry, _ENTRY_FIELDS, f"entry {i}")
-        return perf_melody(*(
-            column([entry[key] for entry in entries], kind, f"$[*].{key}")
-            for key, kind in _ENTRY_FIELDS.items()
-        ))
-    except (FormatError, RangeError, OrderingError) as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+                check_keys(entry, _ENTRY_FIELDS, f"$[{i}]")
+        with at("$"):
+            return perf_melody(*(
+                column([entry[key] for entry in entries], kind, f"$[*].{key}")
+                for key, kind in _ENTRY_FIELDS.items()
+            ))

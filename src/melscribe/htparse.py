@@ -31,17 +31,16 @@ constructs beyond the above (inversions, suspensions, applied chords)
 are parsed and rejected explicitly.  Minor keys use the natural minor
 scale throughout.
 
-Parsed segments convert to the absolute on-disk format: the same JSON
-shape with melody entries {onset_ticks, duration_ticks, midi} and chord
-entries {onset_ticks, duration_ticks, root_pc, quality}.
+``load_functional`` reads one such file into an absolute Segment;
+``save_segment`` and ``load_segment`` write and read the absolute
+on-disk format: the same JSON shape with melody entries {onset_ticks,
+duration_ticks, midi} and chord entries {onset_ticks, duration_ticks,
+root_pc, quality}.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
-from contextlib import contextmanager
-from dataclasses import replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -63,8 +62,8 @@ from .core import (
     Segment,
     canonical_octave_shift,
 )
-from .errors import FormatError, InputError, OrderingError, ParseError, RangeError
-from .jsonio import check_keys, field, read_json, write_json
+from .errors import ParseError, RangeError
+from .jsonio import at, check_keys, field, reading, write_json
 
 SPLITS = ("train", "valid", "test")
 SPLIT_RATIOS = (8, 1, 1)
@@ -83,11 +82,13 @@ SEVENTH_QUALITY = {
 
 _CHORD_REJECT_FIELDS = ("inversion", "suspension", "secondary_degree", "pedal")
 
-#: Keys of the absolute segment form.
+#: Keys of the absolute segment form, and of its melody and chord entries.
 _SEGMENT_FIELDS = (
     "id", "audio_ref", "split", "user_start_s", "user_end_s", "meter", "key",
     "melody", "chords",
 )
+_NOTE_FIELDS = ("onset_ticks", "duration_ticks", "midi")
+_CHORD_FIELDS = ("onset_ticks", "duration_ticks", "root_pc", "quality")
 
 
 def degree_to_pitch_midi(
@@ -130,15 +131,6 @@ def roman_to_chord(
     return ChordSymbol(PitchClass(root), table[mode][degree - 1])
 
 
-@contextmanager
-def _at(path: str):
-    """Report a domain error raised inside the block as a ParseError at ``path``."""
-    try:
-        yield
-    except (InputError, OrderingError, RangeError) as exc:
-        raise ParseError(str(exc), path) from exc
-
-
 def _parse_ticks(obj, path: str) -> int:
     """A {num, den} beat fraction as whole ticks; den must divide TICKS_PER_BEAT."""
     check_keys(obj, ("num", "den"), path)
@@ -172,7 +164,7 @@ def _parse_span(entry, path: str) -> tuple[int, int]:
 
 def _parse_meter(obj, path: str) -> Meter:
     check_keys(obj, ("beats_per_bar", "beat_unit"), path)
-    with _at(path):
+    with at(path):
         return Meter(field(obj, "beats_per_bar", int, path), field(obj, "beat_unit", int, path))
 
 
@@ -187,41 +179,26 @@ def _parse_key(obj, path: str) -> KeySignature:
     return KeySignature(PitchClass(tonic_pc), mode)
 
 
-def parse_functional(doc: bytes | str) -> tuple[dict, str | None]:
-    """Decode and validate one functional JSON document.
-
-    Returns (validated object graph, artist or None); build the Segment
-    from the object with ``segment_from_functional``.  All structural
-    errors raise ParseError with a JSON path.
-    """
-    try:
-        obj = json.loads(doc)
-    except ValueError as exc:  # also bytes that are not UTF-8, and over-long integers
-        raise ParseError(f"invalid JSON: {exc}", "$") from exc
-    check_keys(
-        obj,
-        ("id", "audio_ref", "start_s", "end_s", "meter", "key", "melody", "chords"),
-        "$",
-        optional=("artist", "key_changes", "meter_changes"),
-    )
-    artist = field(obj, "artist", str, "$") if obj.get("artist") is not None else None
-    return obj, artist
-
-
-def parse_segment(doc: bytes | str) -> Segment:
-    """Parse a functional JSON document into an absolute Segment."""
-    obj, _ = parse_functional(doc)
-    return segment_from_functional(obj)
-
-
-def segment_from_functional(obj: dict) -> Segment:
-    """Build an absolute Segment from a ``parse_functional`` object.
+def load_functional(path) -> tuple[Segment, str | None]:
+    """Read one functional JSON file as (absolute Segment, artist or None).
 
     Melody degrees become MIDI pitches, then the whole melody is shifted
     by whole octaves so its mean pitch sits closest to 60 (ties toward
     the lower octave).  Key or meter changes reject the segment with a
-    counted warning.
+    counted warning.  Errors name the file and the JSON path.
     """
+    with reading(path) as obj:
+        check_keys(
+            obj,
+            ("id", "audio_ref", "start_s", "end_s", "meter", "key", "melody", "chords"),
+            "$",
+            optional=("artist", "key_changes", "meter_changes"),
+        )
+        artist = field(obj, "artist", str, "$") if obj.get("artist") is not None else None
+        return _functional_segment(obj), artist
+
+
+def _functional_segment(obj: dict) -> Segment:
     seg_id = field(obj, "id", str, "$")
     audio_ref = field(obj, "audio_ref", str, "$")
     start_s = field(obj, "start_s", float, "$")
@@ -250,7 +227,7 @@ def segment_from_functional(obj: dict) -> Segment:
         accidental = field(entry, "accidental", int, path)
         rel_octave = field(entry, "rel_octave", int, path)
         onset_ticks, duration_ticks = _parse_span(entry, path)
-        with _at(path):
+        with at(path):
             midi = degree_to_pitch_midi(key, degree, accidental, rel_octave)
         raw_notes.append((onset_ticks, duration_ticks, midi))
 
@@ -264,10 +241,8 @@ def segment_from_functional(obj: dict) -> Segment:
                 f"$.melody[{i}]",
             )
         notes.append(ScoreNote(onset_ticks, duration_ticks, Pitch(midi)))
-    try:
+    with at("$.melody"):
         melody = Melody(tuple(notes))
-    except OrderingError as exc:
-        raise ParseError(f"melody is not monophonic: {exc}", "$.melody") from exc
 
     spans = []
     for i, entry in enumerate(field(obj, "chords", list, "$")):
@@ -294,11 +269,11 @@ def segment_from_functional(obj: dict) -> Segment:
                 f"{path}.borrowed_mode",
             )
         onset_ticks, duration_ticks = _parse_span(entry, path)
-        with _at(path):
+        with at(path):
             chord = roman_to_chord(key, degree, accidental, kind, borrowed)
         spans.append(ChordSpan(onset_ticks, duration_ticks, chord))
 
-    with _at("$"):
+    with at("$"):
         return Segment(
             id=seg_id,
             audio_ref=audio_ref,
@@ -312,98 +287,73 @@ def segment_from_functional(obj: dict) -> Segment:
         )
 
 
-def segment_to_json_dict(segment: Segment) -> dict:
-    """The absolute interchange form of a segment."""
-    return {
+def save_segment(path, segment: Segment) -> None:
+    """Write a segment in its absolute interchange form."""
+    meter, key = segment.meter, segment.key
+    write_json(path, {
         "id": segment.id,
         "audio_ref": segment.audio_ref,
         "split": segment.split,
         "user_start_s": segment.user_start_s,
         "user_end_s": segment.user_end_s,
-        "meter": {
-            "beats_per_bar": segment.meter.beats_per_bar,
-            "beat_unit": segment.meter.beat_unit,
-        },
-        "key": {"tonic_pc": segment.key.tonic.pc, "mode": segment.key.mode},
+        "meter": {"beats_per_bar": meter.beats_per_bar, "beat_unit": meter.beat_unit},
+        "key": {"tonic_pc": key.tonic.pc, "mode": key.mode},
         "melody": [
-            {
-                "onset_ticks": n.onset_ticks,
-                "duration_ticks": n.duration_ticks,
-                "midi": n.pitch.midi,
-            }
+            dict(zip(_NOTE_FIELDS, (n.onset_ticks, n.duration_ticks, n.pitch.midi)))
             for n in segment.melody
         ],
         "chords": [
-            {
-                "onset_ticks": c.onset_ticks,
-                "duration_ticks": c.duration_ticks,
-                "root_pc": c.chord.root.pc,
-                "quality": c.chord.quality,
-            }
+            dict(zip(_CHORD_FIELDS, (c.onset_ticks, c.duration_ticks, c.chord.root.pc,
+                                     c.chord.quality)))
             for c in segment.chords
         ],
-    }
-
-
-def segment_from_json_dict(obj: dict) -> Segment:
-    """Load a segment from its absolute interchange form."""
-    check_keys(obj, _SEGMENT_FIELDS, "$")
-    split = obj["split"]
-    if split is not None and split not in SPLITS:
-        raise ParseError(f"split {split!r} invalid", "$.split")
-    notes = []
-    for i, entry in enumerate(field(obj, "melody", list, "$")):
-        path = f"$.melody[{i}]"
-        check_keys(entry, ("onset_ticks", "duration_ticks", "midi"), path)
-        with _at(path):
-            notes.append(ScoreNote(
-                field(entry, "onset_ticks", int, path),
-                field(entry, "duration_ticks", int, path),
-                Pitch(field(entry, "midi", int, path)),
-            ))
-    chords = []
-    for i, entry in enumerate(field(obj, "chords", list, "$")):
-        path = f"$.chords[{i}]"
-        check_keys(entry, ("onset_ticks", "duration_ticks", "root_pc", "quality"), path)
-        with _at(path):
-            chords.append(ChordSpan(
-                field(entry, "onset_ticks", int, path),
-                field(entry, "duration_ticks", int, path),
-                ChordSymbol(
-                    PitchClass(field(entry, "root_pc", int, path)),
-                    field(entry, "quality", str, path),
-                ),
-            ))
-    with _at("$"):
-        return Segment(
-            id=field(obj, "id", str, "$"),
-            audio_ref=field(obj, "audio_ref", str, "$"),
-            split=split,
-            user_start_s=field(obj, "user_start_s", float, "$"),
-            user_end_s=field(obj, "user_end_s", float, "$"),
-            meter=_parse_meter(field(obj, "meter", dict, "$"), "$.meter"),
-            key=_parse_key(field(obj, "key", dict, "$"), "$.key"),
-            melody=Melody(tuple(notes)),
-            chords=tuple(chords),
-        )
-
-
-def save_segment(path, segment: Segment) -> None:
-    write_json(path, segment_to_json_dict(segment))
+    })
 
 
 def load_segment(path) -> Segment:
-    obj = read_json(path)
-    try:
-        return segment_from_json_dict(obj)
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-
-
-def with_split(segment: Segment, split: str) -> Segment:
-    if split not in SPLITS:
-        raise ParseError(f"split {split!r} invalid", "$.split")
-    return replace(segment, split=split)
+    """Read a segment from its absolute interchange form."""
+    with reading(path) as obj:
+        check_keys(obj, _SEGMENT_FIELDS, "$")
+        split = obj["split"]
+        if split is not None and split not in SPLITS:
+            raise ParseError(f"split {split!r} invalid", "$.split")
+        notes = []
+        for i, entry in enumerate(field(obj, "melody", list, "$")):
+            path = f"$.melody[{i}]"
+            check_keys(entry, _NOTE_FIELDS, path)
+            with at(path):
+                notes.append(ScoreNote(
+                    field(entry, "onset_ticks", int, path),
+                    field(entry, "duration_ticks", int, path),
+                    Pitch(field(entry, "midi", int, path)),
+                ))
+        with at("$.melody"):
+            melody = Melody(tuple(notes))
+        chords = []
+        for i, entry in enumerate(field(obj, "chords", list, "$")):
+            path = f"$.chords[{i}]"
+            check_keys(entry, _CHORD_FIELDS, path)
+            with at(path):
+                chords.append(ChordSpan(
+                    field(entry, "onset_ticks", int, path),
+                    field(entry, "duration_ticks", int, path),
+                    ChordSymbol(
+                        PitchClass(field(entry, "root_pc", int, path)),
+                        field(entry, "quality", str, path),
+                    ),
+                ))
+        with at("$"):
+            return Segment(
+                id=field(obj, "id", str, "$"),
+                audio_ref=field(obj, "audio_ref", str, "$"),
+                split=split,
+                user_start_s=field(obj, "user_start_s", float, "$"),
+                user_end_s=field(obj, "user_end_s", float, "$"),
+                meter=_parse_meter(field(obj, "meter", dict, "$"), "$.meter"),
+                key=_parse_key(field(obj, "key", dict, "$"), "$.key"),
+                melody=melody,
+                chords=tuple(chords),
+            )
 
 
 def stratified_split(

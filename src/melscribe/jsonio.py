@@ -1,26 +1,34 @@
 """Reading and writing JSON files under one set of type rules.
 
-Every JSON format melscribe reads goes through this module, so the rules
-are the same for each of them:
+Every JSON file melscribe reads or writes is opened here (the
+checkpoint's JSON header lives inside a binary file and is read there),
+so the rules are the same for each format:
 
 - a JSON integer is a Python ``int`` that is not a ``bool``;
 - a JSON number is an ``int`` or ``float`` that is not a ``bool``, so
   ``true`` and numeric strings such as ``"0.5"`` are neither;
 - an object carries exactly its documented keys: unknown keys and
   missing keys are refused;
-- a value that breaks a rule raises ``ParseError`` (a ``FormatError``)
-  naming its JSON path, such as ``$.changes[3].tick``; the CLI exits 1.
+- a value that breaks a rule raises ``ParseError`` naming its JSON path,
+  such as ``$.changes[3].tick``; ``at`` gives a domain error raised while
+  building a value (an unordered list, an unknown chord quality) the
+  path of that value.
 
-Bytes that are not UTF-8 or not JSON raise ``FormatError`` as well.
+A format's reader decodes inside ``with reading(path) as obj:``, which
+turns every ``MelscribeError`` into one ``FormatError`` naming the file,
+so each message names the file once and the JSON path where the fault
+has one; the CLI exits 1 on it. Bytes that are not UTF-8 or not JSON
+raise ``FormatError`` as well.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import FormatError, ParseError
+from .errors import FormatError, InputError, MelscribeError, OrderingError, ParseError, RangeError
 
 #: Element types, array dtype and name of the two ``column`` kinds.
 _COLUMNS = {
@@ -29,23 +37,38 @@ _COLUMNS = {
 }
 
 
-def read_json(path):
-    """Parse a UTF-8 JSON file; bytes that are not UTF-8 or not JSON raise FormatError.
+@contextmanager
+def reading(path):
+    """Parse a UTF-8 JSON file for a decoder in the block; errors name the file once.
 
     ``ValueError`` covers ``JSONDecodeError``, ``UnicodeDecodeError`` and an
-    integer literal longer than Python's int conversion limit.
+    integer literal longer than Python's int conversion limit;
+    ``RecursionError`` covers nesting deeper than the parser's stack.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except ValueError as exc:
+            obj = json.load(fh)
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+    try:
+        yield obj
+    except MelscribeError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
-def write_json(path, obj) -> None:
-    """Write ``obj`` indented, with sorted keys and a final newline."""
+@contextmanager
+def at(where: str):
+    """Report a domain error raised inside the block as a ParseError at ``where``."""
+    try:
+        yield
+    except (InputError, OrderingError, RangeError) as exc:
+        raise ParseError(str(exc), where) from exc
+
+
+def write_json(path, obj, sort_keys: bool = True) -> None:
+    """Write ``obj`` indented, with sorted keys unless told not to, and a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=sort_keys)
         fh.write("\n")
 
 

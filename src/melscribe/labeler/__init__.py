@@ -22,7 +22,6 @@ from .labels import (
 from .loss import feasible_shifts, log_softmax
 from .model import (
     backward,
-    forward,
     forward_cached,
     forward_windowed,
     init_params,
@@ -60,7 +59,6 @@ __all__ = [
     "densify_chords",
     "densify_melody",
     "feasible_shifts",
-    "forward",
     "forward_cached",
     "forward_windowed",
     "gradient_check",

@@ -77,7 +77,7 @@ def load_checkpoint(
         raise FormatError(f"{path}: header extends past end of file")
     try:
         header = json.loads(raw[_PREFIX.size : _PREFIX.size + head_len])
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, over-long integers
+    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
         raise FormatError(f"{path}: invalid checkpoint header: {exc}") from exc
     try:
         check_keys(header, ("config", "step", "tau", "tensors"), "$")

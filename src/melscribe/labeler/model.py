@@ -243,23 +243,16 @@ def backward(
     return grads
 
 
-def forward(cfg: LabelerConfig, params: dict[str, np.ndarray], feats) -> np.ndarray:
-    """Logits (ticks, n_classes) for one resampled feature matrix."""
+def forward_windowed(cfg: LabelerConfig, params: dict[str, np.ndarray], feats) -> np.ndarray:
+    """Logits (ticks, n_classes) for one resampled feature matrix of any
+    length, run through the model in windows of max_ticks."""
     x = np.asarray(getattr(feats, "frames", feats))
     if x.ndim != 2:
         raise ShapeError(f"expected (ticks, dim) features, got shape {x.shape}")
-    logits, _ = forward_cached(cfg, params, x[None])
-    out = logits[0]
-    if not np.all(np.isfinite(out)):
-        raise InputError("forward pass produced non-finite logits")
-    return out
-
-
-def forward_windowed(cfg: LabelerConfig, params: dict[str, np.ndarray], feats) -> np.ndarray:
-    """Logits for arbitrarily long inputs, processed in max_ticks windows."""
-    x = np.asarray(getattr(feats, "frames", feats))
-    parts = [
-        forward(cfg, params, x[start : start + cfg.max_ticks])
+    logits = np.concatenate([
+        forward_cached(cfg, params, x[None, start : start + cfg.max_ticks])[0][0]
         for start in range(0, max(len(x), 1), cfg.max_ticks)
-    ]
-    return np.concatenate(parts, axis=0)
+    ])
+    if not np.all(np.isfinite(logits)):
+        raise InputError("forward pass produced non-finite logits")
+    return logits

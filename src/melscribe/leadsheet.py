@@ -5,6 +5,8 @@ grid, with a key, meter, and tempo.  ``assemble`` builds one from a
 transcript in seconds and a beat alignment: the sheet starts on the
 alignment's first beat, a downbeat, so it has no pickup.  Emission is
 deterministic text or bytes: the same sheet always renders identically.
+Chord changes, as ``transcribe`` writes them for a chord labeler, are
+read and written by ``load_chord_changes`` and ``save_chord_changes``.
 
 Melody durations are emitted legato: each note sounds until the next
 onset and the final note keeps its stored duration.  Every LilyPond bar
@@ -33,6 +35,7 @@ from .core import (
     TICKS_PER_BEAT,
 )
 from .errors import InputError, RangeError, ShapeError
+from .jsonio import at, check_keys, field, reading, write_json
 from .labeler.labels import class_to_midi, densify
 from . import smf
 
@@ -117,7 +120,13 @@ def key_fifths(key: KeySignature) -> int:
 
 @dataclass(frozen=True)
 class LeadSheet:
-    key: KeySignature
+    """A score-form melody and chord changes over ``total_ticks``.
+
+    A ``key`` of None is estimated from the melody and chords once they
+    have been checked.
+    """
+
+    key: KeySignature | None
     meter: Meter
     tempo_bpm: float
     melody: Melody
@@ -149,15 +158,13 @@ class LeadSheet:
             if tick <= prev:
                 raise RangeError(f"chord onsets not strictly increasing at tick {tick}")
             prev = tick
+        if self.key is None:
+            object.__setattr__(self, "key", estimate_key(self.melody, self.chord_spans()))
 
     def chord_spans(self) -> list[ChordSpan]:
-        return _chord_spans(self.chords, self.total_ticks)
-
-
-def _chord_spans(chords, total_ticks: int) -> list[ChordSpan]:
-    """Each chord lasts until the next change, the last one until ``total_ticks``."""
-    ends = [tick for tick, _ in chords[1:]] + [total_ticks]
-    return [ChordSpan(tick, end - tick, chord) for (tick, chord), end in zip(chords, ends)]
+        """Each chord lasts until the next change, the last one until ``total_ticks``."""
+        ends = [tick for tick, _ in self.chords[1:]] + [self.total_ticks]
+        return [ChordSpan(t, end - t, chord) for (t, chord), end in zip(self.chords, ends)]
 
 
 def assemble(
@@ -173,7 +180,7 @@ def assemble(
     collision rules; notes outside the aligned span are dropped with a
     warning.  Tick 0 is the alignment's first beat.  A score-form melody
     is refused: build its ``LeadSheet`` directly.  When no key is given,
-    one is estimated from the assembled content.
+    the ``LeadSheet`` estimates one from the assembled content.
     """
     if melody.is_score:
         raise InputError("assemble takes a performance-form (seconds) melody")
@@ -193,18 +200,36 @@ def assemble(
     score_melody = Melody._of_columns(
         ticks, np.append(ticks, total)[1:], class_to_midi(classes[ticks]), True
     )
-
-    chord_list = tuple((int(t), c) for t, c in chords)
-    if key is None:
-        key = estimate_key(score_melody, _chord_spans(chord_list, total))
     return LeadSheet(
         key=key,
         meter=meter,
         tempo_bpm=tempo_bpm,
         melody=score_melody,
-        chords=chord_list,
+        chords=tuple((int(t), c) for t, c in chords),
         total_ticks=total,
     )
+
+
+def save_chord_changes(path, changes: Sequence[tuple[int, ChordSymbol]]) -> None:
+    """Write (tick, chord) changes as ``{"changes": [{tick, root, quality}, ...]}``."""
+    entries = [{"tick": t, "root": c.root.pc, "quality": c.quality} for t, c in changes]
+    write_json(path, {"changes": entries})
+
+
+def load_chord_changes(path) -> list[tuple[int, ChordSymbol]]:
+    """Read a chord changes file; ``LeadSheet`` checks the ticks against the sheet."""
+    with reading(path) as obj:
+        check_keys(obj, ("changes",), "$")
+        changes = []
+        for i, entry in enumerate(field(obj, "changes", list, "$")):
+            where = f"$.changes[{i}]"
+            check_keys(entry, ("tick", "root", "quality"), where)
+            with at(f"{where}.root"):
+                root = PitchClass(field(entry, "root", int, where))
+            with at(f"{where}.quality"):
+                chord = ChordSymbol(root, field(entry, "quality", str, where))
+            changes.append((field(entry, "tick", int, where), chord))
+        return changes
 
 
 def _scale_spellings(key: KeySignature) -> dict[int, tuple[int, int]]:

@@ -40,24 +40,24 @@ def test_beat_grid_validation():
         grid([0.0, float("nan")], [0])
 
 
-def test_beat_grid_json_round_trip():
-    g = grid([0.0, 0.5, 1.0, 1.5], [0, 2])
-    obj = g.to_json_dict()
-    assert obj == {"beats_s": [0.0, 0.5, 1.0, 1.5], "downbeats": [0, 2]}
-    g2 = BeatGrid.from_json_dict(json.loads(json.dumps(obj)))
-    assert np.array_equal(g2.beat_times_s, g.beat_times_s)
-    assert np.array_equal(g2.downbeat_flags, g.downbeat_flags)
-    with pytest.raises(FormatError):
-        BeatGrid.from_json_dict({"beats_s": [0.0]})
-    with pytest.raises(FormatError):
-        BeatGrid.from_json_dict({"beats_s": [0.0, 1.0], "downbeats": [2]})
-    for bad in ({"beats_s": [0.0, 1.0], "downbeats": [0.5]},
+def test_beat_grid_load(tmp_path):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"beats_s": [0.0, 0.5, 1, 1.5], "downbeats": [0, 2]}))
+    g = BeatGrid.load(path)
+    assert g.beat_times_s.tolist() == [0.0, 0.5, 1.0, 1.5]
+    assert g.downbeat_flags.tolist() == [True, False, True, False]
+    for bad in ({"beats_s": [0.0]},
+                {"beats_s": [0.0, 1.0], "downbeats": [2]},
+                {"beats_s": [0.0, 1.0], "downbeats": [0.5]},
                 {"beats_s": [0.0, 1.0], "downbeats": 0},
                 {"beats_s": ["a", 1.0], "downbeats": [0]},
                 {"beats_s": [0.0, 10**400], "downbeats": [0]},
-                {"beats_s": 0.0, "downbeats": [0]}):
-        with pytest.raises(FormatError):
-            BeatGrid.from_json_dict(bad)
+                {"beats_s": 0.0, "downbeats": [0]},
+                {"beats_s": [], "downbeats": []},
+                {"beats_s": [0.0, 1.0], "downbeats": []}):
+        path.write_text(json.dumps(bad))
+        with pytest.raises(FormatError, match="grid.json: "):
+            BeatGrid.load(path)
 
 
 def test_alignment_map_validation():
@@ -120,6 +120,13 @@ def test_refine_alignment_insufficient_beats():
     assert info.value.available == 2
     with pytest.raises(InputError):
         refine_alignment(g, 0.0, 0)
+
+
+def test_refine_alignment_refuses_a_non_finite_start():
+    g = grid([0.0, 0.5, 1.0, 1.5], [0, 2])
+    for start in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(InputError, match="must be finite"):
+            refine_alignment(g, start, 2)
 
 
 def test_refine_alignment_single_beat():

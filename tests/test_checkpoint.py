@@ -167,10 +167,12 @@ def test_load_rejects_over_long_integer_in_header(tmp_path):
     write_ckpt(path)
     raw = path.read_bytes()
     head_len = struct.unpack_from("<4sII", raw)[2]
-    head = raw[12 : 12 + head_len].replace(b'"step":123', b'"step":1' + b"0" * 5000)
-    path.write_bytes(raw[:4] + struct.pack("<II", 1, len(head)) + head + raw[12 + head_len :])
-    with pytest.raises(FormatError, match="invalid checkpoint header"):
-        load_checkpoint(path)
+    # also a value nested deeper than the JSON parser's stack
+    for step in (b"1" + b"0" * 5000, b"[" * 100000 + b"]" * 100000):
+        head = raw[12 : 12 + head_len].replace(b'"step":123', b'"step":' + step)
+        path.write_bytes(raw[:4] + struct.pack("<II", 1, len(head)) + head + raw[12 + head_len :])
+        with pytest.raises(FormatError, match="invalid checkpoint header"):
+            load_checkpoint(path)
 
 
 def test_load_rejects_shapes_the_config_does_not_imply(tmp_path):

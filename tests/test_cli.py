@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from melscribe import htparse
-from melscribe.align import AlignmentMap, constant_tempo_grid
+from melscribe.align import AlignmentMap
 from melscribe.cli import main
 from melscribe.labeler import densify_melody, reference_melody
 from melscribe.synth import render_audio, write_wav
@@ -79,8 +79,8 @@ def corpus(tmp_path_factory):
     assert code == 0
 
     grid_path = root / "grid.json"
-    grid = constant_tempo_grid(120.0, 0.5, 12)
-    grid_path.write_text(json.dumps(grid.to_json_dict()))
+    grid_path.write_text(json.dumps(
+        {"beats_s": [0.5 + 0.5 * i for i in range(12)], "downbeats": [0, 4, 8]}))
     refine_outs = {}
     for seg_id, _, _ in specs:
         code, out = run([
@@ -435,7 +435,7 @@ def test_usage_errors_exit_2(tmp_path):
     assert not out.exists()
 
 
-def test_convert_skips_bad_documents(tmp_path):
+def test_convert_skips_bad_documents(tmp_path, capsys):
     good = functional_doc("g00", "ann")
     bad = json.dumps({"id": "b00", "unexpected": True})
     (tmp_path / "good.json").write_text(good)
@@ -446,6 +446,11 @@ def test_convert_skips_bad_documents(tmp_path):
     code, out = run(["dataset", "convert", str(tmp_path), "--out", str(out_dir)])
     assert code == 0
     assert out == {"converted": 1, "rejected": 3, "out": str(out_dir)}
+    skipped = capsys.readouterr().err.splitlines()
+    for name, where in (("bad", "$"), ("numeric_artist", "$.artist"), ("utf16", "invalid JSON")):
+        path = str(tmp_path / f"{name}.json")
+        line = next(line for line in skipped if path in line)
+        assert line.startswith(f"skipped {path}: {where}") and line.count(path) == 1, line
     assert json.loads((out_dir / "artists.json").read_text()) == {"g00": "ann"}
     code, out = run([
         "dataset", "convert", str(tmp_path / "bad.json"), "--out", str(out_dir),
@@ -480,11 +485,13 @@ def test_module_entry_point():
 
 def _wrong_typed_inputs(tmp_path):
     """Per command: its argv over one file with a wrong-typed field, the
-    JSON path the error must name, and the output it must not write."""
-    segment = htparse.segment_to_json_dict(htparse.parse_segment(functional_doc("s", "a")))
-    segment.update(id=5, split="train")
+    file and JSON path the error must name, and the output it must not write."""
     data = tmp_path / "data"
     data.mkdir()
+    (tmp_path / "s.json").write_text(functional_doc("s", "a"))
+    htparse.save_segment(data / "s.segment.json", htparse.load_functional(tmp_path / "s.json")[0])
+    segment = json.loads((data / "s.segment.json").read_text())
+    segment.update(id=5, split="train")
     (data / "s.segment.json").write_text(json.dumps(segment))
     (tmp_path / "grid.json").write_text(
         json.dumps({"beats_s": [0.5, 1.0, 1.5, 2.0], "downbeats": [True]}))
@@ -494,14 +501,16 @@ def _wrong_typed_inputs(tmp_path):
         json.dumps({"changes": [{"tick": 5.7, "root": 0, "quality": "maj"}]}))
     return {
         "train": (["train", "--data", str(data), "--out", str(tmp_path / "m.ckpt"),
-                   "--steps", "1"], "$.id", "m.ckpt"),
+                   "--steps", "1"], "s.segment.json: $.id", "m.ckpt"),
         "align-refine": (["align", "refine", "--grid", str(tmp_path / "grid.json"),
                           "--start", "0.5", "--beats", "2",
-                          "--out", str(tmp_path / "out.json")], "$.downbeats", "out.json"),
+                          "--out", str(tmp_path / "out.json")],
+                         "grid.json: $.downbeats", "out.json"),
         "leadsheet": (["leadsheet", "--transcript", str(tmp_path / "t.json"),
                        "--alignment", str(tmp_path / "a.json"),
                        "--chords", str(tmp_path / "c.json"),
-                       "--lilypond", str(tmp_path / "out.ly")], "$.changes[0].tick", "out.ly"),
+                       "--lilypond", str(tmp_path / "out.ly")],
+                      "c.json: $.changes[0].tick", "out.ly"),
     }
 
 
@@ -512,7 +521,6 @@ def test_wrong_typed_json_field_exits_1_naming_it(tmp_path, command):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr, proc.stderr
-    assert proc.stderr.startswith("error:") and where in proc.stderr, proc.stderr
+    assert proc.stderr.startswith("error: ") and where in proc.stderr, proc.stderr
+    assert proc.stderr.count(where.split(":")[0]) == 1, proc.stderr
     assert not (tmp_path / output).exists()
-    if command == "train":
-        assert "s.segment.json" in proc.stderr, proc.stderr

@@ -17,8 +17,7 @@ import numpy as np
 import pytest
 
 from melscribe import htparse
-from melscribe.align import AlignmentMap, BeatGrid, constant_tempo_grid
-from melscribe.cli import _load_chord_changes
+from melscribe.align import AlignmentMap, BeatGrid
 from melscribe.core import Melody, Pitch, ScoreNote
 from melscribe.errors import FormatError, MelscribeError
 from melscribe.evaluate import load_transcript, save_transcript
@@ -31,7 +30,6 @@ from melscribe.features import (
     save_features,
     save_resampled,
 )
-from melscribe.jsonio import read_json
 from melscribe.labeler import (
     LabelerConfig,
     densify_melody,
@@ -40,6 +38,7 @@ from melscribe.labeler import (
     reference_melody,
     save_checkpoint,
 )
+from melscribe.leadsheet import load_chord_changes
 from melscribe.synth import write_wav
 
 SSFT_HEADER = 32
@@ -93,7 +92,8 @@ def files(tmp_path_factory):
         "chords": [{"onset_ticks": 0, "duration_ticks": 12, "root_pc": 0,
                     "quality": "maj"}],
     }))
-    paths["g.json"].write_text(json.dumps(constant_tempo_grid(120.0, 0.5, 6).to_json_dict()))
+    paths["g.json"].write_text(json.dumps(
+        {"beats_s": [0.5, 1.0, 1.5, 2.0, 2.5, 3.0], "downbeats": [0, 4]}))
     paths["c.json"].write_text(json.dumps({"changes": [
         {"tick": 0, "root": 0, "quality": "maj"}, {"tick": 8, "root": 7, "quality": "dom7"}]}))
     beat = {"num": 1, "den": 1}
@@ -107,8 +107,9 @@ def files(tmp_path_factory):
                     "onset_beats": {"num": 1, "den": 2}, "duration_beats": beat}],
     }))
     htparse.load_segment(paths["s.json"])  # the undamaged files load
-    _load_chord_changes(paths["c.json"])
-    htparse.parse_segment(paths["f.json"].read_bytes())
+    BeatGrid.load(paths["g.json"])
+    load_chord_changes(paths["c.json"])
+    htparse.load_functional(paths["f.json"])
     return paths
 
 
@@ -133,9 +134,9 @@ def test_checkpoint_loader_fails_closed(files, tmp_path):
     ("a.json", AlignmentMap.load, 6),
     ("t.json", load_transcript, 7),
     ("s.json", htparse.load_segment, 8),
-    ("g.json", lambda p: BeatGrid.from_json_dict(read_json(p)), 9),
-    ("c.json", _load_chord_changes, 10),
-    ("f.json", lambda p: htparse.parse_segment(p.read_bytes()), 11),
+    ("g.json", BeatGrid.load, 9),
+    ("c.json", load_chord_changes, 10),
+    ("f.json", htparse.load_functional, 11),
 ], ids=["alignment", "transcript", "segment", "beat-grid", "chord-changes", "functional"])
 def test_json_loaders_fail_closed(files, tmp_path, name, load, seed):
     blob = files[name].read_bytes()

@@ -315,7 +315,8 @@ def test_transcript_reader_matches_per_entry_reference(tmp_path):
                 load_transcript(path)
             with pytest.raises(FormatError):
                 reference_load(bad)
-            assert re.search(rf"\b(entry|note) {i}\b", str(raised.value)), (kind, i, raised.value)
+            where = rf"(\$\[{i}\]|\b(entry|note) {i}\b)"
+            assert re.search(where, str(raised.value)), (kind, i, raised.value)
         # two notes on one onset: both are named
         if len(entries) > 1:
             i, j = sorted(rng.choice(len(entries), size=2, replace=False).tolist())

@@ -1,11 +1,13 @@
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from melscribe import htparse
 from melscribe.core import KeySignature, PitchClass
-from melscribe.errors import ParseError, RangeError
+from melscribe.errors import FormatError, RangeError
 
 
 def key(tonic=0, mode="major"):
@@ -92,8 +94,20 @@ def doc(**overrides):
     return json.dumps(base)
 
 
-def test_parse_segment_happy_path():
-    seg = htparse.parse_segment(doc())
+@pytest.fixture
+def load(tmp_path):
+    """``load_functional`` over a document given as JSON text."""
+
+    def load(text):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        return htparse.load_functional(path)
+
+    return load
+
+
+def test_parse_segment_happy_path(load):
+    seg, _ = load(doc())
     assert seg.id == "seg-a"
     assert seg.split is None
     assert [(n.onset_ticks, n.duration_ticks) for n in seg.melody] == [(0, 4), (6, 2)]
@@ -104,81 +118,78 @@ def test_parse_segment_happy_path():
     assert seg.num_beats == 4
 
 
-def test_parse_segment_canonicalizes_octave():
+def test_parse_segment_canonicalizes_octave(load):
     high = doc(melody=[
         {"scale_degree": 1, "accidental": 0, "rel_octave": 2,
          "onset_beats": beats(0), "duration_beats": beats(1)},
     ])
-    seg = htparse.parse_segment(high)
+    seg, _ = load(high)
     # raw midi 84 shifts down two octaves toward 60
     assert seg.melody.midis[0] == 60
 
 
-def test_parse_segment_rejects_changes():
+def test_parse_segment_rejects_changes(load):
     with pytest.warns(UserWarning, match="rejected"):
-        with pytest.raises(ParseError):
-            htparse.parse_segment(doc(key_changes=[{"at": 4}]))
+        with pytest.raises(FormatError):
+            load(doc(key_changes=[{"at": 4}]))
     with pytest.warns(UserWarning, match="rejected"):
-        with pytest.raises(ParseError):
-            htparse.parse_segment(doc(meter_changes=[{"at": 4}]))
+        with pytest.raises(FormatError):
+            load(doc(meter_changes=[{"at": 4}]))
 
 
-def test_parse_segment_structural_errors():
-    with pytest.raises(ParseError, match=r"\$"):
-        htparse.parse_segment("[1, 2]")
-    with pytest.raises(ParseError, match="invalid JSON"):
-        htparse.parse_segment("{nope")
-    with pytest.raises(ParseError, match="invalid JSON"):  # beyond Python's int parsing limit
-        htparse.parse_segment('{"id": "x", "start_s": 1%s}' % ("0" * 5000))
-    with pytest.raises(ParseError, match="does not fit a float64"):  # beyond float64
-        htparse.parse_segment(doc(start_s=10**400))
-    with pytest.raises(ParseError, match="unknown fields"):
-        htparse.parse_segment(doc(extra_stuff=1))
-    with pytest.raises(ParseError, match="missing field"):
+def test_parse_segment_structural_errors(load):
+    with pytest.raises(FormatError, match=r"\$"):
+        load("[1, 2]")
+    with pytest.raises(FormatError, match="invalid JSON"):
+        load("{nope")
+    with pytest.raises(FormatError, match="invalid JSON"):  # beyond Python's int parsing limit
+        load('{"id": "x", "start_s": 1%s}' % ("0" * 5000))
+    with pytest.raises(FormatError, match="does not fit a float64"):  # beyond float64
+        load(doc(start_s=10**400))
+    with pytest.raises(FormatError, match="unknown fields"):
+        load(doc(extra_stuff=1))
+    with pytest.raises(FormatError, match="missing field"):
         obj = json.loads(doc())
         del obj["meter"]
-        htparse.parse_segment(json.dumps(obj))
-    with pytest.raises(ParseError, match="must be an integer"):
-        htparse.parse_segment(doc(key={"tonic_pc": "c", "mode": "major"}))
-    with pytest.raises(ParseError, match="tonic_pc"):
-        htparse.parse_segment(doc(key={"tonic_pc": 12, "mode": "major"}))
-    with pytest.raises(ParseError, match="mode"):
-        htparse.parse_segment(doc(key={"tonic_pc": 0, "mode": "dorian"}))
+        load(json.dumps(obj))
+    with pytest.raises(FormatError, match="must be an integer"):
+        load(doc(key={"tonic_pc": "c", "mode": "major"}))
+    with pytest.raises(FormatError, match="tonic_pc"):
+        load(doc(key={"tonic_pc": 12, "mode": "major"}))
+    with pytest.raises(FormatError, match="mode"):
+        load(doc(key={"tonic_pc": 0, "mode": "dorian"}))
 
 
-def test_parse_functional_artist():
-    obj, artist = htparse.parse_functional(doc())
-    assert artist == obj["artist"]
-    assert htparse.segment_from_functional(obj) == htparse.parse_segment(doc())
-    assert htparse.parse_functional(doc(artist=None))[1] is None
-    with pytest.raises(ParseError) as exc:
-        htparse.parse_functional(doc(artist=5))
-    assert exc.value.path == "$.artist"
+def test_load_functional_artist(load):
+    assert load(doc())[1] == "someone"
+    assert load(doc(artist=None))[1] is None
+    with pytest.raises(FormatError, match=r"doc\.json: \$\.artist: "):
+        load(doc(artist=5))
 
 
-def test_parse_segment_fraction_resolution():
+def test_parse_segment_fraction_resolution(load):
     bad = doc(melody=[
         {"scale_degree": 1, "accidental": 0, "rel_octave": 0,
          "onset_beats": beats(1, 3), "duration_beats": beats(1)},
     ])
-    with pytest.raises(ParseError, match="denominator 3"):
-        htparse.parse_segment(bad)
+    with pytest.raises(FormatError, match="denominator 3"):
+        load(bad)
     fine = doc(melody=[
         {"scale_degree": 1, "accidental": 0, "rel_octave": 0,
          "onset_beats": beats(1, 4), "duration_beats": beats(3, 4)},
     ])
-    seg = htparse.parse_segment(fine)
+    seg, _ = load(fine)
     assert (seg.melody.onsets[0], seg.melody.ends[0] - seg.melody.onsets[0]) == (1, 3)
 
 
-def test_parse_segment_melody_errors():
-    with pytest.raises(ParseError, match="negative"):
-        htparse.parse_segment(doc(melody=[
+def test_parse_segment_melody_errors(load):
+    with pytest.raises(FormatError, match="negative"):
+        load(doc(melody=[
             {"scale_degree": 1, "accidental": 0, "rel_octave": 0,
              "onset_beats": beats(-1), "duration_beats": beats(1)},
         ]))
-    with pytest.raises(ParseError, match="not positive"):
-        htparse.parse_segment(doc(melody=[
+    with pytest.raises(FormatError, match="not positive"):
+        load(doc(melody=[
             {"scale_degree": 1, "accidental": 0, "rel_octave": 0,
              "onset_beats": beats(0), "duration_beats": beats(0)},
         ]))
@@ -188,67 +199,62 @@ def test_parse_segment_melody_errors():
         {"scale_degree": 2, "accidental": 0, "rel_octave": 0,
          "onset_beats": beats(1), "duration_beats": beats(1)},
     ])
-    with pytest.raises(ParseError, match="monophonic"):
-        htparse.parse_segment(overlapping)
-    with pytest.raises(ParseError, match="scale degree"):
-        htparse.parse_segment(doc(melody=[
+    with pytest.raises(FormatError, match=r"\$\.melody: note 0 .* overlaps"):
+        load(overlapping)
+    with pytest.raises(FormatError, match="scale degree"):
+        load(doc(melody=[
             {"scale_degree": 8, "accidental": 0, "rel_octave": 0,
              "onset_beats": beats(0), "duration_beats": beats(1)},
         ]))
 
 
-def test_parse_segment_chord_errors():
+def test_parse_segment_chord_errors(load):
     rejected = doc(chords=[
         {"degree": 1, "accidental": 0, "kind": "triad", "borrowed_mode": None,
          "inversion": 1, "onset_beats": beats(0), "duration_beats": beats(4)},
     ])
-    with pytest.raises(ParseError, match="inversion"):
-        htparse.parse_segment(rejected)
+    with pytest.raises(FormatError, match="inversion"):
+        load(rejected)
     # an explicitly-zero rejected field parses fine
     zeroed = doc(chords=[
         {"degree": 1, "accidental": 0, "kind": "triad", "borrowed_mode": None,
          "inversion": 0, "onset_beats": beats(0), "duration_beats": beats(4)},
     ])
-    htparse.parse_segment(zeroed)
-    with pytest.raises(ParseError, match="borrowed_mode"):
-        htparse.parse_segment(doc(chords=[
+    load(zeroed)
+    with pytest.raises(FormatError, match="borrowed_mode"):
+        load(doc(chords=[
             {"degree": 1, "accidental": 0, "kind": "triad",
              "borrowed_mode": "phrygian", "onset_beats": beats(0),
              "duration_beats": beats(4)},
         ]))
-    with pytest.raises(ParseError, match="unknown fields"):
-        htparse.parse_segment(doc(chords=[
+    with pytest.raises(FormatError, match="unknown fields"):
+        load(doc(chords=[
             {"degree": 1, "accidental": 0, "kind": "triad", "borrowed_mode": None,
              "bass": 7, "onset_beats": beats(0), "duration_beats": beats(4)},
         ]))
 
 
-def test_segment_json_round_trip(tmp_path):
-    seg = htparse.parse_segment(doc())
+def test_segment_json_round_trip(tmp_path, load):
+    seg, _ = load(doc())
     path = tmp_path / "seg.segment.json"
     htparse.save_segment(path, seg)
     loaded = htparse.load_segment(path)
     assert loaded == seg
-    tagged = htparse.with_split(seg, "valid")
-    assert tagged.split == "valid"
+    tagged = replace(seg, split="valid")
     htparse.save_segment(path, tagged)
-    assert htparse.load_segment(path).split == "valid"
-    with pytest.raises(ParseError):
-        htparse.with_split(seg, "dev")
+    assert htparse.load_segment(path) == tagged
 
 
-def test_segment_from_json_dict_errors():
-    with pytest.raises(ParseError):
-        htparse.segment_from_json_dict({"id": "x"})
-    good = htparse.segment_to_json_dict(htparse.parse_segment(doc()))
-    bad = dict(good)
-    bad["split"] = "holdout"
-    with pytest.raises(ParseError):
-        htparse.segment_from_json_dict(bad)
-    bad = dict(good)
-    bad["melody"] = [{"onset_ticks": 0}]
-    with pytest.raises(ParseError):
-        htparse.segment_from_json_dict(bad)
+def test_load_segment_errors(tmp_path, load):
+    path = tmp_path / "seg.segment.json"
+    htparse.save_segment(path, load(doc())[0])
+    good = json.loads(path.read_text())
+    for bad, where in (({"id": "x"}, "$"),
+                       ({**good, "split": "holdout"}, "$.split"),
+                       ({**good, "melody": [{"onset_ticks": 0}]}, "$.melody[0]")):
+        path.write_text(json.dumps(bad))
+        with pytest.raises(FormatError, match=rf"seg\.segment\.json: {re.escape(where)}: "):
+            htparse.load_segment(path)
 
 
 def test_stratified_split_groups_artists():

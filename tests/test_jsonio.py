@@ -8,10 +8,10 @@ import pytest
 
 from melscribe import htparse
 from melscribe.align import AlignmentMap, BeatGrid
-from melscribe.cli import _load_chord_changes
-from melscribe.errors import FormatError, ParseError
+from melscribe.errors import FormatError, ParseError, RangeError
 from melscribe.evaluate import load_transcript
-from melscribe.jsonio import check_keys, column, field, read_json, write_json
+from melscribe.jsonio import at, check_keys, column, field, reading, write_json
+from melscribe.leadsheet import load_chord_changes
 
 
 def test_field_kinds():
@@ -70,7 +70,33 @@ def test_write_json_is_sorted_indented_with_newline(tmp_path):
     assert path.read_text() == (
         '{\n  "a": {\n    "c": 2,\n    "d": 1\n  },\n  "b": [\n    1\n  ]\n}\n'
     )
-    assert read_json(path) == {"a": {"c": 2, "d": 1}, "b": [1]}
+    with reading(path) as obj:
+        assert obj == {"a": {"c": 2, "d": 1}, "b": [1]}
+    write_json(path, [{"b": 1, "a": 2}], sort_keys=False)
+    assert path.read_text() == '[\n  {\n    "b": 1,\n    "a": 2\n  }\n]\n'
+
+
+def test_reading_names_the_file_once(tmp_path):
+    path = tmp_path / "o.json"
+    for blob in (b"{nope", b"\xff\xfe{}", b"[" * 100000, b'{"a": 1%s}' % (b"0" * 5000)):
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match="invalid JSON") as raised:
+            with reading(path):
+                pass
+        assert str(raised.value).count(str(path)) == 1
+    path.write_text('{"a": true}')
+    with pytest.raises(FormatError) as raised:
+        with reading(path) as obj:
+            field(obj, "a", int, "$")
+    assert str(raised.value) == f"{path}: $.a: field 'a' must be an integer"
+    with pytest.raises(FormatError) as raised:
+        with reading(path) as obj:
+            with at("$.a"):
+                raise RangeError("out of range")
+    assert str(raised.value) == f"{path}: $.a: out of range"
+    with pytest.raises(KeyError):  # a bug is not a format error
+        with reading(path) as obj:
+            obj["b"]
 
 
 def _beats(num, den=1):
@@ -95,8 +121,10 @@ SEGMENT = {
     "chords": [{"onset_ticks": 0, "duration_ticks": 12, "root_pc": 0, "quality": "maj"}],
 }
 
-#: Per format: a good document, its reader, and the typed fields to spoil,
-#: each as (location in the document, kind, JSON path the error must name).
+#: Per format: a good document, its reader, the typed fields to spoil,
+#: each as (location in the document, kind, JSON path the error must name),
+#: and domain errors, each as (location, value, JSON path the error must
+#: name, text the error must hold).
 FORMATS = {
     "transcript": (
         [{"onset_s": 0.5, "offset_s": 1.0, "midi": 60},
@@ -104,24 +132,34 @@ FORMATS = {
         load_transcript,
         [((1, "onset_s"), float, "$[*].onset_s"), ((0, "offset_s"), float, "$[*].offset_s"),
          ((1, "midi"), int, "$[*].midi")],
+        [((1, "onset_s"), 0.5, "$", "share onset"),
+         ((0, "offset_s"), 0.25, "$", "not after onset"),
+         ((1, "midi"), 200, "$", "outside playable range")],
     ),
     "alignment": (
         {"beat_to_time_s": [0.5, 1.0, 1.5]},
         AlignmentMap.load,
         [(("beat_to_time_s", 1), float, "$.beat_to_time_s")],
+        [(("beat_to_time_s", 2), 0.75, "$.beat_to_time_s", "strictly increasing"),
+         (("beat_to_time_s",), [0.5], "$.beat_to_time_s", "at least beats 0 and 1")],
     ),
     "beat-grid": (
         {"beats_s": [0.5, 1.0, 1.5], "downbeats": [0]},
-        lambda p: BeatGrid.from_json_dict(read_json(p)),
+        BeatGrid.load,
         [(("beats_s", 2), float, "$.beats_s"), (("downbeats", 0), int, "$.downbeats")],
+        [(("downbeats",), [], "$", "no downbeats"),
+         (("beats_s", 1), 0.25, "$", "strictly increasing"),
+         (("downbeats", 0), 3, "$.downbeats", "outside the beat list")],
     ),
     "chord-changes": (
         {"changes": [{"tick": 0, "root": 0, "quality": "maj"},
                      {"tick": 5, "root": 7, "quality": "dom7"}]},
-        _load_chord_changes,
+        load_chord_changes,
         [(("changes", 1, "tick"), int, "$.changes[1].tick"),
          (("changes", 0, "root"), int, "$.changes[0].root"),
          (("changes", 0, "quality"), str, "$.changes[0].quality")],
+        [(("changes", 1, "quality"), "xx", "$.changes[1].quality", "chord quality 'xx'"),
+         (("changes", 0, "root"), 12, "$.changes[0].root", "outside 0..11")],
     ),
     "segment": (
         SEGMENT,
@@ -132,15 +170,27 @@ FORMATS = {
          (("melody", 0, "onset_ticks"), int, "$.melody[0].onset_ticks"),
          (("melody", 0, "midi"), int, "$.melody[0].midi"),
          (("chords", 0, "root_pc"), int, "$.chords[0].root_pc")],
+        [(("melody",), [{"onset_ticks": 0, "duration_ticks": 4, "midi": 60},
+                        {"onset_ticks": 2, "duration_ticks": 4, "midi": 62}],
+          "$.melody", "overlaps"),
+         (("melody", 0, "midi"), 130, "$.melody[0]", "outside"),
+         (("chords", 0, "quality"), "xx", "$.chords[0]", "chord quality 'xx'"),
+         (("split",), "holdout", "$.split", "invalid"),
+         (("user_end_s",), 0.25, "$", "segment")],
     ),
     "functional": (
         FUNCTIONAL,
-        lambda p: htparse.parse_segment(p.read_text()),
+        htparse.load_functional,
         [(("id",), str, "$.id"), (("start_s",), float, "$.start_s"),
          (("meter", "beat_unit"), int, "$.meter.beat_unit"),
          (("melody", 0, "scale_degree"), int, "$.melody[0].scale_degree"),
          (("melody", 0, "onset_beats", "num"), int, "$.melody[0].onset_beats.num"),
          (("chords", 0, "degree"), int, "$.chords[0].degree")],
+        [(("melody", 0, "scale_degree"), 8, "$.melody[0]", "scale degree 8"),
+         (("chords", 0, "kind"), "ninth", "$.chords[0]", "chord kind"),
+         (("meter", "beats_per_bar"), 0, "$.meter", "beats"),
+         (("key", "mode"), "dorian", "$.key.mode", "dorian"),
+         (("end_s",), 0.25, "$", "segment")],
     ),
 }
 
@@ -148,20 +198,39 @@ FORMATS = {
 BAD = {float: [True, "0.5"], int: [True, "5", 1.5], str: [True, 5]}
 
 
+def _spoiled(good, location, value):
+    doc = copy.deepcopy(good)
+    parent = doc
+    for step in location[:-1]:
+        parent = parent[step]
+    parent[location[-1]] = value
+    return doc
+
+
+def _refused(load, path, doc, where, text=""):
+    """The FormatError loading ``doc`` raises; it names the file once, ``where`` and ``text``."""
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError) as raised:
+        load(path)
+    message = str(raised.value)
+    assert message.startswith(f"{path}: ") and message.count(str(path)) == 1, message
+    assert f" {where}: " in message and text in message, (where, text, message)
+
+
 @pytest.mark.parametrize("name", list(FORMATS))
 def test_wrong_typed_fields_fail_closed(tmp_path, name):
-    good, load, fields = FORMATS[name]
+    good, load, fields, _ = FORMATS[name]
     path = tmp_path / "x.json"
     path.write_text(json.dumps(good))
     load(path)  # the undamaged document loads
     for location, kind, where in fields:
         for value in BAD[kind]:
-            doc = copy.deepcopy(good)
-            parent = doc
-            for step in location[:-1]:
-                parent = parent[step]
-            parent[location[-1]] = value
-            path.write_text(json.dumps(doc))
-            with pytest.raises(FormatError) as raised:
-                load(path)
-            assert where in str(raised.value), (location, value, raised.value)
+            _refused(load, path, _spoiled(good, location, value), where)
+
+
+@pytest.mark.parametrize("name", list(FORMATS))
+def test_domain_errors_name_the_file_and_path(tmp_path, name):
+    good, load, _, errors = FORMATS[name]
+    path = tmp_path / "x.json"
+    for location, value, where, text in errors:
+        _refused(load, path, _spoiled(good, location, value), where, text)

@@ -233,6 +233,20 @@ def test_assemble_estimates_key_when_missing():
         (2 * i, 67 + off) for i, off in enumerate(offs)
     ]
     assert sh.key == KeySignature(PitchClass(7), "major")
+    # LeadSheet estimates the key itself when given none
+    assert sheet(sh.melody, key=None, total=sh.total_ticks).key == sh.key
+
+
+def test_assemble_checks_chord_ticks_before_estimating_the_key():
+    amap = AlignmentMap([0.0, 0.5, 1.0, 1.5, 2.0])  # 4 beats: ticks 0..15
+    c = ChordSymbol(PitchClass(0), "maj")
+    g = ChordSymbol(PitchClass(7), "dom7")
+    melody = perf([(0.0, 60), (1.0, 64)])
+    for chords, message in (([(99, c)], "chord onset 99 outside 0..15"),
+                            ([(8, c), (0, g)], "not strictly increasing at tick 0")):
+        for key in (None, C_MAJOR):
+            with pytest.raises(RangeError, match=message):
+                assemble(melody, chords, amap, FOUR_FOUR, key)
 
 
 def test_assemble_refuses_a_score_form_melody():

@@ -5,7 +5,6 @@ from melscribe.errors import InputError, ShapeError
 from melscribe.labeler import (
     LabelerConfig,
     backward,
-    forward,
     forward_cached,
     forward_windowed,
     gradient_check,
@@ -58,29 +57,32 @@ def test_positional_encoding_structure():
 def test_forward_shapes_and_dtype():
     params = init_params(TINY)
     x = np.random.default_rng(0).normal(size=(20, 12)).astype(np.float32)
-    logits = forward(TINY, params, x)
+    logits = forward_windowed(TINY, params, x)
     assert logits.shape == (20, 89)
     assert logits.dtype == np.float32
     assert np.isfinite(logits).all()
     with pytest.raises(ShapeError):
-        forward(TINY, params, x[:, :5])
+        forward_windowed(TINY, params, x[:, :5])
     with pytest.raises(ShapeError):
-        forward(TINY, params, x[None])
-    with pytest.raises(InputError):
-        forward(TINY, params, np.zeros((40, 12), dtype=np.float32))  # > max_ticks
+        forward_windowed(TINY, params, x[None])
+    with pytest.raises(InputError, match="tick count 0"):
+        forward_windowed(TINY, params, x[:0])
+    broken = {**params, "b_out": np.full_like(params["b_out"], np.inf)}
+    with pytest.raises(InputError, match="non-finite"):
+        forward_windowed(TINY, broken, x)
 
 
 def test_forward_chord_head():
     cfg = LabelerConfig(**{**TINY.to_dict(), "vocab": "chords"})
-    logits = forward(cfg, init_params(cfg), np.zeros((8, 12), dtype=np.float32))
+    logits = forward_windowed(cfg, init_params(cfg), np.zeros((8, 12), dtype=np.float32))
     assert logits.shape == (8, 97)
 
 
 def test_forward_is_deterministic():
     params = init_params(TINY)
     x = np.random.default_rng(1).normal(size=(16, 12)).astype(np.float32)
-    a = forward(TINY, params, x)
-    b = forward(TINY, params, x)
+    a = forward_windowed(TINY, params, x)
+    b = forward_windowed(TINY, params, x)
     assert np.array_equal(a, b)
 
 
@@ -112,7 +114,7 @@ def test_mask_blocks_cross_row_influence():
     mask[0, :6] = True
     mask[1] = True
     logits, _ = forward_cached(TINY, params, batch, mask)
-    solo = forward(TINY, params, a)
+    solo = forward_windowed(TINY, params, a)
     assert np.max(np.abs(logits[0, :6] - solo)) < 1e-4
 
 
@@ -124,9 +126,8 @@ def test_forward_windowed_chunks_long_inputs():
     assert logits.shape == (80, 89)
     for start in (0, 32, 64):
         stop = min(start + 32, 80)
-        assert np.array_equal(logits[start:stop], forward(TINY, params, x[start:stop]))
-    short = rng.normal(size=(20, 12)).astype(np.float32)
-    assert np.array_equal(forward_windowed(TINY, params, short), forward(TINY, params, short))
+        window, _ = forward_cached(TINY, params, x[None, start:stop])
+        assert np.array_equal(logits[start:stop], window[0])
 
 
 def test_dropout_only_active_in_training():
