@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InputError, InsufficientBeatsError, OrderingError, ParseError, RangeError
+from .errors import InputError, OrderingError, ParseError, RangeError
 from .jsonio import at, check_keys, column, field, reading, write_json
 
 
@@ -112,10 +112,9 @@ def refine_alignment(grid: BeatGrid, user_start_s: float, num_beats: int) -> Ali
 
     remaining = len(times) - start - 1
     if remaining < num_beats - 1:
-        raise InsufficientBeatsError(
+        raise InputError(
             f"need {num_beats - 1} beats after the downbeat at "
-            f"{times[start]:.3f}s, grid has {remaining}",
-            available=remaining,
+            f"{times[start]:.3f}s, grid has {remaining}"
         )
     mapped = times[start : start + num_beats].astype(np.float64).copy()
     if num_beats >= 2:
@@ -123,10 +122,9 @@ def refine_alignment(grid: BeatGrid, user_start_s: float, num_beats: int) -> Ali
     elif remaining >= 1:
         tail = times[start + 1]
     else:
-        raise InsufficientBeatsError(
+        raise InputError(
             "a one-beat segment needs one detected beat after its downbeat "
-            "to bound the beat's duration",
-            available=0,
+            "to bound the beat's duration"
         )
     return AlignmentMap(np.concatenate([mapped, [tail]]))
 
@@ -164,17 +162,13 @@ def beat_position(amap: AlignmentMap, t: float | np.ndarray) -> float | np.ndarr
     return float(beats) if beats.ndim == 0 else beats
 
 
-def constant_tempo_grid(
-    bpm: float, first_downbeat_s: float, count: int, beats_per_bar: int = 4
-) -> BeatGrid:
-    """A synthetic grid of ``count`` beats at fixed tempo, downbeats every bar."""
+def constant_tempo_grid(bpm: float, first_downbeat_s: float, count: int) -> BeatGrid:
+    """A synthetic grid of ``count`` beats at fixed tempo, a downbeat every fourth beat."""
     if bpm <= 0 or not math.isfinite(bpm):
         raise InputError(f"bpm {bpm} must be positive and finite")
     if count < 1:
         raise InputError(f"count {count} below 1")
-    if beats_per_bar < 1:
-        raise InputError(f"beats_per_bar {beats_per_bar} below 1")
     period = 60.0 / float(bpm)
     times = first_downbeat_s + period * np.arange(count, dtype=np.float64)
-    flags = np.arange(count) % beats_per_bar == 0
+    flags = np.arange(count) % 4 == 0
     return BeatGrid(times, flags)

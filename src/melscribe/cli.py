@@ -2,8 +2,8 @@
 
 Results go to stdout as one JSON object per invocation; progress and
 warnings go to stderr.  Exit codes: 0 on success, 1 for domain errors
-(bad data, failed parses), 2 for usage errors and for input files that
-are missing, are directories or cannot be read.
+(bad data, failed parses), 2 for usage errors and for input or output
+paths that are missing, are directories or cannot be used.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import htparse
 from .align import AlignmentMap, BeatGrid, refine_alignment
-from .core import KeySignature, Meter, PitchClass, MODES
+from .core import KeySignature, Meter, PitchClass
 from .errors import FormatError, InputError, MelscribeError, ParseError
 from .evaluate import (
     DEFAULT_TOL_S,
@@ -88,8 +88,6 @@ def _parse_key(text: str) -> KeySignature | None:
         raise InputError(
             f"key {text!r} must be 'auto' or '<tonic-pc>:<mode>' like 0:major"
         ) from exc
-    if mode not in MODES:
-        raise InputError(f"mode {mode!r} not one of {MODES}")
     return KeySignature(PitchClass(tonic_pc), mode)
 
 
@@ -106,7 +104,7 @@ def cmd_dataset_convert(args) -> int:
         else:
             raise FileNotFoundError(item)
     artists: dict[str, str] = {}
-    converted = 0
+    sources: dict[str, Path] = {}
     rejected = 0
     for path in paths:
         try:
@@ -115,13 +113,18 @@ def cmd_dataset_convert(args) -> int:
             _info(f"skipped {exc}")
             rejected += 1
             continue
+        if segment.id in sources:
+            _info(f"skipped {path}: duplicate id {segment.id!r}, "
+                  f"already converted from {sources[segment.id]}")
+            rejected += 1
+            continue
+        sources[segment.id] = path
         if artist is not None:
             artists[segment.id] = artist
         htparse.save_segment(out_dir / f"{segment.id}.segment.json", segment)
-        converted += 1
     write_json(out_dir / "artists.json", artists)
-    _emit({"converted": converted, "rejected": rejected, "out": str(out_dir)})
-    return 0 if converted or not rejected else 1
+    _emit({"converted": len(sources), "rejected": rejected, "out": str(out_dir)})
+    return 0 if sources or not rejected else 1
 
 
 def cmd_dataset_split(args) -> int:
@@ -407,7 +410,7 @@ def main(argv=None) -> int:
         _info(f"error: {exc}")
         return 1
     except FileNotFoundError as exc:
-        _info(f"error: missing input: {exc}")
+        _info(f"error: not found: {exc}")
         return 2
     except (IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         _info(f"error: unusable path: {exc}")

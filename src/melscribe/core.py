@@ -68,10 +68,6 @@ class Pitch:
             )
 
     @property
-    def pitch_class(self) -> int:
-        return self.midi % 12
-
-    @property
     def frequency_hz(self) -> float:
         return 440.0 * 2.0 ** ((self.midi - 69) / 12)
 
@@ -328,10 +324,9 @@ class Meter:
 class Segment:
     """An annotated slice of a recording, in tick time.
 
-    ``split`` is None until a dataset split assigns one of
-    "train" / "valid" / "test".  The beat count is derived from the
-    annotation content: the smallest whole-beat span covering every
-    melody and chord tick.
+    ``id`` names the segment's files, so it must be a plain file stem
+    (see ``check_segment_id``).  ``split`` is None until a dataset split
+    assigns one of "train" / "valid" / "test".
     """
 
     id: str
@@ -345,6 +340,7 @@ class Segment:
     chords: tuple[ChordSpan, ...]
 
     def __post_init__(self) -> None:
+        check_segment_id(self.id)
         if self.split not in (None, "train", "valid", "test"):
             raise InputError(f"split {self.split!r} invalid")
         if not (math.isfinite(self.user_start_s) and math.isfinite(self.user_end_s)):
@@ -360,34 +356,16 @@ class Segment:
             if self.chords[i].onset_ticks >= self.chords[i + 1].onset_ticks:
                 raise OrderingError(f"chord onsets not strictly increasing at {i + 1}")
 
-    @property
-    def num_beats(self) -> int:
-        last = int(self.melody.ends.max(initial=0))
-        for span in self.chords:
-            last = max(last, span.end_ticks)
-        return max(1, -(-last // TICKS_PER_BEAT))
 
-    @property
-    def num_ticks(self) -> int:
-        return self.num_beats * TICKS_PER_BEAT
-
-
-def octave_shift(melody: Melody, sigma: int) -> Melody:
-    """Shift every pitch by ``sigma`` octaves, leaving times untouched.
-
-    Raises RangeError naming the first note the shift would push outside
-    the pitch range.
-    """
-    midis = melody.midis + 12 * sigma
-    bad = np.flatnonzero((midis < MIDI_MIN) | (midis > MIDI_MAX))
-    if len(bad):
-        i = bad[0]
-        raise RangeError(
-            f"octave shift {sigma:+d} moves note {i} "
-            f"(midi {melody.midis[i]}) to {midis[i]}, outside "
-            f"{MIDI_MIN}..{MIDI_MAX}"
+def check_segment_id(seg_id: str) -> str:
+    """``seg_id``, refused unless it is a plain file stem: not empty, no
+    ``/`` or ``\\``, no leading ``.``."""
+    if not seg_id or seg_id.startswith(".") or "/" in seg_id or "\\" in seg_id:
+        raise InputError(
+            f"segment id {seg_id!r} is not a plain file name "
+            "(empty, contains / or \\, or starts with .)"
         )
-    return Melody._of_columns(melody.onsets, melody.ends, midis, melody.is_score)
+    return seg_id
 
 
 def octave_shifts(midis: np.ndarray) -> list[int]:

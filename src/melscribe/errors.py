@@ -29,22 +29,10 @@ class FormatError(MelscribeError):
 class ParseError(FormatError):
     """A JSON value breaks its format; ``path`` names it, like ``$.melody[3].midi``."""
 
-    def __init__(self, message: str, path: str = ""):
-        super().__init__(f"{path}: {message}" if path else message)
-        self.path = path
-
-
-class CoverageError(MelscribeError):
-    """Feature frames do not cover the requested sixteenth-note grid."""
+    def __init__(self, message: str, path: str):
+        super().__init__(f"{path}: {message}")
 
 
 class InputError(MelscribeError):
     """Inputs violate a documented precondition."""
 
-
-class InsufficientBeatsError(MelscribeError):
-    """The beat grid runs out of beats after the chosen downbeat."""
-
-    def __init__(self, message: str, available: int):
-        super().__init__(message)
-        self.available = available

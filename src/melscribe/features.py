@@ -31,7 +31,7 @@ import numpy as np
 from . import kernels
 from .align import AlignmentMap, align
 from .core import TICKS_PER_BEAT
-from .errors import CoverageError, FormatError, InputError, ShapeError
+from .errors import FormatError, InputError, ShapeError
 
 SAMPLE_RATE = 16000
 N_FFT = 2048
@@ -86,10 +86,6 @@ class FeatureMatrix:
         return self.frames.shape[0]
 
     @property
-    def dim(self) -> int:
-        return self.frames.shape[1]
-
-    @property
     def frame_times_s(self) -> np.ndarray:
         return self.t0_s + np.arange(self.n_frames, dtype=np.float64) / self.rate_hz
 
@@ -120,10 +116,6 @@ class ResampledFeatures:
     @property
     def num_ticks(self) -> int:
         return self.frames.shape[0]
-
-    @property
-    def num_beats(self) -> int:
-        return self.frames.shape[0] // TICKS_PER_BEAT
 
     @property
     def dim(self) -> int:
@@ -204,11 +196,6 @@ def _mel_to_hz(m):
 def _mel_points() -> np.ndarray:
     """The N_MELS + 2 band edges in Hz, evenly spaced in mel."""
     return _mel_to_hz(np.linspace(_hz_to_mel(FMIN_HZ), _hz_to_mel(FMAX_HZ), N_MELS + 2))
-
-
-def mel_band_centers_hz() -> np.ndarray:
-    """Center frequencies of the 229 mel bands."""
-    return _mel_points()[1:-1]
 
 
 @cache
@@ -439,14 +426,14 @@ def beatwise_resample(feats: FeatureMatrix, amap: AlignmentMap) -> ResampledFeat
     Every frame inside a cell's span contributes to that cell's mean
     (ties on a boundary go to the lower tick); a cell containing no
     frames takes the single nearest frame verbatim.  Raises
-    CoverageError naming the first sixteenth outside the feature span.
+    InputError naming the first sixteenth outside the feature span.
     """
     tick_times, bounds = _cell_boundaries(amap)
     lo, hi = feats.span_s
     inside = (tick_times >= lo) & (tick_times <= hi)
     if not inside.all():
         i = int(np.argmin(inside))
-        raise CoverageError(
+        raise InputError(
             f"sixteenth {i} at {tick_times[i]:.4f}s lies outside feature span "
             f"[{lo:.4f}, {hi:.4f}]s"
         )

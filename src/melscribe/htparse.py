@@ -41,7 +41,7 @@ root_pc, quality}.
 from __future__ import annotations
 
 import warnings
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -61,6 +61,7 @@ from .core import (
     ScoreNote,
     Segment,
     canonical_octave_shift,
+    check_segment_id,
 )
 from .errors import ParseError, RangeError
 from .jsonio import at, check_keys, field, reading, write_json
@@ -198,8 +199,13 @@ def load_functional(path) -> tuple[Segment, str | None]:
         return _functional_segment(obj), artist
 
 
+def _segment_id(obj: dict) -> str:
+    with at("$.id"):
+        return check_segment_id(field(obj, "id", str, "$"))
+
+
 def _functional_segment(obj: dict) -> Segment:
-    seg_id = field(obj, "id", str, "$")
+    seg_id = _segment_id(obj)
     audio_ref = field(obj, "audio_ref", str, "$")
     start_s = field(obj, "start_s", float, "$")
     end_s = field(obj, "end_s", float, "$")
@@ -344,7 +350,7 @@ def load_segment(path) -> Segment:
                 ))
         with at("$"):
             return Segment(
-                id=field(obj, "id", str, "$"),
+                id=_segment_id(obj),
                 audio_ref=field(obj, "audio_ref", str, "$"),
                 split=split,
                 user_start_s=field(obj, "user_start_s", float, "$"),
@@ -357,10 +363,7 @@ def load_segment(path) -> Segment:
 
 
 def stratified_split(
-    segment_ids: Sequence[str],
-    artist_of: Mapping[str, str] | Callable[[str], str],
-    seed: int,
-    ratios: tuple[int, int, int] = SPLIT_RATIOS,
+    segment_ids: Sequence[str], artist_of: Mapping[str, str], seed: int
 ) -> dict[str, str]:
     """Assign segments to train/valid/test, never splitting an artist.
 
@@ -369,11 +372,9 @@ def stratified_split(
     measured against the 8:1:1 targets.  Raises KeyError for a segment
     with no artist mapping.
     """
-    lookup = artist_of if callable(artist_of) else artist_of.__getitem__
     by_artist: dict[str, list[str]] = {}
     for seg_id in segment_ids:
-        artist = lookup(seg_id)
-        by_artist.setdefault(artist, []).append(seg_id)
+        by_artist.setdefault(artist_of[seg_id], []).append(seg_id)
 
     artists = sorted(by_artist)
     rng = np.random.default_rng(seed)
@@ -385,7 +386,7 @@ def stratified_split(
     for artist in artists:
         # Most underfull split relative to its target share; ties take
         # the earlier split in (train, valid, test) order.
-        split = min(SPLITS, key=lambda s: (totals[s] / ratios[SPLITS.index(s)]))
+        split = min(SPLITS, key=lambda s: (totals[s] / SPLIT_RATIOS[SPLITS.index(s)]))
         for seg_id in by_artist[artist]:
             assignment[seg_id] = split
         totals[split] += len(by_artist[artist])

@@ -16,7 +16,6 @@ from .labels import (
     densify_chords,
     densify_melody,
     midi_to_class,
-    one_hot_logits,
     vocab_by_name,
 )
 from .loss import feasible_shifts, log_softmax
@@ -66,7 +65,6 @@ __all__ = [
     "load_checkpoint",
     "log_softmax",
     "midi_to_class",
-    "one_hot_logits",
     "onset_classes",
     "param_names",
     "positional_encoding",

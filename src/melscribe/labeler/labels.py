@@ -169,10 +169,3 @@ def densify_chords(chords: Sequence[ChordSpan], num_beats: int) -> DenseLabelSeq
             )
         classes[span.onset_ticks] = chord_to_class(span.chord)
     return DenseLabelSequence(classes, CHORD_VOCAB)
-
-
-def one_hot_logits(labels: DenseLabelSequence, scale: float = 40.0) -> np.ndarray:
-    """Logits that decode back to exactly these labels at any sane threshold."""
-    out = np.zeros((labels.num_ticks, labels.vocab.n_classes), dtype=np.float32)
-    out[np.arange(labels.num_ticks), labels.classes] = scale
-    return out

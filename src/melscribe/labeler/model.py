@@ -5,8 +5,9 @@ framework dependency and stays bit-reproducible; parameters live in a
 flat dict of named arrays in a fixed canonical order.  Post-layer-norm
 residual blocks, sinusoidal positions, ReLU feed-forward.
 
-Compute dtype follows the parameter dtype: float32 for training,
-float64 when a caller (the gradient check) wants tighter arithmetic.
+Compute dtype follows the parameter dtype: float32 as ``init_params``
+draws them, float64 when a caller (the gradient check) casts them for
+tighter arithmetic.
 """
 
 from __future__ import annotations
@@ -46,18 +47,18 @@ def param_names(cfg: LabelerConfig) -> list[str]:
     return list(param_shapes(cfg))
 
 
-def init_params(cfg: LabelerConfig, dtype=np.float32) -> dict[str, np.ndarray]:
+def init_params(cfg: LabelerConfig) -> dict[str, np.ndarray]:
     """Xavier-uniform weights, zero biases, unit layer-norm gains."""
     rng = np.random.default_rng(cfg.seed)
     params: dict[str, np.ndarray] = {}
     for name, shape in param_shapes(cfg).items():
         if len(shape) == 2:
             limit = np.sqrt(6.0 / (shape[0] + shape[1]))
-            params[name] = rng.uniform(-limit, limit, size=shape).astype(dtype)
+            params[name] = rng.uniform(-limit, limit, size=shape).astype(np.float32)
         elif name.endswith("_g"):
-            params[name] = np.ones(shape, dtype=dtype)
+            params[name] = np.ones(shape, dtype=np.float32)
         else:
-            params[name] = np.zeros(shape, dtype=dtype)
+            params[name] = np.zeros(shape, dtype=np.float32)
     return params
 
 

@@ -179,8 +179,10 @@ def assemble(
     Onsets in seconds snap to the nearest sixteenth with the usual
     collision rules; notes outside the aligned span are dropped with a
     warning.  Tick 0 is the alignment's first beat.  A score-form melody
-    is refused: build its ``LeadSheet`` directly.  When no key is given,
-    the ``LeadSheet`` estimates one from the assembled content.
+    is refused: build its ``LeadSheet`` directly.  Chord ticks pass to
+    the ``LeadSheet`` as given (a numpy integer becomes an ``int``), so
+    both refuse the same ticks.  When no key is given, the ``LeadSheet``
+    estimates one from the assembled content.
     """
     if melody.is_score:
         raise InputError("assemble takes a performance-form (seconds) melody")
@@ -205,7 +207,7 @@ def assemble(
         meter=meter,
         tempo_bpm=tempo_bpm,
         melody=score_melody,
-        chords=tuple((int(t), c) for t, c in chords),
+        chords=tuple((t.item() if isinstance(t, np.integer) else t, c) for t, c in chords),
         total_ticks=total,
     )
 

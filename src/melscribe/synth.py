@@ -27,6 +27,8 @@ ATTACK_S = 0.008
 RELEASE_S = 0.025
 DECAY_TIME_S = 0.7
 PARTIAL_GAIN = 0.18
+#: Silence rendered after the last aligned beat.
+TAIL_S = 0.3
 
 _BEAT_PATTERNS = ((0,), (0, 2), (0, 2), (0,), (2,), (0, 3), (0, 1, 2, 3))
 
@@ -88,16 +90,11 @@ def random_segment(
     return SynthSegment(seg_id, melody, key, amap, bpm, lead_in_s)
 
 
-def render_audio(
-    melody: Melody,
-    amap: AlignmentMap,
-    sample_rate: int = 16000,
-    tail_s: float = 0.3,
-) -> np.ndarray:
+def render_audio(melody: Melody, amap: AlignmentMap, sample_rate: int = 16000) -> np.ndarray:
     """Float32 mono samples covering the aligned span plus a tail."""
     if melody.is_score is False:
         raise InputError("render expects a score-form melody")
-    end_s = align(amap, amap.num_beats) + tail_s
+    end_s = align(amap, amap.num_beats) + TAIL_S
     out = np.zeros(int(round(end_s * sample_rate)), dtype=np.float64)
     onsets = align(amap, melody.onsets / TICKS_PER_BEAT)
     ends = np.minimum(melody.ends, amap.num_beats * TICKS_PER_BEAT)

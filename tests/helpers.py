@@ -1,4 +1,5 @@
-"""Shared test utilities: melody builders, a tiny SMF reader, synthetic data."""
+"""Shared test utilities: melody builders, a tiny SMF reader, synthetic data,
+and the octave shift and one-hot logits the tests build inputs with."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import warnings
 
 import numpy as np
 
-from melscribe.core import TICKS_PER_BEAT, Melody, PerfNote, Pitch, ScoreNote
+from melscribe.core import MIDI_MAX, MIDI_MIN, TICKS_PER_BEAT, Melody, PerfNote, Pitch, ScoreNote
 from melscribe.errors import InputError, RangeError
 from melscribe.features import beatwise_resample, logmel
 from melscribe.labeler import (
@@ -32,6 +33,31 @@ def score(triples) -> Melody:
     return Melody(
         tuple(ScoreNote(int(o), int(d), Pitch(int(m))) for o, d, m in triples)
     )
+
+
+def octave_shift(melody: Melody, sigma: int) -> Melody:
+    """Shift every pitch by ``sigma`` octaves, leaving times untouched.
+
+    Raises RangeError naming the first note the shift would push outside
+    the pitch range.
+    """
+    midis = melody.midis + 12 * sigma
+    bad = np.flatnonzero((midis < MIDI_MIN) | (midis > MIDI_MAX))
+    if len(bad):
+        i = bad[0]
+        raise RangeError(
+            f"octave shift {sigma:+d} moves note {i} "
+            f"(midi {melody.midis[i]}) to {midis[i]}, outside "
+            f"{MIDI_MIN}..{MIDI_MAX}"
+        )
+    return Melody._of_columns(melody.onsets, melody.ends, midis, melody.is_score)
+
+
+def one_hot_logits(labels: DenseLabelSequence, scale: float = 40.0) -> np.ndarray:
+    """Logits that decode back to exactly these labels at any sane threshold."""
+    out = np.zeros((labels.num_ticks, labels.vocab.n_classes), dtype=np.float32)
+    out[np.arange(labels.num_ticks), labels.classes] = scale
+    return out
 
 
 def random_perf(rng, n, midi_lo=40, midi_hi=80, spacing=(0.05, 0.4)) -> Melody:

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from helpers import perf, synth_examples
+from helpers import octave_shift, one_hot_logits, perf, synth_examples
 from melscribe import kernels
 from melscribe.align import AlignmentMap
 from melscribe.core import (
@@ -20,7 +20,6 @@ from melscribe.core import (
     PitchClass,
     SCALE_OFFSETS,
     ScoreNote,
-    octave_shift,
 )
 from melscribe.evaluate import note_f1, octave_invariant_f1, oracle_note_f1
 from melscribe.features import (
@@ -44,7 +43,6 @@ from melscribe.labeler import (
     gradient_check,
     init_params,
     load_checkpoint,
-    one_hot_logits,
     onset_classes,
     reference_melody,
     save_checkpoint,

@@ -14,7 +14,6 @@ from melscribe.align import (
 from melscribe.errors import (
     FormatError,
     InputError,
-    InsufficientBeatsError,
     OrderingError,
     RangeError,
 )
@@ -115,9 +114,8 @@ def test_refine_alignment_tail_extrapolates():
 
 def test_refine_alignment_insufficient_beats():
     g = grid([0.0, 0.5, 1.0], [0])
-    with pytest.raises(InsufficientBeatsError) as info:
+    with pytest.raises(InputError, match="need 4 beats after the downbeat at 0.000s, grid has 2"):
         refine_alignment(g, 0.0, 5)
-    assert info.value.available == 2
     with pytest.raises(InputError):
         refine_alignment(g, 0.0, 0)
 
@@ -134,7 +132,7 @@ def test_refine_alignment_single_beat():
     amap = refine_alignment(g, 2.0, 1)
     assert np.allclose(amap.beat_to_time_s, [2.0, 2.5])
     lone = grid([2.0], [0])
-    with pytest.raises(InsufficientBeatsError):
+    with pytest.raises(InputError, match="one-beat segment needs one detected beat"):
         refine_alignment(lone, 2.0, 1)
 
 
@@ -178,12 +176,10 @@ def test_align_monotone_over_random_grids():
 
 
 def test_constant_tempo_grid():
-    g = constant_tempo_grid(120.0, 1.0, 9, beats_per_bar=4)
+    g = constant_tempo_grid(120.0, 1.0, 9)
     assert np.allclose(g.beat_times_s, 1.0 + 0.5 * np.arange(9))
     assert np.array_equal(np.flatnonzero(g.downbeat_flags), [0, 4, 8])
     with pytest.raises(InputError):
         constant_tempo_grid(0.0, 0.0, 4)
     with pytest.raises(InputError):
         constant_tempo_grid(120.0, 0.0, 0)
-    with pytest.raises(InputError):
-        constant_tempo_grid(120.0, 0.0, 4, beats_per_bar=0)

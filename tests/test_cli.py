@@ -320,6 +320,18 @@ def test_missing_input_exits_2(tmp_path):
     assert code == 2
 
 
+def test_missing_output_directory_exits_2_naming_the_path(corpus, tmp_path, capsys):
+    ly = tmp_path / "nodir" / "out.ly"
+    code, _ = run([
+        "leadsheet", "--transcript", str(corpus["ref"]),
+        "--alignment", str(corpus["data"] / "s00.alignment.json"),
+        "--lilypond", str(ly),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(ly) in err and "input" not in err, err
+
+
 def test_unusable_input_paths_exit_2(corpus, tmp_path):
     commands = [
         ["evaluate", "--estimate", str(tmp_path), "--reference", str(corpus["ref"])],
@@ -457,6 +469,36 @@ def test_convert_skips_bad_documents(tmp_path, capsys):
     ])
     assert code == 1
     assert out["converted"] == 0
+
+
+def test_convert_keeps_segment_files_inside_out(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    (raw / "escape.json").write_text(functional_doc("../escaped", "ann"))
+    out_dir = tmp_path / "out"
+    code, out = run(["dataset", "convert", str(raw), "--out", str(out_dir)])
+    assert code == 1
+    assert out == {"converted": 0, "rejected": 1, "out": str(out_dir)}
+    assert not (tmp_path / "escaped.segment.json").exists()
+    assert sorted(p.name for p in out_dir.iterdir()) == ["artists.json"]
+    err = capsys.readouterr().err
+    assert f"skipped {raw / 'escape.json'}: $.id: segment id '../escaped'" in err, err
+
+
+def test_convert_skips_a_duplicate_id(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    (raw / "a.json").write_text(functional_doc("same", "ann"))
+    (raw / "b.json").write_text(functional_doc("same", "bob", tonic=2))
+    (raw / "c.json").write_text(functional_doc("other", "cat"))
+    out_dir = tmp_path / "out"
+    code, out = run(["dataset", "convert", str(raw), "--out", str(out_dir)])
+    assert code == 0
+    assert out == {"converted": 2, "rejected": 1, "out": str(out_dir)}
+    assert json.loads((out_dir / "artists.json").read_text()) == {"same": "ann", "other": "cat"}
+    assert htparse.load_segment(out_dir / "same.segment.json").key.tonic.pc == 0
+    err = capsys.readouterr().err
+    assert f"skipped {raw / 'b.json'}: duplicate id 'same'" in err, err
 
 
 def test_split_requires_artist_records(tmp_path):

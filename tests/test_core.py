@@ -20,11 +20,10 @@ from melscribe.core import (
     ScoreNote,
     Segment,
     canonical_octave_shift,
-    octave_shift,
 )
 from melscribe.errors import InputError, OrderingError, RangeError
 
-from helpers import perf, score
+from helpers import octave_shift, perf, score
 
 
 def test_pitch_constants():
@@ -46,8 +45,6 @@ def test_pitch_properties():
     assert Pitch(69).frequency_hz == 440.0
     assert Pitch(21).frequency_hz == pytest.approx(27.5)
     assert Pitch(108).frequency_hz == pytest.approx(4186.009, abs=1e-3)
-    assert Pitch(60).pitch_class == 0
-    assert Pitch(70).pitch_class == 10
 
 
 def test_pitch_class_validation():
@@ -155,9 +152,9 @@ def test_meter():
     Meter(2, 1)
 
 
-def _segment(melody=None, chords=(), split=None):
+def _segment(melody=None, chords=(), split=None, seg_id="x"):
     return Segment(
-        id="x",
+        id=seg_id,
         audio_ref="a",
         split=split,
         user_start_s=0.0,
@@ -171,6 +168,11 @@ def _segment(melody=None, chords=(), split=None):
 
 def test_segment_validation():
     _segment(split="train")
+    for seg_id in ("s000", "seg-a", "take.2"):
+        assert _segment(seg_id=seg_id).id == seg_id
+    for seg_id in ("", "../escaped", "a/b", "a\\b", ".hidden", "."):
+        with pytest.raises(InputError, match="not a plain file name"):
+            _segment(seg_id=seg_id)
     with pytest.raises(InputError):
         _segment(split="validation")
     with pytest.raises(InputError):
@@ -186,19 +188,6 @@ def test_segment_validation():
             ChordSpan(4, 4, ChordSymbol(PitchClass(0), "maj")),
             ChordSpan(4, 4, ChordSymbol(PitchClass(5), "maj")),
         ))
-
-
-def test_segment_num_beats_is_derived():
-    assert _segment().num_beats == 1
-    assert _segment(melody=score([(0, 13, 60)])).num_beats == 4
-    assert _segment(melody=score([(0, 16, 60)])).num_beats == 4
-    assert _segment(melody=score([(0, 17, 60)])).num_beats == 5
-    both = _segment(
-        melody=score([(0, 4, 60)]),
-        chords=(ChordSpan(0, 24, ChordSymbol(PitchClass(0), "maj")),),
-    )
-    assert both.num_beats == 6
-    assert both.num_ticks == 24
 
 
 def test_melody_columns():

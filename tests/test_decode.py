@@ -13,9 +13,10 @@ from melscribe.labeler import (
     decode_chords,
     densify_melody,
     midi_to_class,
-    one_hot_logits,
 )
 from melscribe.labeler.decode import class_probabilities, onset_classes
+
+from helpers import one_hot_logits
 
 
 def flat_map(num_beats, seconds_per_beat=0.5):

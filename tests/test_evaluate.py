@@ -4,8 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from helpers import perf, random_perf
-from melscribe.core import Melody, Pitch, PerfNote, ScoreNote, octave_shift
+from helpers import octave_shift, perf, random_perf
+from melscribe.core import Melody, Pitch, PerfNote, ScoreNote
 from melscribe.errors import FormatError, InputError, OrderingError, RangeError
 from melscribe.evaluate import (
     DEFAULT_TOL_S,

@@ -16,11 +16,10 @@ from melscribe.labeler import (
     densify_chords,
     densify_melody,
     midi_to_class,
-    one_hot_logits,
     vocab_by_name,
 )
 
-from helpers import densify_per_note, score
+from helpers import densify_per_note, one_hot_logits, score
 
 
 def test_vocabularies():

@@ -249,6 +249,21 @@ def test_assemble_checks_chord_ticks_before_estimating_the_key():
                 assemble(melody, chords, amap, FOUR_FOUR, key)
 
 
+def test_assemble_and_lead_sheet_refuse_the_same_chord_ticks():
+    amap = AlignmentMap([0.0, 0.5, 1.0, 1.5, 2.0])
+    c = ChordSymbol(PitchClass(0), "maj")
+    melody = perf([(0.0, 60), (1.0, 64)])
+    for tick in (2.7, 2.0, True, np.float64(2.0)):
+        message = f"chord onset {re.escape(repr(tick))} must be an integer tick"
+        with pytest.raises(InputError, match=message):
+            assemble(melody, [(tick, c)], amap, FOUR_FOUR, C_MAJOR)
+        with pytest.raises(InputError, match=message):
+            sheet(Melody(()), chords=[(tick, c)], total=16)
+    for tick in (np.int64(2), np.int32(2), np.uint8(2)):
+        sh = assemble(melody, [(tick, c)], amap, FOUR_FOUR, C_MAJOR)
+        assert sh.chords == ((2, c),) and type(sh.chords[0][0]) is int
+
+
 def test_assemble_refuses_a_score_form_melody():
     amap = AlignmentMap([0.0, 0.5, 1.0, 1.5, 2.0])
     with pytest.raises(InputError, match="performance-form"):

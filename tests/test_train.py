@@ -3,7 +3,7 @@ import zlib
 import numpy as np
 import pytest
 
-from helpers import synth_examples
+from helpers import one_hot_logits, synth_examples
 from melscribe.align import AlignmentMap
 from melscribe.errors import InputError, ShapeError
 from melscribe.labeler import (
@@ -12,7 +12,6 @@ from melscribe.labeler import (
     LabelerConfig,
     TrainExample,
     TrainSettings,
-    one_hot_logits,
     reference_melody,
     train,
     validation_f1,
