@@ -28,31 +28,20 @@ from .evaluate import (
 )
 from .features import (
     FeatureMatrix,
+    ResampledFeatures,
     beatwise_resample,
-    load_features,
-    load_resampled,
     load_wav,
     logmel,
     read_ssft,
-    save_features,
-    save_resampled,
+    write_ssft,
 )
 from .jsonio import field, reading, write_json
-from .labeler import (
-    DESK_CONFIG,
-    FULL_CONFIG,
-    LabelerConfig,
-    TrainExample,
-    TrainSettings,
-    decode,
-    decode_chords,
-    densify_chords,
-    densify_melody,
-    forward_windowed,
-    load_checkpoint,
-    save_checkpoint,
-    train,
-)
+from .labeler.checkpoint import load_checkpoint, save_checkpoint
+from .labeler.config import DESK_CONFIG, FULL_CONFIG, LabelerConfig
+from .labeler.decode import decode, decode_chords
+from .labeler.labels import densify_chords, densify_melody
+from .labeler.model import forward_windowed
+from .labeler.train import TrainExample, TrainSettings, train
 from .leadsheet import (
     assemble,
     emit_lilypond,
@@ -168,7 +157,7 @@ def _mel_one(job: tuple[str, str]) -> tuple[str, int]:
     audio_path, out_path = job
     samples, rate = load_wav(audio_path)
     feats = logmel(samples, rate)
-    save_features(out_path, feats)
+    write_ssft(out_path, feats)
     return out_path, feats.n_frames
 
 
@@ -194,17 +183,17 @@ def cmd_features_mel(args) -> int:
 
 
 def cmd_features_resample(args) -> int:
-    feats = load_features(args.features)
+    feats = read_ssft(args.features, FeatureMatrix)
     amap = AlignmentMap.load(args.alignment)
     resampled = beatwise_resample(feats, amap)
-    save_resampled(args.out, resampled)
+    write_ssft(args.out, resampled)
     _emit({"ticks": resampled.num_ticks, "dim": resampled.dim, "out": str(args.out)})
     return 0
 
 
 def _labeler_config(name: str, vocab: str, seed: int) -> LabelerConfig:
     base = {"desk": DESK_CONFIG, "full": FULL_CONFIG}[name]
-    return LabelerConfig.from_dict({**base.to_dict(), "vocab": vocab, "seed": seed})
+    return dataclasses.replace(base, vocab=vocab, seed=seed)
 
 
 def cmd_train(args) -> int:
@@ -220,7 +209,7 @@ def cmd_train(args) -> int:
             raise InputError(f"{segment.id}: segment has no split; run dataset split")
         stem = data_dir / segment.id
         amap = AlignmentMap.load(f"{stem}.alignment.json")
-        resampled = load_resampled(f"{stem}.features.ssft")
+        resampled = read_ssft(f"{stem}.features.ssft", ResampledFeatures)
         if args.vocab == "melody":
             labels = densify_melody(segment.melody, amap.num_beats)
         else:

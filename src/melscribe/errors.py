@@ -5,6 +5,8 @@ Every error deliberately raised by melscribe derives from
 domain failures from genuine bugs.
 """
 
+from contextlib import contextmanager
+
 
 class MelscribeError(Exception):
     """Base class for all errors raised by this package."""
@@ -36,3 +38,14 @@ class ParseError(FormatError):
 class InputError(MelscribeError):
     """Inputs violate a documented precondition."""
 
+
+@contextmanager
+def in_file(path):
+    """Every file reader decodes inside this, so each error names its file once.
+
+    A MelscribeError becomes one FormatError ``"{path}: {message}"``; OSError passes.
+    """
+    try:
+        yield
+    except MelscribeError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

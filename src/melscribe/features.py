@@ -15,8 +15,8 @@ The on-disk container is SSFT, a little-endian binary layout::
     t0_s    f64      center time of frame 0
     data    n * dim float32, row-major
 
-Writers refuse non-finite values; readers validate the header and the
-exact payload length.
+``write_ssft`` writes either kind and refuses non-finite values;
+``read_ssft`` validates the header and the exact payload length.
 """
 
 from __future__ import annotations
@@ -24,14 +24,14 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
 from . import kernels
 from .align import AlignmentMap, align
 from .core import TICKS_PER_BEAT
-from .errors import FormatError, InputError, ShapeError
+from .errors import FormatError, InputError, ShapeError, in_file
 
 SAMPLE_RATE = 16000
 N_FFT = 2048
@@ -130,30 +130,35 @@ def load_wav(path) -> tuple[np.ndarray, int]:
     WAVE_FORMAT_EXTENSIBLE, with any number of channels, which are
     averaged.  Chunks other than ``fmt `` and ``data`` are skipped.
     Anything else (RIFX, RF64, 64-bit PCM, compressed formats, truncated
-    chunks, a partial frame) raises FormatError; OSError passes through.
+    chunks, a partial frame, no samples) raises FormatError naming the
+    file; OSError passes through.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
+    with in_file(path):
+        return _wav_samples(blob)
+
+
+def _wav_samples(blob: bytes) -> tuple[np.ndarray, int]:
     if blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
-        raise FormatError(f"{path}: not a little-endian RIFF WAVE file")
+        raise FormatError("not a little-endian RIFF WAVE file")
     chunks: dict[bytes, tuple[int, int]] = {}
     pos = 12
     while pos < len(blob):
         if pos + 8 > len(blob):
-            raise FormatError(f"{path}: truncated chunk header at byte {pos}")
+            raise FormatError(f"truncated chunk header at byte {pos}")
         chunk_id, size = _RIFF_CHUNK.unpack_from(blob, pos)
         if pos + 8 + size > len(blob):
             raise FormatError(
-                f"{path}: chunk {chunk_id!r} holds {len(blob) - pos - 8} bytes, "
-                f"header says {size}"
+                f"chunk {chunk_id!r} holds {len(blob) - pos - 8} bytes, header says {size}"
             )
         chunks.setdefault(chunk_id, (pos + 8, size))
         pos += 8 + size + size % 2  # an odd-sized chunk is followed by a pad byte
     if b"fmt " not in chunks or b"data" not in chunks:
-        raise FormatError(f"{path}: no 'fmt ' or no 'data' chunk")
+        raise FormatError("no 'fmt ' or no 'data' chunk")
     at, size = chunks[b"fmt "]
     if size < _WAV_FORMAT.size:
-        raise FormatError(f"{path}: 'fmt ' chunk of {size} bytes")
+        raise FormatError(f"'fmt ' chunk of {size} bytes")
     tag, channels, rate, _, frame_bytes, _ = _WAV_FORMAT.unpack_from(blob, at)
     if tag == 0xFFFE and size >= 40 and blob[at + 28 : at + 40] == _SUBFORMAT_GUID_TAIL:
         tag = int.from_bytes(blob[at + 24 : at + 28], "little")
@@ -161,14 +166,13 @@ def load_wav(path) -> tuple[np.ndarray, int]:
     dtype = _WAV_DTYPES.get((tag, width))
     if dtype is None or width * channels != frame_bytes:
         raise FormatError(
-            f"{path}: unsupported WAV format (tag {tag:#x}, {channels} channels, "
-            f"{frame_bytes}-byte frames)"
+            f"unsupported WAV format (tag {tag:#x}, {channels} channels, {frame_bytes}-byte frames)"
         )
     at, size = chunks[b"data"]
     if size % frame_bytes:
-        raise FormatError(f"{path}: {size} data bytes are not whole {frame_bytes}-byte frames")
+        raise FormatError(f"{size} data bytes are not whole {frame_bytes}-byte frames")
     if size == 0:
-        raise InputError(f"WAV file {path} holds no samples")
+        raise FormatError("WAV file holds no samples")
     raw = np.frombuffer(blob, np.uint8, size, at)
     if width == 3:  # left-justify into int32, so it scales by 2**31 as 32-bit PCM does
         wide = np.zeros((size // 3, 4), np.uint8)
@@ -329,9 +333,12 @@ def logmel(samples: np.ndarray, sample_rate_hz: int) -> FeatureMatrix:
     return FeatureMatrix(rate_hz=SAMPLE_RATE / HOP, frames=out, t0_s=0.0)
 
 
-def _write_ssft(path, frames: np.ndarray, rate_hz: float, t0_s: float) -> None:
+def write_ssft(path, feats: FeatureMatrix | ResampledFeatures) -> None:
+    """Write features of either kind; tick-indexed rows store rate 0 and t0 0."""
+    ticks = isinstance(feats, ResampledFeatures)
+    rate_hz, t0_s = (0.0, 0.0) if ticks else (feats.rate_hz, feats.t0_s)
     with np.errstate(over="ignore"):  # a float32 overflow is refused just below
-        frames = np.ascontiguousarray(frames, dtype=np.float32)
+        frames = np.ascontiguousarray(feats.frames, dtype=np.float32)
     if not np.all(np.isfinite(frames)):
         raise InputError("refusing to write non-finite features")
     n, dim = frames.shape
@@ -341,55 +348,46 @@ def _write_ssft(path, frames: np.ndarray, rate_hz: float, t0_s: float) -> None:
         fh.write(frames.astype("<f4", copy=False).tobytes())
 
 
-def read_ssft(path) -> FeatureMatrix | ResampledFeatures:
-    """Read an SSFT file of either kind; a rate of 0 marks tick-indexed rows."""
+def read_ssft(path, kind=None) -> FeatureMatrix | ResampledFeatures:
+    """Read an SSFT file of either kind; a rate of 0 marks tick-indexed rows.
+
+    ``kind``, FeatureMatrix or ResampledFeatures, refuses a file of the
+    other kind.  Every fault raises FormatError naming the file.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < _SSFT_HEADER.size:
-        raise FormatError(f"{path}: truncated SSFT header")
-    magic, version, rate, dim, n, t0 = _SSFT_HEADER.unpack_from(blob)
-    if magic != SSFT_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != SSFT_VERSION:
-        raise FormatError(f"{path}: unsupported SSFT version {version}")
-    expected = _SSFT_HEADER.size + 4 * dim * n
-    if len(blob) != expected:
-        raise FormatError(
-            f"{path}: payload is {len(blob) - _SSFT_HEADER.size} bytes, "
-            f"header implies {expected - _SSFT_HEADER.size}"
-        )
-    data = np.frombuffer(blob, dtype="<f4", offset=_SSFT_HEADER.size)
-    frames = data.reshape(n, dim).copy()
-    if not np.all(np.isfinite(frames)):
-        raise FormatError(f"{path}: payload contains non-finite values")
-    if rate == 0.0:
-        return ResampledFeatures(frames)
-    return FeatureMatrix(rate_hz=rate, frames=frames, t0_s=t0)
+    with in_file(path):
+        if len(blob) < _SSFT_HEADER.size:
+            raise FormatError("truncated SSFT header")
+        magic, version, rate, dim, n, t0 = _SSFT_HEADER.unpack_from(blob)
+        if magic != SSFT_MAGIC:
+            raise FormatError(f"bad magic {magic!r}")
+        if version != SSFT_VERSION:
+            raise FormatError(f"unsupported SSFT version {version}")
+        payload = len(blob) - _SSFT_HEADER.size
+        if payload != 4 * dim * n:
+            raise FormatError(f"payload is {payload} bytes, header implies {4 * dim * n}")
+        data = np.frombuffer(blob, dtype="<f4", offset=_SSFT_HEADER.size)
+        frames = data.reshape(n, dim).copy()
+        if not np.all(np.isfinite(frames)):
+            raise FormatError("payload contains non-finite values")
+        if rate == 0.0:
+            feats = ResampledFeatures(frames)
+        else:
+            feats = FeatureMatrix(rate_hz=rate, frames=frames, t0_s=t0)
+        if kind is not None and not isinstance(feats, kind):
+            raise FormatError(
+                "holds tick-indexed rows (rate 0), not fixed-rate frames" if rate == 0.0
+                else f"holds fixed-rate frames ({rate} Hz), not tick-indexed rows"
+            )
+        return feats
 
 
-def save_features(path, feats: FeatureMatrix) -> None:
-    _write_ssft(path, feats.frames, feats.rate_hz, feats.t0_s)
-
-
-def load_features(path) -> FeatureMatrix:
-    feats = read_ssft(path)
-    if not isinstance(feats, FeatureMatrix):
-        raise FormatError(f"{path} holds tick-indexed rows (rate 0); use load_resampled")
-    return feats
-
-
-def save_resampled(path, resampled: ResampledFeatures) -> None:
-    """Write tick-indexed features in the same container, rate 0 as marker."""
-    _write_ssft(path, resampled.frames, 0.0, 0.0)
-
-
-def load_resampled(path) -> ResampledFeatures:
-    feats = read_ssft(path)
-    if not isinstance(feats, ResampledFeatures):
-        raise FormatError(
-            f"{path} holds fixed-rate frames ({feats.rate_hz} Hz); use load_features"
-        )
-    return feats
+# perfbench/workloads.py imports these four names; they go when perfbench
+# calls write_ssft and read_ssft.
+save_features = save_resampled = write_ssft
+load_features = partial(read_ssft, kind=FeatureMatrix)
+load_resampled = partial(read_ssft, kind=ResampledFeatures)
 
 
 def _cell_boundaries(amap: AlignmentMap) -> tuple[np.ndarray, np.ndarray]:

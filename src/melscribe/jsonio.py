@@ -15,10 +15,10 @@ so the rules are the same for each format:
   path of that value.
 
 A format's reader decodes inside ``with reading(path) as obj:``, which
-turns every ``MelscribeError`` into one ``FormatError`` naming the file,
-so each message names the file once and the JSON path where the fault
-has one; the CLI exits 1 on it. Bytes that are not UTF-8 or not JSON
-raise ``FormatError`` as well.
+parses inside ``errors.in_file(path)``: every ``MelscribeError`` becomes
+one ``FormatError`` naming the file, so each message names the file once
+and the JSON path where the fault has one; the CLI exits 1 on it. Bytes
+that are not UTF-8 or not JSON raise ``FormatError`` as well.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import FormatError, InputError, MelscribeError, OrderingError, ParseError, RangeError
+from .errors import FormatError, InputError, OrderingError, ParseError, RangeError, in_file
 
 #: Element types, array dtype and name of the two ``column`` kinds.
 _COLUMNS = {
@@ -39,21 +39,19 @@ _COLUMNS = {
 
 @contextmanager
 def reading(path):
-    """Parse a UTF-8 JSON file for a decoder in the block; errors name the file once.
+    """Parse a UTF-8 JSON file for a decoder in the block, inside ``in_file(path)``.
 
     ``ValueError`` covers ``JSONDecodeError``, ``UnicodeDecodeError`` and an
     integer literal longer than Python's int conversion limit;
     ``RecursionError`` covers nesting deeper than the parser's stack.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (ValueError, RecursionError) as exc:
-        raise FormatError(f"{path}: invalid JSON: {exc}") from exc
-    try:
+    with in_file(path):
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                obj = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise FormatError(f"invalid JSON: {exc}") from exc
         yield obj
-    except MelscribeError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
 
 
 @contextmanager

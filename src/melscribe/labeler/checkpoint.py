@@ -8,18 +8,23 @@ same model twice yields byte-identical files.
 The header's config also carries ``"standardize_input": true`` and
 ``"use_positions": true``: the model always standardizes its input and
 adds positional encodings, and a header that says otherwise is refused.
+Every other config field is read as the JSON kind of its default, and
+every fault raises FormatError naming the file and, in the header, the
+JSON path.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import FormatError, ShapeError
-from ..jsonio import check_keys, column, field
+from ..errors import FormatError, ParseError, ShapeError, in_file
+from ..jsonio import at, check_keys, column, field
 from .config import LabelerConfig
 from .model import param_names, param_shapes
 
@@ -27,6 +32,8 @@ MAGIC = b"MSCK"
 VERSION = 1
 _PREFIX = struct.Struct("<4sII")
 _FIXED_SWITCHES = ("standardize_input", "use_positions")
+#: Each config field and the JSON kind it is read as, the kind of its default.
+_CONFIG_KINDS = {f.name: type(f.default) for f in fields(LabelerConfig)}
 
 
 def save_checkpoint(
@@ -49,7 +56,7 @@ def save_checkpoint(
         tensors.append({"name": name, "shape": list(arr.shape)})
         blobs.append(arr.tobytes())
     header = {
-        "config": {**cfg.to_dict(), **dict.fromkeys(_FIXED_SWITCHES, True)},
+        "config": {**asdict(cfg), **dict.fromkeys(_FIXED_SWITCHES, True)},
         "step": int(step),
         "tau": float(tau),
         "tensors": tensors,
@@ -66,26 +73,29 @@ def load_checkpoint(
     path: str | Path,
 ) -> tuple[LabelerConfig, dict[str, np.ndarray], float, int]:
     raw = Path(path).read_bytes()
-    if len(raw) < _PREFIX.size:
-        raise FormatError(f"{path}: truncated checkpoint")
-    magic, version, head_len = _PREFIX.unpack_from(raw)
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    if len(raw) < _PREFIX.size + head_len:
-        raise FormatError(f"{path}: header extends past end of file")
-    try:
-        header = json.loads(raw[_PREFIX.size : _PREFIX.size + head_len])
-    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
-        raise FormatError(f"{path}: invalid checkpoint header: {exc}") from exc
-    try:
+    with in_file(path):
+        if len(raw) < _PREFIX.size:
+            raise FormatError("truncated checkpoint")
+        magic, version, head_len = _PREFIX.unpack_from(raw)
+        if magic != MAGIC:
+            raise FormatError(f"bad magic {magic!r}")
+        if version != VERSION:
+            raise FormatError(f"unsupported checkpoint version {version}")
+        if len(raw) < _PREFIX.size + head_len:
+            raise FormatError("header extends past end of file")
+        try:
+            header = json.loads(raw[_PREFIX.size : _PREFIX.size + head_len])
+        except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
+            raise FormatError(f"invalid checkpoint header: {exc}") from exc
         check_keys(header, ("config", "step", "tau", "tensors"), "$")
-        config = dict(field(header, "config", dict, "$"))
+        config = field(header, "config", dict, "$")
+        check_keys(config, _CONFIG_KINDS, "$.config", optional=_FIXED_SWITCHES)
         for key in _FIXED_SWITCHES:
-            if config.pop(key, None) is not True:
-                raise FormatError(f"$.config.{key}: must be true")
-        cfg = LabelerConfig.from_dict(config)
+            if config.get(key) is not True:
+                raise ParseError("must be true", f"$.config.{key}")
+        with at("$.config"):
+            cfg = LabelerConfig(**{key: field(config, key, kind, "$.config")
+                                   for key, kind in _CONFIG_KINDS.items()})
         tau = field(header, "tau", float, "$")
         step = field(header, "step", int, "$")
         shapes = param_shapes(cfg)
@@ -95,29 +105,27 @@ def load_checkpoint(
             check_keys(tensor, ("name", "shape"), where)
             shape = column(field(tensor, "shape", list, where), int, f"{where}.shape")
             listed.append((field(tensor, "name", str, where), tuple(shape.tolist())))
-    except (FormatError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"{path}: malformed checkpoint header: {exc}") from exc
 
-    if [name for name, _ in listed] != list(shapes):
-        raise FormatError(f"{path}: tensor list does not match the stored config")
-    for name, shape in listed:
-        if shape != shapes[name]:
-            raise FormatError(
-                f"{path}: tensor {name} has shape {list(shape)}, "
-                f"the stored config implies {list(shapes[name])}"
-            )
+        if [name for name, _ in listed] != list(shapes):
+            raise FormatError("tensor list does not match the stored config")
+        for name, shape in listed:
+            if shape != shapes[name]:
+                raise FormatError(
+                    f"tensor {name} has shape {list(shape)}, "
+                    f"the stored config implies {list(shapes[name])}"
+                )
 
-    params: dict[str, np.ndarray] = {}
-    offset = _PREFIX.size + head_len
-    for name, shape in shapes.items():
-        end = offset + 4 * int(np.prod(shape))
-        if end > len(raw):
-            raise FormatError(f"{path}: tensor {name} overruns the file")
-        arr = np.frombuffer(raw[offset:end], dtype="<f4").reshape(shape)
-        if not np.all(np.isfinite(arr)):
-            raise FormatError(f"{path}: tensor {name} has non-finite values")
-        params[name] = arr.astype(np.float32)
-        offset = end
-    if offset != len(raw):
-        raise FormatError(f"{path}: {len(raw) - offset} trailing bytes")
+        params: dict[str, np.ndarray] = {}
+        offset = _PREFIX.size + head_len
+        for name, shape in shapes.items():
+            end = offset + 4 * math.prod(shape)  # exact, so a huge shape overruns
+            if end > len(raw):
+                raise FormatError(f"tensor {name} overruns the file")
+            arr = np.frombuffer(raw[offset:end], dtype="<f4").reshape(shape)
+            if not np.all(np.isfinite(arr)):
+                raise FormatError(f"tensor {name} has non-finite values")
+            params[name] = arr.astype(np.float32)
+            offset = end
+        if offset != len(raw):
+            raise FormatError(f"{len(raw) - offset} trailing bytes")
     return cfg, params, tau, step

@@ -46,6 +46,8 @@ class LabelerConfig:
     def head_dim(self) -> int:
         return self.model_dim // self.heads
 
+    # perfbench/inputs.py calls these two; they go when perfbench uses
+    # dataclasses.replace.
     def to_dict(self) -> dict:
         return asdict(self)
 

@@ -12,12 +12,8 @@ import numpy as np
 from melscribe.core import MIDI_MAX, MIDI_MIN, TICKS_PER_BEAT, Melody, PerfNote, Pitch, ScoreNote
 from melscribe.errors import InputError, RangeError
 from melscribe.features import beatwise_resample, logmel
-from melscribe.labeler import (
-    MELODY_VOCAB,
-    DenseLabelSequence,
-    TrainExample,
-    densify_melody,
-)
+from melscribe.labeler.labels import DenseLabelSequence, MELODY_VOCAB, densify_melody
+from melscribe.labeler.train import TrainExample
 from melscribe.synth import random_segment, render_audio
 
 

@@ -27,29 +27,18 @@ from melscribe.features import (
     _cell_boundaries,
     _frame_starts,
     beatwise_resample,
-    load_features,
     logmel,
-    save_features,
+    read_ssft,
+    write_ssft,
 )
-from melscribe.labeler import (
-    DESK_CONFIG,
-    MELODY_VOCAB,
-    TrainSettings,
-    decode,
-    densify,
-    densify_melody,
-    feasible_shifts,
-    forward_windowed,
-    gradient_check,
-    init_params,
-    load_checkpoint,
-    onset_classes,
-    reference_melody,
-    save_checkpoint,
-    train,
-)
-from melscribe.labeler.loss import _loss_and_grad
-from melscribe.labeler.train import DEFAULT_THRESHOLDS
+from melscribe.labeler.checkpoint import load_checkpoint, save_checkpoint
+from melscribe.labeler.config import DESK_CONFIG
+from melscribe.labeler.decode import decode, onset_classes
+from melscribe.labeler.gradcheck import gradient_check
+from melscribe.labeler.labels import MELODY_VOCAB, densify, densify_melody
+from melscribe.labeler.loss import _loss_and_grad, feasible_shifts
+from melscribe.labeler.model import forward_windowed, init_params
+from melscribe.labeler.train import DEFAULT_THRESHOLDS, TrainSettings, reference_melody, train
 from melscribe.leadsheet import LeadSheet, emit_lilypond, emit_midi, estimate_key
 from melscribe.synth import random_segment
 
@@ -263,11 +252,11 @@ def test_criterion_8_determinism_and_formats(tmp_path):
     rng = np.random.default_rng(1008)
     audio = rng.normal(scale=0.1, size=16000 * 2).astype(np.float64)
     feats = logmel(audio, 16000)
-    save_features(tmp_path / "a.ssft", feats)
-    back = load_features(tmp_path / "a.ssft")
+    write_ssft(tmp_path / "a.ssft", feats)
+    back = read_ssft(tmp_path / "a.ssft", FeatureMatrix)
     assert np.array_equal(back.frames, feats.frames)
     assert (back.rate_hz, back.t0_s) == (feats.rate_hz, feats.t0_s)
-    save_features(tmp_path / "b.ssft", feats)
+    write_ssft(tmp_path / "b.ssft", feats)
     assert (tmp_path / "a.ssft").read_bytes() == (tmp_path / "b.ssft").read_bytes()
 
     # checkpoint round trip is bit-exact and byte-stable

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import subprocess
 import sys
@@ -7,14 +8,12 @@ import numpy as np
 import pytest
 
 from melscribe.align import AlignmentMap
+from melscribe.cli import main
 from melscribe.errors import FormatError, ShapeError
-from melscribe.features import ResampledFeatures, save_resampled
-from melscribe.labeler import (
-    LabelerConfig,
-    init_params,
-    load_checkpoint,
-    save_checkpoint,
-)
+from melscribe.features import ResampledFeatures, write_ssft
+from melscribe.labeler.checkpoint import load_checkpoint, save_checkpoint
+from melscribe.labeler.config import LabelerConfig
+from melscribe.labeler.model import init_params
 
 CFG = LabelerConfig(layers=1, model_dim=16, heads=2, ff_dim=32, input_dim=8)
 
@@ -84,7 +83,7 @@ def test_load_rejects_corruption(tmp_path):
     def expect(data, pattern):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(data)
-        with pytest.raises(FormatError, match=pattern):
+        with pytest.raises(FormatError, match=rf"bad\.ckpt: .*{pattern}"):
             load_checkpoint(bad)
 
     expect(raw[:6], "truncated")
@@ -99,7 +98,7 @@ def test_load_rejects_corruption(tmp_path):
     expect(raw[:12] + b"{" * head_len + raw[12 + head_len :], "invalid")
     # valid JSON, wrong structure
     fake = json.dumps({"config": None}).encode()
-    expect(raw[:4] + struct.pack("<II", 1, len(fake)) + fake, "malformed")
+    expect(raw[:4] + struct.pack("<II", 1, len(fake)) + fake, r"\$: missing field 'step'")
 
 
 def test_load_rejects_header_payload_mismatch(tmp_path):
@@ -158,7 +157,7 @@ def test_load_rejects_malformed_tensor_list(tmp_path):
         def edit(header, tensors=tensors):
             header["tensors"] = tensors
         path.write_bytes(rewrite_header(raw, edit))
-        with pytest.raises(FormatError, match="malformed"):
+        with pytest.raises(FormatError, match=r"m\.ckpt: \$\.tensors"):
             load_checkpoint(path)
 
 
@@ -188,7 +187,7 @@ def test_transcribe_with_mis_shaped_checkpoint_exits_1(tmp_path):
     path = tmp_path / "m.ckpt"
     write_ckpt(path)
     path.write_bytes(rewrite_header(path.read_bytes(), swap_w_in_shape))
-    save_resampled(tmp_path / "f.ssft", ResampledFeatures(np.zeros((8, CFG.input_dim))))
+    write_ssft(tmp_path / "f.ssft", ResampledFeatures(np.zeros((8, CFG.input_dim))))
     AlignmentMap([0.0, 0.5, 1.0]).save(tmp_path / "a.json")
     proc = subprocess.run(
         [sys.executable, "-m", "melscribe.cli", "transcribe", "--checkpoint", str(path),
@@ -199,3 +198,65 @@ def test_transcribe_with_mis_shaped_checkpoint_exits_1(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "w_in" in proc.stderr
+
+
+CONFIG_FAULTS = [
+    ("model_dim", 16.0, r"\$\.config\.model_dim: field 'model_dim' must be an integer"),
+    ("heads", True, r"\$\.config\.heads: field 'heads' must be an integer"),
+    ("max_ticks", 2.5, r"\$\.config\.max_ticks: field 'max_ticks' must be an integer"),
+    ("layers", 0, r"\$\.config: all size fields must be at least 1"),
+    ("vocab", "drums", r"\$\.config: unknown vocabulary 'drums'"),
+]
+
+
+@pytest.mark.parametrize("key, value, message", CONFIG_FAULTS,
+                         ids=[key for key, _, _ in CONFIG_FAULTS])
+def test_load_names_the_file_and_config_path_of_a_bad_field(tmp_path, key, value, message):
+    path = tmp_path / "m.ckpt"
+    write_ckpt(path)
+    path.write_bytes(rewrite_header(path.read_bytes(), lambda h: h["config"].update({key: value})))
+    with pytest.raises(FormatError, match=re.escape(str(path)) + ": " + message):
+        load_checkpoint(path)
+
+
+def test_load_refuses_unknown_and_missing_config_fields(tmp_path):
+    path = tmp_path / "m.ckpt"
+    write_ckpt(path)
+    raw = path.read_bytes()
+    path.write_bytes(rewrite_header(raw, lambda h: h["config"].update({"depth": 3})))
+    with pytest.raises(FormatError, match=r"m\.ckpt: \$\.config: unknown fields \['depth'\]"):
+        load_checkpoint(path)
+    path.write_bytes(rewrite_header(raw, lambda h: h["config"].pop("dropout")))
+    with pytest.raises(FormatError, match=r"m\.ckpt: \$\.config: missing field 'dropout'"):
+        load_checkpoint(path)
+
+
+def test_transcribe_exits_1_naming_the_checkpoint_on_a_bad_config_field(tmp_path, capsys):
+    good = tmp_path / "good.ckpt"
+    write_ckpt(good)
+    write_ssft(tmp_path / "f.ssft", ResampledFeatures(np.zeros((8, CFG.input_dim))))
+    AlignmentMap([0.0, 0.5, 1.0]).save(tmp_path / "a.json")
+    path = tmp_path / "m.ckpt"
+    for key, value, message in CONFIG_FAULTS:
+        path.write_bytes(rewrite_header(good.read_bytes(),
+                                        lambda h: h["config"].update({key: value})))
+        code = main(["transcribe", "--checkpoint", str(path), "--features",
+                     str(tmp_path / "f.ssft"), "--alignment", str(tmp_path / "a.json"),
+                     "--out", str(tmp_path / "est.json")])
+        err = capsys.readouterr().err
+        assert code == 1, (key, err)
+        assert re.match("error: " + re.escape(str(path)) + ": " + message, err), err
+        assert not (tmp_path / "est.json").exists()
+
+
+def test_load_refuses_a_shape_whose_size_overflows_int64(tmp_path):
+    path = tmp_path / "m.ckpt"
+    write_ckpt(path)
+
+    def huge_input(header):  # 2**60 * 16 floats wraps to 0 in int64
+        header["config"]["input_dim"] = 2**60
+        header["tensors"][0]["shape"] = [2**60, CFG.model_dim]
+
+    path.write_bytes(rewrite_header(path.read_bytes(), huge_input))
+    with pytest.raises(FormatError, match=r"m\.ckpt: tensor w_in overruns the file"):
+        load_checkpoint(path)

@@ -10,7 +10,8 @@ import pytest
 from melscribe import htparse
 from melscribe.align import AlignmentMap
 from melscribe.cli import main
-from melscribe.labeler import densify_melody, reference_melody
+from melscribe.labeler.labels import densify_melody
+from melscribe.labeler.train import reference_melody
 from melscribe.synth import render_audio, write_wav
 
 

@@ -8,7 +8,9 @@ except MelscribeError subclasses; the CLI turns those into exit code 1
 without a traceback.
 """
 
+import functools
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -24,20 +26,15 @@ from melscribe.evaluate import load_transcript, save_transcript
 from melscribe.features import (
     FeatureMatrix,
     ResampledFeatures,
-    load_features,
-    load_resampled,
     load_wav,
-    save_features,
-    save_resampled,
+    read_ssft,
+    write_ssft,
 )
-from melscribe.labeler import (
-    LabelerConfig,
-    densify_melody,
-    init_params,
-    load_checkpoint,
-    reference_melody,
-    save_checkpoint,
-)
+from melscribe.labeler.checkpoint import load_checkpoint, save_checkpoint
+from melscribe.labeler.config import LabelerConfig
+from melscribe.labeler.labels import densify_melody
+from melscribe.labeler.model import init_params
+from melscribe.labeler.train import reference_melody
 from melscribe.leadsheet import load_chord_changes
 from melscribe.synth import write_wav
 
@@ -62,8 +59,8 @@ def assert_fails_closed(load, path, variants):
         path.write_bytes(data)
         try:
             load(path)
-        except MelscribeError:
-            pass
+        except MelscribeError as exc:  # the CLI prints it, so it must name the file
+            assert str(path) in str(exc), f"{exc!r} does not name {path}"
         except Exception as exc:  # anything else would reach the user as a traceback
             pytest.fail(f"{exc!r} escaped loading {len(data)} bytes: {data[:80]!r}...")
 
@@ -78,8 +75,8 @@ def files(tmp_path_factory):
     paths = {name: root / name for name in (
         "fixed.ssft", "ticks.ssft", "m.ckpt", "a.json", "t.json", "s.json", "g.json",
         "c.json", "f.json")}
-    save_features(paths["fixed.ssft"], FeatureMatrix(31.25, rng.normal(size=(80, 3))))
-    save_resampled(paths["ticks.ssft"], ResampledFeatures(rng.normal(size=(12, 3))))
+    write_ssft(paths["fixed.ssft"], FeatureMatrix(31.25, rng.normal(size=(80, 3))))
+    write_ssft(paths["ticks.ssft"], ResampledFeatures(rng.normal(size=(12, 3))))
     save_checkpoint(paths["m.ckpt"], CFG, init_params(CFG), 0.4, 10)
     amap.save(paths["a.json"])
     save_transcript(paths["t.json"], reference_melody(densify_melody(melody, 3), amap))
@@ -113,14 +110,15 @@ def files(tmp_path_factory):
     return paths
 
 
-@pytest.mark.parametrize("name, load, seed", [
-    ("fixed.ssft", load_features, 1),
-    ("fixed.ssft", load_resampled, 2),
-    ("ticks.ssft", load_resampled, 3),
-    ("ticks.ssft", load_features, 4),
+@pytest.mark.parametrize("name, kind, seed", [
+    ("fixed.ssft", FeatureMatrix, 1),
+    ("fixed.ssft", ResampledFeatures, 2),
+    ("ticks.ssft", ResampledFeatures, 3),
+    ("ticks.ssft", FeatureMatrix, 4),
 ], ids=["fixed", "fixed-as-ticks", "ticks", "ticks-as-fixed"])
-def test_ssft_loaders_fail_closed(files, tmp_path, name, load, seed):
+def test_ssft_loaders_fail_closed(files, tmp_path, name, kind, seed):
     blob = files[name].read_bytes()
+    load = functools.partial(read_ssft, kind=kind)
     assert_fails_closed(load, tmp_path / "x.ssft", damaged(blob, SSFT_HEADER, seed))
 
 
@@ -150,7 +148,7 @@ def test_wav_loader_fails_closed(tmp_path):
     blob = path.read_bytes()
     for n in range(44, len(blob)):  # a payload shorter than the header says
         (tmp_path / "short.wav").write_bytes(blob[:n])
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=re.escape(str(tmp_path / "short.wav"))):
             load_wav(tmp_path / "short.wav")
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # damage is refused, never read with a warning

@@ -4,17 +4,15 @@ import pytest
 from melscribe.align import AlignmentMap, align
 from melscribe.core import ChordSymbol, Pitch, PitchClass
 from melscribe.errors import RangeError, ShapeError
-from melscribe.labeler import (
+from melscribe.labeler.decode import class_probabilities, decode, decode_chords, onset_classes
+from melscribe.labeler.labels import (
     CHORD_VOCAB,
     DenseLabelSequence,
     chord_to_class,
     class_to_midi,
-    decode,
-    decode_chords,
     densify_melody,
     midi_to_class,
 )
-from melscribe.labeler.decode import class_probabilities, onset_classes
 
 from helpers import one_hot_logits
 

@@ -7,17 +7,16 @@ import pytest
 
 from melscribe import features, kernels
 from melscribe.align import AlignmentMap
+from melscribe.cli import main
 from melscribe.errors import FormatError, InputError, ShapeError
 from melscribe.features import (
     FeatureMatrix,
     ResampledFeatures,
     beatwise_resample,
-    load_features,
-    load_resampled,
     load_wav,
     logmel,
-    save_features,
-    save_resampled,
+    read_ssft,
+    write_ssft,
 )
 from melscribe.synth import write_wav
 
@@ -286,16 +285,16 @@ def test_ssft_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     fm = FeatureMatrix(345.0, rng.normal(size=(40, 7)).astype(np.float32), t0_s=0.125)
     path = tmp_path / "x.ssft"
-    save_features(path, fm)
-    loaded = load_features(path)
+    write_ssft(path, fm)
+    loaded = read_ssft(path, FeatureMatrix)
     assert loaded.rate_hz == fm.rate_hz
     assert loaded.t0_s == fm.t0_s
     assert loaded.frames.tobytes() == fm.frames.tobytes()
 
     rf = ResampledFeatures(rng.normal(size=(12, 7)).astype(np.float32))
     rpath = tmp_path / "r.ssft"
-    save_resampled(rpath, rf)
-    rback = load_resampled(rpath)
+    write_ssft(rpath, rf)
+    rback = read_ssft(rpath, ResampledFeatures)
     assert rback.frames.tobytes() == rf.frames.tobytes()
 
 
@@ -303,9 +302,9 @@ def test_ssft_writers_refuse_float32_overflow(tmp_path):
     # 1e39 is finite in float64 but overflows to inf in float32
     big = np.full((4, 2), 1e39)
     with pytest.raises(InputError, match="non-finite"):
-        save_features(tmp_path / "x.ssft", FeatureMatrix(345.0, big))
+        write_ssft(tmp_path / "x.ssft", FeatureMatrix(345.0, big))
     with pytest.raises(InputError, match="non-finite"):
-        save_resampled(tmp_path / "r.ssft", ResampledFeatures(big))
+        write_ssft(tmp_path / "r.ssft", ResampledFeatures(big))
 
 
 def test_ssft_kind_mismatch(tmp_path):
@@ -313,42 +312,68 @@ def test_ssft_kind_mismatch(tmp_path):
     rf = ResampledFeatures(np.zeros((4, 2), dtype=np.float32))
     fixed = tmp_path / "fixed.ssft"
     ticks = tmp_path / "ticks.ssft"
-    save_features(fixed, fm)
-    save_resampled(ticks, rf)
-    with pytest.raises(FormatError, match="load_resampled"):
-        load_features(ticks)
-    with pytest.raises(FormatError, match="load_features"):
-        load_resampled(fixed)
+    write_ssft(fixed, fm)
+    write_ssft(ticks, rf)
+    with pytest.raises(FormatError, match=r"ticks\.ssft: holds tick-indexed rows"):
+        read_ssft(ticks, FeatureMatrix)
+    with pytest.raises(FormatError, match=r"fixed\.ssft: holds fixed-rate frames"):
+        read_ssft(fixed, ResampledFeatures)
 
 
 def test_ssft_corruption(tmp_path):
     fm = FeatureMatrix(100.0, np.ones((3, 2), dtype=np.float32))
     path = tmp_path / "x.ssft"
-    save_features(path, fm)
+    write_ssft(path, fm)
     blob = path.read_bytes()
 
     (tmp_path / "t.ssft").write_bytes(blob[:10])
-    with pytest.raises(FormatError, match="truncated"):
-        load_features(tmp_path / "t.ssft")
+    with pytest.raises(FormatError, match=r"t\.ssft: .*truncated"):
+        read_ssft(tmp_path / "t.ssft", FeatureMatrix)
 
     (tmp_path / "m.ssft").write_bytes(b"XXXX" + blob[4:])
-    with pytest.raises(FormatError, match="magic"):
-        load_features(tmp_path / "m.ssft")
+    with pytest.raises(FormatError, match=r"m\.ssft: .*magic"):
+        read_ssft(tmp_path / "m.ssft", FeatureMatrix)
 
     (tmp_path / "v.ssft").write_bytes(blob[:4] + b"\x09\x00\x00\x00" + blob[8:])
-    with pytest.raises(FormatError, match="version"):
-        load_features(tmp_path / "v.ssft")
+    with pytest.raises(FormatError, match=r"v\.ssft: .*version"):
+        read_ssft(tmp_path / "v.ssft", FeatureMatrix)
 
     (tmp_path / "p.ssft").write_bytes(blob + b"\x00\x00")
-    with pytest.raises(FormatError, match="payload"):
-        load_features(tmp_path / "p.ssft")
+    with pytest.raises(FormatError, match=r"p\.ssft: .*payload"):
+        read_ssft(tmp_path / "p.ssft", FeatureMatrix)
 
     payload = bytearray(blob)
     payload[-4:] = np.array([np.nan], dtype="<f4").tobytes()
     (tmp_path / "n.ssft").write_bytes(bytes(payload))
-    with pytest.raises(FormatError, match="non-finite"):
-        load_features(tmp_path / "n.ssft")
+    with pytest.raises(FormatError, match=r"n\.ssft: .*non-finite"):
+        read_ssft(tmp_path / "n.ssft", FeatureMatrix)
 
+
+
+def ssft_blob(rate, dim, n, t0):
+    """An SSFT file whose payload has the length its header implies."""
+    header = struct.pack("<4sIdIQd", b"SSFT", 1, rate, dim, n, t0)
+    return header + np.zeros(n * dim, dtype="<f4").tobytes()
+
+
+@pytest.mark.parametrize("blob", [
+    ssft_blob(31.25, 0, 5, 0.0),
+    ssft_blob(31.25, 3, 0, 0.0),
+    ssft_blob(-31.25, 3, 2, 0.0),
+    ssft_blob(31.25, 3, 2, math.nan),
+    ssft_blob(0.0, 3, 3, 0.0),
+], ids=["dim-0", "n-0", "negative-rate", "nan-t0", "3-tick-rows"])
+def test_ssft_header_faults_name_the_file(tmp_path, capsys, blob):
+    path = tmp_path / "bad.ssft"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError, match=re.escape(str(path)) + ": "):
+        read_ssft(path)
+    AlignmentMap([0.0, 0.5]).save(tmp_path / "a.json")
+    code = main(["features", "resample", "--features", str(path),
+                 "--alignment", str(tmp_path / "a.json"), "--out", str(tmp_path / "o.ssft")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert not (tmp_path / "o.ssft").exists()
 
 def constant_map(num_beats, seconds_per_beat=0.5, start=1.0):
     return AlignmentMap(start + seconds_per_beat * np.arange(num_beats + 1))

@@ -5,10 +5,10 @@ import pytest
 
 from melscribe.core import ChordSpan, ChordSymbol, Pitch, PitchClass
 from melscribe.errors import InputError, RangeError
-from melscribe.labeler import (
+from melscribe.labeler.labels import (
     CHORD_VOCAB,
-    MELODY_VOCAB,
     DenseLabelSequence,
+    MELODY_VOCAB,
     chord_to_class,
     class_to_chord,
     class_to_midi,

@@ -3,8 +3,8 @@ import pytest
 import scipy.special
 
 from melscribe.errors import ShapeError
-from melscribe.labeler import CHORD_VOCAB, MELODY_VOCAB, feasible_shifts, log_softmax
-from melscribe.labeler.loss import _loss_and_grad
+from melscribe.labeler.labels import CHORD_VOCAB, MELODY_VOCAB
+from melscribe.labeler.loss import _loss_and_grad, feasible_shifts, log_softmax
 
 
 def plain_ce(logits, classes):

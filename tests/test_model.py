@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from melscribe.errors import InputError, ShapeError
-from melscribe.labeler import (
-    LabelerConfig,
+from melscribe.labeler.config import LabelerConfig
+from melscribe.labeler.gradcheck import gradient_check
+from melscribe.labeler.model import (
     backward,
     forward_cached,
     forward_windowed,
-    gradient_check,
     init_params,
     param_names,
     positional_encoding,

@@ -6,17 +6,17 @@ import pytest
 from helpers import one_hot_logits, synth_examples
 from melscribe.align import AlignmentMap
 from melscribe.errors import InputError, ShapeError
-from melscribe.labeler import (
-    CHORD_VOCAB,
-    DenseLabelSequence,
-    LabelerConfig,
+from melscribe.labeler.config import LabelerConfig
+from melscribe.labeler.labels import CHORD_VOCAB, DenseLabelSequence
+from melscribe.labeler.train import (
+    DEFAULT_THRESHOLDS,
     TrainExample,
     TrainSettings,
+    _sample_slice,
     reference_melody,
     train,
     validation_f1,
 )
-from melscribe.labeler.train import DEFAULT_THRESHOLDS, _sample_slice
 
 SMALL = LabelerConfig(
     layers=1, model_dim=32, heads=2, ff_dim=64, input_dim=229, max_ticks=384
