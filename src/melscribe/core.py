@@ -205,6 +205,19 @@ class Melody:
 _PITCHES = tuple(Pitch(m) for m in range(MIDI_MIN, MIDI_MAX + 1))
 
 
+def check_midis(midis: np.ndarray) -> None:
+    """Refuse ``midis`` unless every entry is an integer MIDI number in the
+    playable range; errors name the first offending index."""
+    if len(midis) and midis.dtype.kind not in "iu":
+        raise RangeError(f"pitches must be integer MIDI numbers, got {midis.dtype}")
+    bad = np.flatnonzero((midis < MIDI_MIN) | (midis > MIDI_MAX))
+    if len(bad):
+        raise RangeError(
+            f"note {bad[0]}: pitch {midis[bad[0]]} outside playable range "
+            f"{MIDI_MIN}..{MIDI_MAX}"
+        )
+
+
 def perf_melody(onsets, offsets, midis) -> Melody:
     """A performance melody from parallel arrays of notes in any order.
 
@@ -219,8 +232,6 @@ def perf_melody(onsets, offsets, midis) -> Melody:
     midis = np.asarray(midis)
     if onsets.ndim != 1 or not onsets.shape == offsets.shape == midis.shape:
         raise InputError("onsets, offsets and pitches must be 1-D arrays of one length")
-    if len(midis) and midis.dtype.kind not in "iu":
-        raise RangeError(f"pitches must be integer MIDI numbers, got {midis.dtype}")
     bad = np.flatnonzero(~(np.isfinite(onsets) & np.isfinite(offsets)))
     if len(bad):
         raise RangeError(f"note {bad[0]}: note times must be finite")
@@ -230,12 +241,7 @@ def perf_melody(onsets, offsets, midis) -> Melody:
         raise OrderingError(
             f"note {i}: note offset {offsets[i].item()} not after onset {onsets[i].item()}"
         )
-    bad = np.flatnonzero((midis < MIDI_MIN) | (midis > MIDI_MAX))
-    if len(bad):
-        raise RangeError(
-            f"note {bad[0]}: pitch {midis[bad[0]]} outside playable range "
-            f"{MIDI_MIN}..{MIDI_MAX}"
-        )
+    check_midis(midis)
     order = np.argsort(onsets, kind="stable")
     onsets, offsets, midis = onsets[order], offsets[order], midis[order]
     tie = np.flatnonzero(np.diff(onsets) <= 0)

@@ -16,7 +16,8 @@ The on-disk container is SSFT, a little-endian binary layout::
     data    n * dim float32, row-major
 
 ``write_ssft`` writes either kind and refuses non-finite values;
-``read_ssft`` validates the header and the exact payload length.
+``read_ssft`` validates the header and the exact payload length, and the
+feature types it builds refuse non-finite values.
 """
 
 from __future__ import annotations
@@ -364,13 +365,13 @@ def read_ssft(path, kind=None) -> FeatureMatrix | ResampledFeatures:
             raise FormatError(f"bad magic {magic!r}")
         if version != SSFT_VERSION:
             raise FormatError(f"unsupported SSFT version {version}")
+        if dim == 0:  # reshape(n, 0) would fail on a huge n before the features refuse it
+            raise FormatError(f"header gives {n} rows of dim 0")
         payload = len(blob) - _SSFT_HEADER.size
         if payload != 4 * dim * n:
             raise FormatError(f"payload is {payload} bytes, header implies {4 * dim * n}")
         data = np.frombuffer(blob, dtype="<f4", offset=_SSFT_HEADER.size)
         frames = data.reshape(n, dim).copy()
-        if not np.all(np.isfinite(frames)):
-            raise FormatError("payload contains non-finite values")
         if rate == 0.0:
             feats = ResampledFeatures(frames)
         else:

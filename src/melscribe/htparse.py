@@ -46,8 +46,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
-    MIDI_MAX,
-    MIDI_MIN,
     MODES,
     SCALE_OFFSETS,
     TICKS_PER_BEAT,
@@ -154,12 +152,6 @@ def _parse_span(entry, path: str) -> tuple[int, int]:
     duration = _parse_ticks(
         field(entry, "duration_beats", dict, path), f"{path}.duration_beats"
     )
-    if onset < 0:
-        raise ParseError(f"onset of {onset} ticks is negative", f"{path}.onset_beats")
-    if duration <= 0:
-        raise ParseError(
-            f"duration of {duration} ticks not positive", f"{path}.duration_beats"
-        )
     return onset, duration
 
 
@@ -171,13 +163,10 @@ def _parse_meter(obj, path: str) -> Meter:
 
 def _parse_key(obj, path: str) -> KeySignature:
     check_keys(obj, ("tonic_pc", "mode"), path)
-    tonic_pc = field(obj, "tonic_pc", int, path)
-    mode = field(obj, "mode", str, path)
-    if not 0 <= tonic_pc <= 11:
-        raise ParseError(f"tonic_pc {tonic_pc} outside 0..11", f"{path}.tonic_pc")
-    if mode not in MODES:
-        raise ParseError(f"mode {mode!r} not one of {MODES}", f"{path}.mode")
-    return KeySignature(PitchClass(tonic_pc), mode)
+    with at(f"{path}.tonic_pc"):
+        tonic = PitchClass(field(obj, "tonic_pc", int, path))
+    with at(f"{path}.mode"):
+        return KeySignature(tonic, field(obj, "mode", str, path))
 
 
 def load_functional(path) -> tuple[Segment, str | None]:
@@ -240,13 +229,8 @@ def _functional_segment(obj: dict) -> Segment:
     shift = canonical_octave_shift([m for _, _, m in raw_notes])
     notes = []
     for i, (onset_ticks, duration_ticks, midi) in enumerate(raw_notes):
-        midi += 12 * shift
-        if not MIDI_MIN <= midi <= MIDI_MAX:
-            raise ParseError(
-                f"canonicalized pitch {midi} outside {MIDI_MIN}..{MIDI_MAX}",
-                f"$.melody[{i}]",
-            )
-        notes.append(ScoreNote(onset_ticks, duration_ticks, Pitch(midi)))
+        with at(f"$.melody[{i}]"):
+            notes.append(ScoreNote(onset_ticks, duration_ticks, Pitch(midi + 12 * shift)))
     with at("$.melody"):
         melody = Melody(tuple(notes))
 
@@ -268,16 +252,10 @@ def _functional_segment(obj: dict) -> Segment:
         degree = field(entry, "degree", int, path)
         accidental = field(entry, "accidental", int, path)
         kind = field(entry, "kind", str, path)
-        borrowed = entry.get("borrowed_mode")
-        if borrowed is not None and borrowed not in MODES:
-            raise ParseError(
-                f"borrowed_mode {borrowed!r} not one of {MODES}",
-                f"{path}.borrowed_mode",
-            )
         onset_ticks, duration_ticks = _parse_span(entry, path)
         with at(path):
-            chord = roman_to_chord(key, degree, accidental, kind, borrowed)
-        spans.append(ChordSpan(onset_ticks, duration_ticks, chord))
+            chord = roman_to_chord(key, degree, accidental, kind, entry.get("borrowed_mode"))
+            spans.append(ChordSpan(onset_ticks, duration_ticks, chord))
 
     with at("$"):
         return Segment(

@@ -26,6 +26,7 @@ import numpy as np
 from ..errors import FormatError, ParseError, ShapeError, in_file
 from ..jsonio import at, check_keys, column, field
 from .config import LabelerConfig
+from .decode import check_tau
 from .model import param_names, param_shapes
 
 MAGIC = b"MSCK"
@@ -96,9 +97,9 @@ def load_checkpoint(
         with at("$.config"):
             cfg = LabelerConfig(**{key: field(config, key, kind, "$.config")
                                    for key, kind in _CONFIG_KINDS.items()})
-        tau = field(header, "tau", float, "$")
+        with at("$.tau"):
+            tau = check_tau(field(header, "tau", float, "$"))
         step = field(header, "step", int, "$")
-        shapes = param_shapes(cfg)
         listed = []
         for i, tensor in enumerate(field(header, "tensors", list, "$")):
             where = f"$.tensors[{i}]"
@@ -106,6 +107,10 @@ def load_checkpoint(
             shape = column(field(tensor, "shape", list, where), int, f"{where}.shape")
             listed.append((field(tensor, "name", str, where), tuple(shape.tolist())))
 
+        # param_shapes' count, compared before a huge layer count builds it
+        if len(listed) != 4 + 16 * cfg.layers:
+            raise FormatError("tensor list does not match the stored config")
+        shapes = param_shapes(cfg)
         if [name for name, _ in listed] != list(shapes):
             raise FormatError("tensor list does not match the stored config")
         for name, shape in listed:

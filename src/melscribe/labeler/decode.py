@@ -25,7 +25,7 @@ def class_probabilities(logits: np.ndarray) -> np.ndarray:
     return np.exp(log_softmax(z))
 
 
-def _check_tau(tau: float) -> float:
+def check_tau(tau: float) -> float:
     tau = float(tau)
     if not 0.0 < tau < 1.0:
         raise RangeError(f"onset threshold must lie in (0, 1), got {tau}")
@@ -34,7 +34,7 @@ def _check_tau(tau: float) -> float:
 
 def onset_classes(logits: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """Ticks whose silence probability is below tau, with argmax classes."""
-    tau = _check_tau(tau)
+    tau = check_tau(tau)
     probs = class_probabilities(logits)
     if probs.shape[1] < 2:
         raise ShapeError("need at least one non-silent class")

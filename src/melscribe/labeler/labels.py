@@ -17,7 +17,6 @@ import numpy as np
 
 from ..core import (
     CHORD_QUALITIES,
-    MIDI_MAX,
     MIDI_MIN,
     PITCH_VOCAB_SIZE,
     TICKS_PER_BEAT,
@@ -25,6 +24,7 @@ from ..core import (
     ChordSymbol,
     Melody,
     PitchClass,
+    check_midis,
 )
 from ..errors import InputError, RangeError
 
@@ -122,14 +122,7 @@ def densify(
     bad = np.flatnonzero(~((beats >= 0) & (beats < num_beats)))
     if len(bad):
         raise RangeError(f"onset {onset_beats[bad[0]]} outside [0, {num_beats}) beats")
-    if len(midis) and midis.dtype.kind not in "iu":
-        raise RangeError(f"pitches must be integer MIDI numbers, got {midis.dtype}")
-    bad = np.flatnonzero((midis < MIDI_MIN) | (midis > MIDI_MAX))
-    if len(bad):
-        raise RangeError(
-            f"note {bad[0]}: pitch {midis[bad[0]]} outside playable range "
-            f"{MIDI_MIN}..{MIDI_MAX}"
-        )
+    check_midis(midis)
     n_ticks = num_beats * TICKS_PER_BEAT
     scaled = beats * TICKS_PER_BEAT
     # rounding can reach 4B at the very edge

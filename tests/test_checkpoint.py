@@ -1,8 +1,10 @@
 import json
+import math
 import re
 import struct
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -247,6 +249,34 @@ def test_transcribe_exits_1_naming_the_checkpoint_on_a_bad_config_field(tmp_path
         assert code == 1, (key, err)
         assert re.match("error: " + re.escape(str(path)) + ": " + message, err), err
         assert not (tmp_path / "est.json").exists()
+
+
+@pytest.mark.parametrize("tau", [math.nan, 0.0, 1.5, -1.0])
+def test_load_refuses_a_threshold_outside_0_1(tmp_path, capsys, tau):
+    path = tmp_path / "m.ckpt"
+    write_ckpt(path)
+    path.write_bytes(rewrite_header(path.read_bytes(), lambda h: h.update(tau=tau)))
+    message = re.escape(f"{path}: $.tau: onset threshold must lie in (0, 1), got {tau}")
+    with pytest.raises(FormatError, match=message):
+        load_checkpoint(path)
+    code = main(["transcribe", "--checkpoint", str(path), "--features", "f.ssft",
+                 "--alignment", "a.json", "--out", str(tmp_path / "est.json")])
+    assert code == 1
+    assert re.match("error: " + message, capsys.readouterr().err)
+
+
+def test_load_refuses_a_huge_layer_count_before_building_its_shapes(tmp_path, capsys):
+    path = tmp_path / "m.ckpt"
+    write_ckpt(path)
+    path.write_bytes(rewrite_header(path.read_bytes(),
+                                    lambda h: h["config"].update(layers=10**9)))
+    start = time.perf_counter()
+    code = main(["transcribe", "--checkpoint", str(path), "--features", "f.ssft",
+                 "--alignment", "a.json", "--out", str(tmp_path / "est.json")])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}: tensor list does not match the stored config")
 
 
 def test_load_refuses_a_shape_whose_size_overflows_int64(tmp_path):

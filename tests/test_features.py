@@ -342,11 +342,13 @@ def test_ssft_corruption(tmp_path):
     with pytest.raises(FormatError, match=r"p\.ssft: .*payload"):
         read_ssft(tmp_path / "p.ssft", FeatureMatrix)
 
-    payload = bytearray(blob)
-    payload[-4:] = np.array([np.nan], dtype="<f4").tobytes()
-    (tmp_path / "n.ssft").write_bytes(bytes(payload))
-    with pytest.raises(FormatError, match=r"n\.ssft: .*non-finite"):
-        read_ssft(tmp_path / "n.ssft", FeatureMatrix)
+    for feats in (fm, ResampledFeatures(np.ones((4, 2), dtype=np.float32))):
+        write_ssft(path, feats)
+        payload = bytearray(path.read_bytes())
+        payload[-4:] = np.array([np.nan], dtype="<f4").tobytes()
+        (tmp_path / "n.ssft").write_bytes(bytes(payload))
+        with pytest.raises(FormatError, match=r"n\.ssft: [a-z ]+ contain non-finite values"):
+            read_ssft(tmp_path / "n.ssft", type(feats))
 
 
 
@@ -362,7 +364,8 @@ def ssft_blob(rate, dim, n, t0):
     ssft_blob(-31.25, 3, 2, 0.0),
     ssft_blob(31.25, 3, 2, math.nan),
     ssft_blob(0.0, 3, 3, 0.0),
-], ids=["dim-0", "n-0", "negative-rate", "nan-t0", "3-tick-rows"])
+    ssft_blob(31.25, 0, 2**63, 0.0),
+], ids=["dim-0", "n-0", "negative-rate", "nan-t0", "3-tick-rows", "dim-0-huge-n"])
 def test_ssft_header_faults_name_the_file(tmp_path, capsys, blob):
     path = tmp_path / "bad.ssft"
     path.write_bytes(blob)

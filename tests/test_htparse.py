@@ -154,9 +154,9 @@ def test_parse_segment_structural_errors(load):
         load(json.dumps(obj))
     with pytest.raises(FormatError, match="must be an integer"):
         load(doc(key={"tonic_pc": "c", "mode": "major"}))
-    with pytest.raises(FormatError, match="tonic_pc"):
+    with pytest.raises(FormatError, match=r"doc\.json: \$\.key\.tonic_pc: pitch class 12 "):
         load(doc(key={"tonic_pc": 12, "mode": "major"}))
-    with pytest.raises(FormatError, match="mode"):
+    with pytest.raises(FormatError, match=r"doc\.json: \$\.key\.mode: mode 'dorian' "):
         load(doc(key={"tonic_pc": 0, "mode": "dorian"}))
 
 
@@ -183,15 +183,23 @@ def test_parse_segment_fraction_resolution(load):
 
 
 def test_parse_segment_melody_errors(load):
-    with pytest.raises(FormatError, match="negative"):
+    with pytest.raises(FormatError, match=r"doc\.json: \$\.melody\[0\]: note onset -4 is negative"):
         load(doc(melody=[
             {"scale_degree": 1, "accidental": 0, "rel_octave": 0,
              "onset_beats": beats(-1), "duration_beats": beats(1)},
         ]))
-    with pytest.raises(FormatError, match="not positive"):
+    with pytest.raises(FormatError, match=r"doc\.json: \$\.melody\[0\]: note duration 0 is below"):
         load(doc(melody=[
             {"scale_degree": 1, "accidental": 0, "rel_octave": 0,
              "onset_beats": beats(0), "duration_beats": beats(0)},
+        ]))
+    # raw pitches 120 and 0 average 60, so no octave shift brings both in range
+    with pytest.raises(FormatError, match=r"doc\.json: \$\.melody\[0\]: pitch 120 outside"):
+        load(doc(melody=[
+            {"scale_degree": 1, "accidental": 0, "rel_octave": 5,
+             "onset_beats": beats(0), "duration_beats": beats(1)},
+            {"scale_degree": 1, "accidental": 0, "rel_octave": -5,
+             "onset_beats": beats(1), "duration_beats": beats(1)},
         ]))
     overlapping = doc(melody=[
         {"scale_degree": 1, "accidental": 0, "rel_octave": 0,
@@ -221,12 +229,19 @@ def test_parse_segment_chord_errors(load):
          "inversion": 0, "onset_beats": beats(0), "duration_beats": beats(4)},
     ])
     load(zeroed)
-    with pytest.raises(FormatError, match="borrowed_mode"):
+    with pytest.raises(FormatError, match=r"doc\.json: \$\.chords\[0\]: borrowed mode 'phrygian'"):
         load(doc(chords=[
             {"degree": 1, "accidental": 0, "kind": "triad",
              "borrowed_mode": "phrygian", "onset_beats": beats(0),
              "duration_beats": beats(4)},
         ]))
+    for onset, duration, message in ((-1, 4, "chord onset -4 is negative"),
+                                     (0, 0, "chord duration 0 is below one tick")):
+        with pytest.raises(FormatError, match=r"doc\.json: \$\.chords\[0\]: " + message):
+            load(doc(chords=[
+                {"degree": 1, "accidental": 0, "kind": "triad", "borrowed_mode": None,
+                 "onset_beats": beats(onset), "duration_beats": beats(duration)},
+            ]))
     with pytest.raises(FormatError, match="unknown fields"):
         load(doc(chords=[
             {"degree": 1, "accidental": 0, "kind": "triad", "borrowed_mode": None,
@@ -251,7 +266,8 @@ def test_load_segment_errors(tmp_path, load):
     good = json.loads(path.read_text())
     for bad, where in (({"id": "x"}, "$"),
                        ({**good, "split": "holdout"}, "$.split"),
-                       ({**good, "melody": [{"onset_ticks": 0}]}, "$.melody[0]")):
+                       ({**good, "melody": [{"onset_ticks": 0}]}, "$.melody[0]"),
+                       ({**good, "key": {"tonic_pc": 12, "mode": "major"}}, "$.key.tonic_pc")):
         path.write_text(json.dumps(bad))
         with pytest.raises(FormatError, match=rf"seg\.segment\.json: {re.escape(where)}: "):
             htparse.load_segment(path)
