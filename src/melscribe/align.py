@@ -16,7 +16,11 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError, OrderingError, ParseError, RangeError
-from .jsonio import at, check_keys, column, field, reading, write_json
+from .jsonio import at, column, fields, reading, write_json
+
+#: Kind of each key of the beat grid file and of the alignment map file.
+_GRID_FIELDS = {"beats_s": list, "downbeats": list}
+_MAP_FIELDS = {"beat_to_time_s": list}
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,9 +50,9 @@ class BeatGrid:
     def load(cls, path) -> "BeatGrid":
         """Read a ``{"beats_s": [...], "downbeats": [...]}`` grid file."""
         with reading(path) as obj:
-            check_keys(obj, ("beats_s", "downbeats"), "$")
-            times = column(field(obj, "beats_s", list, "$"), float, "$.beats_s")
-            downbeats = column(field(obj, "downbeats", list, "$"), int, "$.downbeats")
+            times, downbeats = fields(obj, _GRID_FIELDS, "$")
+            times = column(times, float, "$.beats_s")
+            downbeats = column(downbeats, int, "$.downbeats")
             outside = np.flatnonzero((downbeats < 0) | (downbeats >= len(times)))
             if len(outside):
                 i = outside[0]
@@ -82,13 +86,13 @@ class AlignmentMap:
         return len(self.beat_to_time_s) - 1
 
     def save(self, path) -> None:
-        write_json(path, {"beat_to_time_s": self.beat_to_time_s.tolist()})
+        write_json(path, dict(zip(_MAP_FIELDS, [self.beat_to_time_s.tolist()])))
 
     @classmethod
     def load(cls, path) -> "AlignmentMap":
         with reading(path) as obj:
-            check_keys(obj, ("beat_to_time_s",), "$")
-            times = column(field(obj, "beat_to_time_s", list, "$"), float, "$.beat_to_time_s")
+            (times,) = fields(obj, _MAP_FIELDS, "$")
+            times = column(times, float, "$.beat_to_time_s")
             with at("$.beat_to_time_s"):
                 return cls(times)
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import htparse
 from .align import AlignmentMap, BeatGrid, refine_alignment
 from .core import KeySignature, Meter, PitchClass
-from .errors import FormatError, InputError, MelscribeError, ParseError
+from .errors import FormatError, InputError, MelscribeError, ParseError, RangeError
 from .evaluate import (
     DEFAULT_TOL_S,
     load_transcript,
@@ -38,7 +38,7 @@ from .features import (
 from .jsonio import field, reading, write_json
 from .labeler.checkpoint import load_checkpoint, save_checkpoint
 from .labeler.config import DESK_CONFIG, FULL_CONFIG, LabelerConfig
-from .labeler.decode import decode, decode_chords
+from .labeler.decode import check_tau, decode, decode_chords
 from .labeler.labels import densify_chords, densify_melody
 from .labeler.model import forward_windowed
 from .labeler.train import TrainExample, TrainSettings, train
@@ -78,6 +78,14 @@ def _parse_key(text: str) -> KeySignature | None:
             f"key {text!r} must be 'auto' or '<tonic-pc>:<mode>' like 0:major"
         ) from exc
     return KeySignature(PitchClass(tonic_pc), mode)
+
+
+def _tau(text: str) -> float:
+    """A ``--tau`` value; argparse exits 2 on one that ``check_tau`` refuses."""
+    try:
+        return check_tau(text)
+    except (ValueError, RangeError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def cmd_dataset_convert(args) -> int:
@@ -174,7 +182,7 @@ def cmd_features_mel(args) -> int:
     if args.jobs > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
             results = list(pool.map(_mel_one, jobs))
     else:
         results = [_mel_one(job) for job in jobs]
@@ -360,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     transcribe.add_argument("--features", required=True,
                             help="SSFT features, fixed-rate or tick-indexed")
     transcribe.add_argument("--alignment", required=True, help="alignment JSON")
-    transcribe.add_argument("--tau", type=float, help="override the stored threshold")
+    transcribe.add_argument("--tau", type=_tau, help="override the stored threshold")
     transcribe.add_argument("--out", required=True, help="transcript JSON to write")
     transcribe.set_defaults(func=cmd_transcribe)
 

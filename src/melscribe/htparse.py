@@ -62,7 +62,7 @@ from .core import (
     check_segment_id,
 )
 from .errors import ParseError, RangeError
-from .jsonio import at, check_keys, field, reading, write_json
+from .jsonio import at, field, fields, reading, write_json
 
 SPLITS = ("train", "valid", "test")
 SPLIT_RATIOS = (8, 1, 1)
@@ -81,13 +81,24 @@ SEVENTH_QUALITY = {
 
 _CHORD_REJECT_FIELDS = ("inversion", "suspension", "secondary_degree", "pedal")
 
-#: Keys of the absolute segment form, and of its melody and chord entries.
-_SEGMENT_FIELDS = (
-    "id", "audio_ref", "split", "user_start_s", "user_end_s", "meter", "key",
-    "melody", "chords",
-)
-_NOTE_FIELDS = ("onset_ticks", "duration_ticks", "midi")
-_CHORD_FIELDS = ("onset_ticks", "duration_ticks", "root_pc", "quality")
+#: Kind of each key of the functional document and of its melody and chord
+#: entries, whose onset and duration are {num, den} beat fractions.
+_FUNCTIONAL_FIELDS = {"id": str, "audio_ref": str, "start_s": float, "end_s": float,
+                      "meter": dict, "key": dict, "melody": list, "chords": list}
+_SPAN_FIELDS = {"onset_beats": dict, "duration_beats": dict}
+_DEGREE_FIELDS = {"scale_degree": int, "accidental": int, "rel_octave": int, **_SPAN_FIELDS}
+_ROMAN_FIELDS = {"degree": int, "accidental": int, "kind": str, **_SPAN_FIELDS}
+_FRACTION_FIELDS = {"num": int, "den": int}
+#: Kind of each key of the meter and key objects both forms share.
+_METER_FIELDS = {"beats_per_bar": int, "beat_unit": int}
+_KEY_FIELDS = {"tonic_pc": int, "mode": str}
+#: Kind of each key of the absolute segment form and of its melody and chord
+#: entries; ``split`` is null or one of SPLITS, checked by ``load_segment``.
+_SEGMENT_FIELDS = {"id": str, "audio_ref": str, "split": object, "user_start_s": float,
+                   "user_end_s": float, "meter": dict, "key": dict, "melody": list,
+                   "chords": list}
+_NOTE_FIELDS = {"onset_ticks": int, "duration_ticks": int, "midi": int}
+_CHORD_FIELDS = {"onset_ticks": int, "duration_ticks": int, "root_pc": int, "quality": str}
 
 
 def degree_to_pitch_midi(
@@ -132,9 +143,7 @@ def roman_to_chord(
 
 def _parse_ticks(obj, path: str) -> int:
     """A {num, den} beat fraction as whole ticks; den must divide TICKS_PER_BEAT."""
-    check_keys(obj, ("num", "den"), path)
-    num = field(obj, "num", int, path)
-    den = field(obj, "den", int, path)
+    num, den = fields(obj, _FRACTION_FIELDS, path)
     if den < 1:
         raise ParseError(f"denominator {den} must be positive", path)
     if TICKS_PER_BEAT % den:
@@ -146,27 +155,29 @@ def _parse_ticks(obj, path: str) -> int:
     return num * (TICKS_PER_BEAT // den)
 
 
-def _parse_span(entry, path: str) -> tuple[int, int]:
-    """Onset and duration ticks of a melody or chord entry."""
-    onset = _parse_ticks(field(entry, "onset_beats", dict, path), f"{path}.onset_beats")
-    duration = _parse_ticks(
-        field(entry, "duration_beats", dict, path), f"{path}.duration_beats"
-    )
-    return onset, duration
+def _parse_span(onset: dict, duration: dict, path: str) -> tuple[int, int]:
+    """Onset and duration ticks of a melody or chord entry at ``path``."""
+    return (_parse_ticks(onset, f"{path}.onset_beats"),
+            _parse_ticks(duration, f"{path}.duration_beats"))
 
 
 def _parse_meter(obj, path: str) -> Meter:
-    check_keys(obj, ("beats_per_bar", "beat_unit"), path)
+    values = fields(obj, _METER_FIELDS, path)
     with at(path):
-        return Meter(field(obj, "beats_per_bar", int, path), field(obj, "beat_unit", int, path))
+        return Meter(*values)
 
 
 def _parse_key(obj, path: str) -> KeySignature:
-    check_keys(obj, ("tonic_pc", "mode"), path)
+    tonic_pc, mode = fields(obj, _KEY_FIELDS, path)
     with at(f"{path}.tonic_pc"):
-        tonic = PitchClass(field(obj, "tonic_pc", int, path))
+        tonic = PitchClass(tonic_pc)
     with at(f"{path}.mode"):
-        return KeySignature(tonic, field(obj, "mode", str, path))
+        return KeySignature(tonic, mode)
+
+
+def _check_id(seg_id: str) -> str:
+    with at("$.id"):
+        return check_segment_id(seg_id)
 
 
 def load_functional(path) -> tuple[Segment, str | None]:
@@ -178,27 +189,16 @@ def load_functional(path) -> tuple[Segment, str | None]:
     counted warning.  Errors name the file and the JSON path.
     """
     with reading(path) as obj:
-        check_keys(
-            obj,
-            ("id", "audio_ref", "start_s", "end_s", "meter", "key", "melody", "chords"),
-            "$",
-            optional=("artist", "key_changes", "meter_changes"),
-        )
+        segment = _functional_segment(obj)
         artist = field(obj, "artist", str, "$") if obj.get("artist") is not None else None
-        return _functional_segment(obj), artist
+        return segment, artist
 
 
-def _segment_id(obj: dict) -> str:
-    with at("$.id"):
-        return check_segment_id(field(obj, "id", str, "$"))
-
-
-def _functional_segment(obj: dict) -> Segment:
-    seg_id = _segment_id(obj)
-    audio_ref = field(obj, "audio_ref", str, "$")
-    start_s = field(obj, "start_s", float, "$")
-    end_s = field(obj, "end_s", float, "$")
-
+def _functional_segment(obj) -> Segment:
+    seg_id, audio_ref, start_s, end_s, meter, key, melody, chords = fields(
+        obj, _FUNCTIONAL_FIELDS, "$", optional=("artist", "key_changes", "meter_changes")
+    )
+    seg_id = _check_id(seg_id)
     for name in ("key_changes", "meter_changes"):
         if name in obj and field(obj, name, list, "$"):
             warnings.warn(f"segment {seg_id!r} rejected: {name} present")
@@ -207,21 +207,14 @@ def _functional_segment(obj: dict) -> Segment:
                 f"$.{name}",
             )
 
-    meter = _parse_meter(field(obj, "meter", dict, "$"), "$.meter")
-    key = _parse_key(field(obj, "key", dict, "$"), "$.key")
+    meter = _parse_meter(meter, "$.meter")
+    key = _parse_key(key, "$.key")
 
     raw_notes: list[tuple[int, int, int]] = []
-    for i, entry in enumerate(field(obj, "melody", list, "$")):
+    for i, entry in enumerate(melody):
         path = f"$.melody[{i}]"
-        check_keys(
-            entry,
-            ("scale_degree", "accidental", "rel_octave", "onset_beats", "duration_beats"),
-            path,
-        )
-        degree = field(entry, "scale_degree", int, path)
-        accidental = field(entry, "accidental", int, path)
-        rel_octave = field(entry, "rel_octave", int, path)
-        onset_ticks, duration_ticks = _parse_span(entry, path)
+        degree, accidental, rel_octave, onset, duration = fields(entry, _DEGREE_FIELDS, path)
+        onset_ticks, duration_ticks = _parse_span(onset, duration, path)
         with at(path):
             midi = degree_to_pitch_midi(key, degree, accidental, rel_octave)
         raw_notes.append((onset_ticks, duration_ticks, midi))
@@ -235,13 +228,10 @@ def _functional_segment(obj: dict) -> Segment:
         melody = Melody(tuple(notes))
 
     spans = []
-    for i, entry in enumerate(field(obj, "chords", list, "$")):
+    for i, entry in enumerate(chords):
         path = f"$.chords[{i}]"
-        check_keys(
-            entry,
-            ("degree", "accidental", "kind", "onset_beats", "duration_beats"),
-            path,
-            optional=("borrowed_mode", *_CHORD_REJECT_FIELDS),
+        degree, accidental, kind, onset, duration = fields(
+            entry, _ROMAN_FIELDS, path, optional=("borrowed_mode", *_CHORD_REJECT_FIELDS)
         )
         for rejected in _CHORD_REJECT_FIELDS:
             if entry.get(rejected) not in (None, 0):
@@ -249,10 +239,7 @@ def _functional_segment(obj: dict) -> Segment:
                     f"chord construct {rejected!r} is not supported",
                     f"{path}.{rejected}",
                 )
-        degree = field(entry, "degree", int, path)
-        accidental = field(entry, "accidental", int, path)
-        kind = field(entry, "kind", str, path)
-        onset_ticks, duration_ticks = _parse_span(entry, path)
+        onset_ticks, duration_ticks = _parse_span(onset, duration, path)
         with at(path):
             chord = roman_to_chord(key, degree, accidental, kind, entry.get("borrowed_mode"))
             spans.append(ChordSpan(onset_ticks, duration_ticks, chord))
@@ -274,67 +261,58 @@ def _functional_segment(obj: dict) -> Segment:
 def save_segment(path, segment: Segment) -> None:
     """Write a segment in its absolute interchange form."""
     meter, key = segment.meter, segment.key
-    write_json(path, {
-        "id": segment.id,
-        "audio_ref": segment.audio_ref,
-        "split": segment.split,
-        "user_start_s": segment.user_start_s,
-        "user_end_s": segment.user_end_s,
-        "meter": {"beats_per_bar": meter.beats_per_bar, "beat_unit": meter.beat_unit},
-        "key": {"tonic_pc": key.tonic.pc, "mode": key.mode},
-        "melody": [
+    write_json(path, dict(zip(_SEGMENT_FIELDS, (
+        segment.id,
+        segment.audio_ref,
+        segment.split,
+        segment.user_start_s,
+        segment.user_end_s,
+        dict(zip(_METER_FIELDS, (meter.beats_per_bar, meter.beat_unit))),
+        dict(zip(_KEY_FIELDS, (key.tonic.pc, key.mode))),
+        [
             dict(zip(_NOTE_FIELDS, (n.onset_ticks, n.duration_ticks, n.pitch.midi)))
             for n in segment.melody
         ],
-        "chords": [
+        [
             dict(zip(_CHORD_FIELDS, (c.onset_ticks, c.duration_ticks, c.chord.root.pc,
                                      c.chord.quality)))
             for c in segment.chords
         ],
-    })
+    ))))
 
 
 def load_segment(path) -> Segment:
     """Read a segment from its absolute interchange form."""
     with reading(path) as obj:
-        check_keys(obj, _SEGMENT_FIELDS, "$")
-        split = obj["split"]
+        (seg_id, audio_ref, split, start_s, end_s, meter, key, melody_entries,
+         chord_entries) = fields(obj, _SEGMENT_FIELDS, "$")
         if split is not None and split not in SPLITS:
             raise ParseError(f"split {split!r} invalid", "$.split")
         notes = []
-        for i, entry in enumerate(field(obj, "melody", list, "$")):
+        for i, entry in enumerate(melody_entries):
             path = f"$.melody[{i}]"
-            check_keys(entry, _NOTE_FIELDS, path)
+            onset_ticks, duration_ticks, midi = fields(entry, _NOTE_FIELDS, path)
             with at(path):
-                notes.append(ScoreNote(
-                    field(entry, "onset_ticks", int, path),
-                    field(entry, "duration_ticks", int, path),
-                    Pitch(field(entry, "midi", int, path)),
-                ))
+                notes.append(ScoreNote(onset_ticks, duration_ticks, Pitch(midi)))
         with at("$.melody"):
             melody = Melody(tuple(notes))
         chords = []
-        for i, entry in enumerate(field(obj, "chords", list, "$")):
+        for i, entry in enumerate(chord_entries):
             path = f"$.chords[{i}]"
-            check_keys(entry, _CHORD_FIELDS, path)
+            onset_ticks, duration_ticks, root_pc, quality = fields(entry, _CHORD_FIELDS, path)
             with at(path):
                 chords.append(ChordSpan(
-                    field(entry, "onset_ticks", int, path),
-                    field(entry, "duration_ticks", int, path),
-                    ChordSymbol(
-                        PitchClass(field(entry, "root_pc", int, path)),
-                        field(entry, "quality", str, path),
-                    ),
+                    onset_ticks, duration_ticks, ChordSymbol(PitchClass(root_pc), quality)
                 ))
         with at("$"):
             return Segment(
-                id=_segment_id(obj),
-                audio_ref=field(obj, "audio_ref", str, "$"),
+                id=_check_id(seg_id),
+                audio_ref=audio_ref,
                 split=split,
-                user_start_s=field(obj, "user_start_s", float, "$"),
-                user_end_s=field(obj, "user_end_s", float, "$"),
-                meter=_parse_meter(field(obj, "meter", dict, "$"), "$.meter"),
-                key=_parse_key(field(obj, "key", dict, "$"), "$.key"),
+                user_start_s=start_s,
+                user_end_s=end_s,
+                meter=_parse_meter(meter, "$.meter"),
+                key=_parse_key(key, "$.key"),
                 melody=melody,
                 chords=tuple(chords),
             )

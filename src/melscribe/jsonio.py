@@ -9,6 +9,11 @@ so the rules are the same for each format:
   ``true`` and numeric strings such as ``"0.5"`` are neither;
 - an object carries exactly its documented keys: unknown keys and
   missing keys are refused;
+- a format states each object with fixed keys once, as a module-level
+  ``{key: kind}`` table; ``fields(obj, table, where)`` checks the keys,
+  then each kind in table order, and returns the values in that order
+  for the reader to unpack, and the writer builds the object with
+  ``dict(zip(table, values))``, so the two cannot drift apart;
 - a value that breaks a rule raises ``ParseError`` naming its JSON path,
   such as ``$.changes[3].tick``; ``at`` gives a domain error raised while
   building a value (an unordered list, an unknown chord quality) the
@@ -74,7 +79,8 @@ def field(obj, key: str, kind, where: str):
     """``obj[key]``, checked to be of ``kind``; ``where`` is the path of ``obj``.
 
     ``kind`` is ``int`` (a JSON integer), ``float`` (a JSON number, returned
-    as a float), ``str``, ``list`` or ``dict``.
+    as a float), ``str``, ``list``, ``dict`` or ``object`` (any value, ``null``
+    too, for a caller that checks it itself).
     """
     if not isinstance(obj, dict):
         raise ParseError(f"expected an object, got {type(obj).__name__}", where)
@@ -107,6 +113,16 @@ def check_keys(obj, required, where: str, optional=()) -> None:
     missing = [key for key in required if key not in obj]
     if missing:
         raise ParseError(f"missing field {missing[0]!r}", where)
+
+
+def fields(obj, kinds: dict, where: str, optional=()) -> list:
+    """The values of ``obj``'s keys in ``kinds`` order, each checked by ``field``.
+
+    ``obj`` must carry every key of the ``{key: kind}`` table ``kinds`` and
+    no others but ``optional``, which are allowed but not returned.
+    """
+    check_keys(obj, kinds, where, optional)
+    return [field(obj, key, kind, where) for key, kind in kinds.items()]
 
 
 def column(values: list, kind, where: str) -> np.ndarray:

@@ -15,16 +15,16 @@ JSON path.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import struct
-from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import FormatError, ParseError, ShapeError, in_file
-from ..jsonio import at, check_keys, column, field
+from ..jsonio import at, column, fields
 from .config import LabelerConfig
 from .decode import check_tau
 from .model import param_names, param_shapes
@@ -34,7 +34,10 @@ VERSION = 1
 _PREFIX = struct.Struct("<4sII")
 _FIXED_SWITCHES = ("standardize_input", "use_positions")
 #: Each config field and the JSON kind it is read as, the kind of its default.
-_CONFIG_KINDS = {f.name: type(f.default) for f in fields(LabelerConfig)}
+_CONFIG_KINDS = {f.name: type(f.default) for f in dataclasses.fields(LabelerConfig)}
+#: Kind of each key of the header and of its tensor entries.
+_HEADER_FIELDS = {"config": dict, "step": int, "tau": float, "tensors": list}
+_TENSOR_FIELDS = {"name": str, "shape": list}
 
 
 def save_checkpoint(
@@ -54,14 +57,14 @@ def save_checkpoint(
         arr = np.ascontiguousarray(params[name], dtype="<f4")
         if not np.all(np.isfinite(arr)):
             raise FormatError(f"tensor {name} contains non-finite values")
-        tensors.append({"name": name, "shape": list(arr.shape)})
+        tensors.append(dict(zip(_TENSOR_FIELDS, (name, list(arr.shape)))))
         blobs.append(arr.tobytes())
-    header = {
-        "config": {**asdict(cfg), **dict.fromkeys(_FIXED_SWITCHES, True)},
-        "step": int(step),
-        "tau": float(tau),
-        "tensors": tensors,
-    }
+    header = dict(zip(_HEADER_FIELDS, (
+        {**dataclasses.asdict(cfg), **dict.fromkeys(_FIXED_SWITCHES, True)},
+        int(step),
+        check_tau(tau),
+        tensors,
+    )))
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as fh:
         fh.write(_PREFIX.pack(MAGIC, VERSION, len(head)))
@@ -88,24 +91,20 @@ def load_checkpoint(
             header = json.loads(raw[_PREFIX.size : _PREFIX.size + head_len])
         except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
             raise FormatError(f"invalid checkpoint header: {exc}") from exc
-        check_keys(header, ("config", "step", "tau", "tensors"), "$")
-        config = field(header, "config", dict, "$")
-        check_keys(config, _CONFIG_KINDS, "$.config", optional=_FIXED_SWITCHES)
+        config, step, tau, tensors = fields(header, _HEADER_FIELDS, "$")
+        values = fields(config, _CONFIG_KINDS, "$.config", optional=_FIXED_SWITCHES)
         for key in _FIXED_SWITCHES:
             if config.get(key) is not True:
                 raise ParseError("must be true", f"$.config.{key}")
         with at("$.config"):
-            cfg = LabelerConfig(**{key: field(config, key, kind, "$.config")
-                                   for key, kind in _CONFIG_KINDS.items()})
+            cfg = LabelerConfig(*values)
         with at("$.tau"):
-            tau = check_tau(field(header, "tau", float, "$"))
-        step = field(header, "step", int, "$")
+            tau = check_tau(tau)
         listed = []
-        for i, tensor in enumerate(field(header, "tensors", list, "$")):
+        for i, tensor in enumerate(tensors):
             where = f"$.tensors[{i}]"
-            check_keys(tensor, ("name", "shape"), where)
-            shape = column(field(tensor, "shape", list, where), int, f"{where}.shape")
-            listed.append((field(tensor, "name", str, where), tuple(shape.tolist())))
+            name, shape = fields(tensor, _TENSOR_FIELDS, where)
+            listed.append((name, tuple(column(shape, int, f"{where}.shape").tolist())))
 
         # param_shapes' count, compared before a huge layer count builds it
         if len(listed) != 4 + 16 * cfg.layers:

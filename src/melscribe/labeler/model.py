@@ -245,9 +245,9 @@ def backward(
 
 
 def forward_windowed(cfg: LabelerConfig, params: dict[str, np.ndarray], feats) -> np.ndarray:
-    """Logits (ticks, n_classes) for one resampled feature matrix of any
-    length, run through the model in windows of max_ticks."""
-    x = np.asarray(getattr(feats, "frames", feats))
+    """Logits (ticks, n_classes) for one (ticks, dim) array of resampled
+    features of any length, run through the model in windows of max_ticks."""
+    x = np.asarray(feats)
     if x.ndim != 2:
         raise ShapeError(f"expected (ticks, dim) features, got shape {x.shape}")
     logits = np.concatenate([

@@ -35,7 +35,7 @@ from .core import (
     TICKS_PER_BEAT,
 )
 from .errors import InputError, RangeError, ShapeError
-from .jsonio import at, check_keys, field, reading, write_json
+from .jsonio import at, fields, reading, write_json
 from .labeler.labels import class_to_midi, densify
 from . import smf
 
@@ -60,6 +60,10 @@ _CHORD_SUFFIX = {
     "min7": ":m7",
     "hdim7": ":m7.5-",
 }
+
+#: Kind of each key of the chord changes file and of its entries.
+_CHANGES_FIELDS = {"changes": list}
+_CHANGE_FIELDS = {"tick": int, "root": int, "quality": str}
 
 CHORD_CHANNEL_BASE_MIDI = 48
 MELODY_VELOCITY = 90
@@ -214,23 +218,22 @@ def assemble(
 
 def save_chord_changes(path, changes: Sequence[tuple[int, ChordSymbol]]) -> None:
     """Write (tick, chord) changes as ``{"changes": [{tick, root, quality}, ...]}``."""
-    entries = [{"tick": t, "root": c.root.pc, "quality": c.quality} for t, c in changes]
-    write_json(path, {"changes": entries})
+    entries = [dict(zip(_CHANGE_FIELDS, (t, c.root.pc, c.quality))) for t, c in changes]
+    write_json(path, dict(zip(_CHANGES_FIELDS, [entries])))
 
 
 def load_chord_changes(path) -> list[tuple[int, ChordSymbol]]:
     """Read a chord changes file; ``LeadSheet`` checks the ticks against the sheet."""
     with reading(path) as obj:
-        check_keys(obj, ("changes",), "$")
+        (entries,) = fields(obj, _CHANGES_FIELDS, "$")
         changes = []
-        for i, entry in enumerate(field(obj, "changes", list, "$")):
+        for i, entry in enumerate(entries):
             where = f"$.changes[{i}]"
-            check_keys(entry, ("tick", "root", "quality"), where)
+            tick, root, quality = fields(entry, _CHANGE_FIELDS, where)
             with at(f"{where}.root"):
-                root = PitchClass(field(entry, "root", int, where))
+                root = PitchClass(root)
             with at(f"{where}.quality"):
-                chord = ChordSymbol(root, field(entry, "quality", str, where))
-            changes.append((field(entry, "tick", int, where), chord))
+                changes.append((tick, ChordSymbol(root, quality)))
         return changes
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from melscribe.align import AlignmentMap
 from melscribe.cli import main
-from melscribe.errors import FormatError, ShapeError
+from melscribe.errors import FormatError, RangeError, ShapeError
 from melscribe.features import ResampledFeatures, write_ssft
 from melscribe.labeler.checkpoint import load_checkpoint, save_checkpoint
 from melscribe.labeler.config import LabelerConfig
@@ -75,6 +75,11 @@ def test_save_rejects_missing_and_non_finite(tmp_path):
     bad["b_out"] = np.array([np.nan] * bad["b_out"].size, dtype=np.float32)
     with pytest.raises(FormatError, match="non-finite"):
         save_checkpoint(tmp_path / "y.ckpt", CFG, bad, 0.5, 0)
+    for tau in (math.nan, 1.5):  # the thresholds load_checkpoint refuses
+        path = tmp_path / f"tau-{tau}.ckpt"
+        with pytest.raises(RangeError, match=r"onset threshold must lie in \(0, 1\)"):
+            save_checkpoint(path, CFG, params, tau, 0)
+        assert not path.exists()
 
 
 def test_load_rejects_corruption(tmp_path):

@@ -253,6 +253,21 @@ def test_transcribe_tau_override(corpus):
     assert out["tau"] == 0.9
 
 
+def test_transcribe_refuses_a_tau_outside_0_1_before_reading_a_file(tmp_path, capsys):
+    out_path = tmp_path / "est.json"
+    for tau in ("1.5", "nan"):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "transcribe", "--checkpoint", str(tmp_path / "missing.ckpt"),
+                "--features", str(tmp_path / "missing.ssft"),
+                "--alignment", str(tmp_path / "missing.json"),
+                "--tau", tau, "--out", str(out_path),
+            ])
+        assert exc.value.code == 2, tau
+        assert "argument --tau: onset threshold must lie in (0, 1)" in capsys.readouterr().err
+        assert not out_path.exists()
+
+
 def test_evaluate_self_is_perfect(corpus):
     ref = str(corpus["ref"])
     code, out = run(["evaluate", "--estimate", ref, "--reference", ref])
@@ -372,6 +387,31 @@ def test_mel_jobs_match_serial_bytes(corpus, tmp_path):
     for stem in ("s00", "s01"):
         serial = (tmp_path / "1" / f"{stem}.ssft").read_bytes()
         assert (tmp_path / "2" / f"{stem}.ssft").read_bytes() == serial
+
+
+def test_mel_jobs_are_capped_at_the_file_count(corpus, tmp_path, monkeypatch):
+    import concurrent.futures
+
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    wavs = [str(corpus["raw"] / "s00.wav"), str(corpus["raw"] / "s01.wav")]
+    code, out = run(["features", "mel", *wavs, "--out-dir", str(tmp_path), "--jobs", "64"])
+    assert code == 0 and len(out["files"]) == 2
+    assert asked == [2]
 
 
 def test_import_loads_no_scipy_or_process_pool():

@@ -10,7 +10,7 @@ from melscribe import htparse
 from melscribe.align import AlignmentMap, BeatGrid
 from melscribe.errors import FormatError, ParseError, RangeError
 from melscribe.evaluate import load_transcript
-from melscribe.jsonio import at, check_keys, column, field, reading, write_json
+from melscribe.jsonio import at, check_keys, column, field, fields, reading, write_json
 from melscribe.leadsheet import load_chord_changes
 
 
@@ -41,6 +41,20 @@ def test_check_keys():
         check_keys({"b": 1}, ("a",), "$", optional=("b",))
     with pytest.raises(ParseError, match=r"\$\.m: expected an object, got list"):
         check_keys([], (), "$.m")
+
+
+def test_fields_checks_keys_then_kinds_in_table_order():
+    kinds = {"n": int, "s": str, "any": object}
+    assert fields({"s": "x", "any": None, "n": 3}, kinds, "$") == [3, "x", None]
+    assert fields({"n": 3, "s": "x", "any": [1], "opt": 1}, kinds, "$", ("opt",)) == [3, "x", [1]]
+    for obj, message in (
+        ({"n": True, "s": 5, "bad": 1}, r"\$: unknown fields \['bad'\]"),
+        ({"n": True, "s": 5}, r"\$: missing field 'any'"),
+        ({"n": True, "s": 5, "any": None}, r"\$\.n: field 'n' must be an integer"),
+        ({"n": 3, "s": 5, "any": None}, r"\$\.s: field 's' must be str"),
+    ):
+        with pytest.raises(ParseError, match=message):
+            fields(obj, kinds, "$", optional=("opt",))
 
 
 def test_column():
