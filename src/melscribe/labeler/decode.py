@@ -34,13 +34,19 @@ def check_tau(tau: float) -> float:
 
 def onset_classes(logits: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """Ticks whose silence probability is below tau, with argmax classes."""
-    tau = check_tau(tau)
+    [(ticks, classes)] = onset_sweep(logits, [tau])
+    return ticks, classes
+
+
+def onset_sweep(logits: np.ndarray, thresholds) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``onset_classes`` at each threshold, from one softmax."""
+    taus = [check_tau(tau) for tau in thresholds]
     probs = class_probabilities(logits)
     if probs.shape[1] < 2:
         raise ShapeError("need at least one non-silent class")
-    ticks = np.flatnonzero(probs[:, 0] < tau)
-    classes = 1 + np.argmax(probs[np.ix_(ticks, np.arange(1, probs.shape[1]))], axis=1)
-    return ticks, classes.astype(np.int64)
+    classes = 1 + np.argmax(probs[:, 1:], axis=1).astype(np.int64)
+    onsets = [np.flatnonzero(probs[:, 0] < tau) for tau in taus]
+    return [(ticks, classes[ticks]) for ticks in onsets]
 
 
 def decode(logits: np.ndarray, tau: float, amap: AlignmentMap) -> Melody:

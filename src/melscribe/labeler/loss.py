@@ -29,8 +29,15 @@ def feasible_shifts(classes: np.ndarray, vocab: LabelVocab) -> list[int]:
 
 
 def _loss_and_grad(
-    logits: np.ndarray, classes: np.ndarray, vocab: LabelVocab
-) -> tuple[float, int, np.ndarray]:
+    logits: np.ndarray,
+    classes: np.ndarray,
+    vocab: LabelVocab,
+    lengths: np.ndarray | None = None,
+) -> tuple[float, int | np.ndarray, np.ndarray]:
+    """Mean loss, shift and logit gradient of the consecutive sequences
+    ``lengths`` splits the rows into (one when None), all shifts scored at
+    once; each sequence's shift is the first of ``feasible_shifts`` order
+    at its minimum, an int for one sequence and an array given ``lengths``."""
     if logits.ndim != 2 or logits.shape[1] != vocab.n_classes:
         raise ShapeError(
             f"logits shape {logits.shape} incompatible with {vocab.n_classes} classes"
@@ -38,23 +45,26 @@ def _loss_and_grad(
     if classes.shape != (logits.shape[0],):
         raise ShapeError(f"{classes.shape} labels against {logits.shape[0]} ticks")
     n = logits.shape[0]
+    counts = np.array([n]) if lengths is None else np.asarray(lengths)
+    if counts.sum() != n:
+        raise ShapeError(f"sequence lengths sum to {counts.sum()}, not {n} ticks")
+    starts = np.cumsum(counts) - counts
     logp = log_softmax(logits)
     rows = np.arange(n)
-    nonzero = classes > 0
 
-    best_loss = np.inf
-    best_sigma = 0
-    best_idx = None
-    for sigma in feasible_shifts(classes, vocab):
-        idx = np.where(nonzero, classes + 12 * sigma, classes)
-        loss = float(-logp[rows, idx].mean())
-        if loss < best_loss:
-            best_loss = loss
-            best_sigma = sigma
-            best_idx = idx
+    per_seq = [feasible_shifts(classes[a : a + c], vocab) for a, c in zip(starts, counts)]
+    shifts = np.array(sorted(set().union(*per_seq), key=lambda s: (abs(s), s)))
+    idx = np.where(classes > 0, classes + 12 * shifts[:, None], classes)
+    picked = logp[rows, np.clip(idx, 0, vocab.n_classes - 1)]
+    losses = -np.add.reduceat(picked, starts, axis=1, dtype=np.float64) / counts
+    losses[~np.array([[s in feasible for feasible in per_seq] for s in shifts])] = np.inf
+    best = np.argmin(losses, axis=0)
 
-    probs = np.exp(logp)
-    dlogits = probs
-    dlogits[rows, best_idx] -= 1.0
-    dlogits /= n
-    return best_loss, best_sigma, dlogits
+    seq = np.repeat(np.arange(len(counts)), counts)
+    dlogits = np.exp(logp)
+    dlogits[rows, idx[best[seq], rows]] -= 1.0
+    dlogits /= counts[seq, None].astype(dlogits.dtype)
+    dlogits /= len(counts)
+    loss = float(losses[best, np.arange(len(counts))].mean())
+    sigma = shifts[best]
+    return loss, int(sigma[0]) if lengths is None else sigma, dlogits

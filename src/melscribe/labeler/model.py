@@ -1,9 +1,13 @@
 """Encoder-only transformer over beat-resampled features, in plain numpy.
 
 The forward and backward passes are written by hand so training has no
-framework dependency and stays bit-reproducible; parameters live in a
-flat dict of named arrays in a fixed canonical order.  Post-layer-norm
-residual blocks, sinusoidal positions, ReLU feed-forward.
+framework dependency and stays bit-reproducible.  Post-layer-norm
+residual blocks, sinusoidal positions, ReLU feed-forward; one GEMM per
+layer projects queries, keys and values.  A padded (N, L, dim) batch is
+packed to its T real ticks: every per-tick operation runs on (T, ·)
+arrays, and only attention scores scatter to (N, heads, L, L) under the
+key mask.  Parameters and gradients are ``FlatParams``, named views in a
+fixed canonical order into one flat buffer.
 
 Compute dtype follows the parameter dtype: float32 as ``init_params``
 draws them, float64 when a caller (the gradient check) casts them for
@@ -11,6 +15,8 @@ tighter arithmetic.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -47,18 +53,27 @@ def param_names(cfg: LabelerConfig) -> list[str]:
     return list(param_shapes(cfg))
 
 
-def init_params(cfg: LabelerConfig) -> dict[str, np.ndarray]:
+class FlatParams(dict):
+    """Every parameter's tensor, zeroed, as a view into the one buffer ``flat``."""
+
+    def __init__(self, cfg: LabelerConfig, dtype=np.float32) -> None:
+        shapes = param_shapes(cfg)
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        self.flat = np.zeros(sum(sizes), dtype=dtype)
+        parts = np.split(self.flat, np.cumsum(sizes)[:-1])
+        super().__init__(zip(shapes, map(np.reshape, parts, shapes.values())))
+
+
+def init_params(cfg: LabelerConfig) -> FlatParams:
     """Xavier-uniform weights, zero biases, unit layer-norm gains."""
     rng = np.random.default_rng(cfg.seed)
-    params: dict[str, np.ndarray] = {}
-    for name, shape in param_shapes(cfg).items():
-        if len(shape) == 2:
-            limit = np.sqrt(6.0 / (shape[0] + shape[1]))
-            params[name] = rng.uniform(-limit, limit, size=shape).astype(np.float32)
+    params = FlatParams(cfg)
+    for name, p in params.items():
+        if p.ndim == 2:
+            limit = np.sqrt(6.0 / (p.shape[0] + p.shape[1]))
+            p[...] = rng.uniform(-limit, limit, size=p.shape)
         elif name.endswith("_g"):
-            params[name] = np.ones(shape, dtype=np.float32)
-        else:
-            params[name] = np.zeros(shape, dtype=np.float32)
+            p[...] = 1.0
     return params
 
 
@@ -84,9 +99,8 @@ def _layer_norm_forward(x, g, b):
 
 def _layer_norm_backward(dy, cache, g):
     xhat, inv = cache
-    axes = tuple(range(dy.ndim - 1))
-    dg = (dy * xhat).sum(axis=axes)
-    db = dy.sum(axis=axes)
+    dg = (dy * xhat).sum(axis=0)
+    db = dy.sum(axis=0)
     dxhat = dy * g
     m1 = dxhat.mean(-1, keepdims=True)
     m2 = (dxhat * xhat).mean(-1, keepdims=True)
@@ -94,27 +108,31 @@ def _layer_norm_backward(dy, cache, g):
     return dx, dg, db
 
 
-def _standardize(x, mask):
-    """Scalar mean/std per sequence, over real (unmasked) entries."""
-    dim = x.shape[2]
-    counts = (mask.sum(axis=1) * dim).astype(x.dtype)
-    zero = x.dtype.type(0.0)
-    masked = np.where(mask[..., None], x, zero)
-    mean = masked.sum(axis=(1, 2)) / counts
-    centered = np.where(mask[..., None], x - mean[:, None, None], zero)
-    var = (centered * centered).sum(axis=(1, 2)) / counts
-    std = np.maximum(np.sqrt(var), x.dtype.type(1e-6))
-    return (x - mean[:, None, None]) / std[:, None, None]
+def _standardize(x, lengths):
+    """Scalar mean/std per sequence, each a block of consecutive rows of x."""
+    out = np.empty_like(x)
+    stop = 0
+    for length in lengths.tolist():
+        block = x[stop : stop + length]
+        count = x.dtype.type(block.size)
+        centered = block - block.sum() / count
+        std = np.maximum(np.sqrt((centered * centered).sum() / count), x.dtype.type(1e-6))
+        out[stop : stop + length] = centered / std
+        stop += length
+    return out
 
 
-def _split_heads(t, heads):
-    n, length, dim = t.shape
-    return t.reshape(n, length, heads, dim // heads).transpose(0, 2, 1, 3)
+def _scatter(rows, mask):
+    """Packed rows in the padded (N, L, ...) layout of ``mask``, zero at padding."""
+    out = np.zeros(mask.shape + rows.shape[1:], dtype=rows.dtype)
+    out[mask] = rows
+    return out
 
 
-def _merge_heads(t):
-    n, heads, length, hd = t.shape
-    return t.transpose(0, 2, 1, 3).reshape(n, length, heads * hd)
+def _pack(t, mask):
+    """The real ticks of padded (N, L, ...) ``t`` as (T, ·) rows."""
+    rows = t[mask]
+    return rows.reshape(len(rows), -1)
 
 
 def forward_cached(
@@ -124,9 +142,11 @@ def forward_cached(
     mask: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, dict]:
-    """Batched forward pass returning logits (N, L, C) plus a cache.
+    """Logits (N, L, C) of a padded batch (N, L, dim), plus a cache for ``backward``.
 
-    Dropout runs exactly when ``rng`` is given, drawing its masks from it.
+    ``mask`` marks the real ticks, all of them when None; logits at
+    padded ticks are zero.  Dropout runs exactly when ``rng`` is given,
+    drawing its masks over the real ticks from it.
     """
     if x.ndim != 3:
         raise ShapeError(f"expected (batch, ticks, dim), got {x.shape}")
@@ -136,10 +156,9 @@ def forward_cached(
     if length < 1 or length > cfg.max_ticks:
         raise InputError(f"tick count {length} outside 1..{cfg.max_ticks}")
     dt = params["w_in"].dtype
-    x = np.ascontiguousarray(x, dtype=dt)
     if mask is None:
         mask = np.ones((n, length), dtype=bool)
-    x = _standardize(x, mask)
+    x = _standardize(np.asarray(x[mask], dtype=dt), mask.sum(axis=1))
 
     drop_p = cfg.dropout if rng is not None else 0.0
 
@@ -149,7 +168,8 @@ def forward_cached(
         keep = (rng.random(t.shape) >= drop_p).astype(dt) / dt.type(1.0 - drop_p)
         return t * keep, keep
 
-    h = x @ params["w_in"] + params["b_in"] + positional_encoding(length, cfg.model_dim, dt)
+    positions = positional_encoding(length, cfg.model_dim, dt)[np.nonzero(mask)[1]]
+    h = x @ params["w_in"] + params["b_in"] + positions
 
     key_bias = np.where(mask, dt.type(0.0), dt.type(MASK_BIAS))[:, None, None, :]
     scale = dt.type(1.0 / np.sqrt(cfg.head_dim))
@@ -158,14 +178,16 @@ def forward_cached(
     for i in range(cfg.layers):
         p = f"l{i}_"
         h_in = h
-        q = _split_heads(h @ params[p + "wq"] + params[p + "bq"], cfg.heads)
-        k = _split_heads(h @ params[p + "wk"] + params[p + "bk"], cfg.heads)
-        v = _split_heads(h @ params[p + "wv"] + params[p + "bv"], cfg.heads)
-        scores = (q @ k.transpose(0, 1, 3, 2)) * scale + key_bias
-        scores -= scores.max(-1, keepdims=True)
-        expd = np.exp(scores)
-        attw = expd / expd.sum(-1, keepdims=True)
-        ctx = _merge_heads(attw @ v)
+        wqkv = np.concatenate([params[p + "w" + c] for c in "qkv"], axis=1)
+        bqkv = np.concatenate([params[p + "b" + c] for c in "qkv"])
+        qkv = _scatter(h @ wqkv + bqkv, mask).reshape(n, length, 3, cfg.heads, -1)
+        q, k, v = qkv.transpose(2, 0, 3, 1, 4)
+        attw = (q @ k.transpose(0, 1, 3, 2)) * scale + key_bias
+        attw -= attw.max(-1, keepdims=True)
+        np.exp(attw, out=attw)
+        attw /= attw.sum(-1, keepdims=True)
+        heads_out = attw @ v
+        ctx = _pack(heads_out.transpose(0, 2, 1, 3), mask)
         attn_out = ctx @ params[p + "wo"] + params[p + "bo"]
         attn_out, drop1 = dropout(attn_out)
         h1, ln1c = _layer_norm_forward(h_in + attn_out, params[p + "ln1_g"], params[p + "ln1_b"])
@@ -176,13 +198,14 @@ def forward_cached(
         f2, drop2 = dropout(f2)
         h, ln2c = _layer_norm_forward(h1 + f2, params[p + "ln2_g"], params[p + "ln2_b"])
         cache["layers"].append({
-            "h_in": h_in, "q": q, "k": k, "v": v, "attw": attw, "ctx": ctx,
+            "h_in": h_in, "wqkv": wqkv, "q": q, "k": k, "v": v, "attw": attw,
+            "heads_out": heads_out, "ctx": ctx,
             "drop1": drop1, "ln1": ln1c, "h1": h1, "relu_mask": relu_mask,
             "r": r, "drop2": drop2, "ln2": ln2c,
         })
     cache["h_out"] = h
     logits = h @ params["w_out"] + params["b_out"]
-    return logits, cache
+    return _scatter(logits, mask), cache
 
 
 def backward(
@@ -190,57 +213,53 @@ def backward(
     params: dict[str, np.ndarray],
     cache: dict,
     dlogits: np.ndarray,
-) -> dict[str, np.ndarray]:
-    """Parameter gradients for a cached forward pass."""
-    grads: dict[str, np.ndarray] = {}
-    n, length, _ = dlogits.shape
-    d = cfg.model_dim
+) -> FlatParams:
+    """Parameter gradients for a cached forward pass, from padded (N, L, C)
+    logit gradients."""
+    mask = cache["mask"]
+    grads = FlatParams(cfg, params["w_in"].dtype)
 
-    def matgrad(a, db_):
-        return a.reshape(-1, a.shape[-1]).T @ db_.reshape(-1, db_.shape[-1])
+    def linear(a, dy, w, b):
+        """Gradients of ``a @ params[w] + params[b]`` given the output's ``dy``."""
+        np.matmul(a.T, dy, out=grads[w])
+        np.sum(dy, axis=0, out=grads[b])
 
-    h_out = cache["h_out"]
-    grads["w_out"] = matgrad(h_out, dlogits)
-    grads["b_out"] = dlogits.sum(axis=(0, 1))
+    dlogits = _pack(dlogits, mask)
+    linear(cache["h_out"], dlogits, "w_out", "b_out")
     dh = dlogits @ params["w_out"].T
 
     scale = 1.0 / np.sqrt(cfg.head_dim)
     for i in reversed(range(cfg.layers)):
         p = f"l{i}_"
         lc = cache["layers"][i]
-        ds2, grads[p + "ln2_g"], grads[p + "ln2_b"] = _layer_norm_backward(
+        ds2, grads[p + "ln2_g"][...], grads[p + "ln2_b"][...] = _layer_norm_backward(
             dh, lc["ln2"], params[p + "ln2_g"]
         )
         df2 = ds2 if lc["drop2"] is None else ds2 * lc["drop2"]
-        grads[p + "w2"] = matgrad(lc["r"], df2)
-        grads[p + "b2"] = df2.sum(axis=(0, 1))
+        linear(lc["r"], df2, p + "w2", p + "b2")
         du = (df2 @ params[p + "w2"].T) * lc["relu_mask"]
-        grads[p + "w1"] = matgrad(lc["h1"], du)
-        grads[p + "b1"] = du.sum(axis=(0, 1))
+        linear(lc["h1"], du, p + "w1", p + "b1")
         dh1 = ds2 + du @ params[p + "w1"].T
-        ds1, grads[p + "ln1_g"], grads[p + "ln1_b"] = _layer_norm_backward(
+        ds1, grads[p + "ln1_g"][...], grads[p + "ln1_b"][...] = _layer_norm_backward(
             dh1, lc["ln1"], params[p + "ln1_g"]
         )
         dattn = ds1 if lc["drop1"] is None else ds1 * lc["drop1"]
-        grads[p + "wo"] = matgrad(lc["ctx"], dattn)
-        grads[p + "bo"] = dattn.sum(axis=(0, 1))
-        dctx = _split_heads(dattn @ params[p + "wo"].T, cfg.heads)
-        dattw = dctx @ lc["v"].transpose(0, 1, 3, 2)
-        dv = lc["attw"].transpose(0, 1, 3, 2) @ dctx
-        attw = lc["attw"]
-        dscores = attw * (dattw - (dattw * attw).sum(-1, keepdims=True))
-        dq = (dscores @ lc["k"]) * scale
-        dk = (dscores.transpose(0, 1, 3, 2) @ lc["q"]) * scale
-        dq, dk, dv = (_merge_heads(t) for t in (dq, dk, dv))
-        h_in = lc["h_in"]
-        dh = ds1
-        for name, dt_ in (("q", dq), ("k", dk), ("v", dv)):
-            grads[p + "w" + name] = matgrad(h_in, dt_)
-            grads[p + "b" + name] = dt_.sum(axis=(0, 1))
-            dh = dh + dt_ @ params[p + "w" + name].T
+        linear(lc["ctx"], dattn, p + "wo", p + "bo")
+        dctx = _scatter(dattn @ params[p + "wo"].T, mask).reshape(*mask.shape, cfg.heads, -1)
+        dctx = dctx.transpose(0, 2, 1, 3)
+        # softmax backward; sum_j dattw_ij attw_ij equals dctx_i . heads_out_i
+        dscores = dctx @ lc["v"].transpose(0, 1, 3, 2)
+        dscores -= (dctx * lc["heads_out"]).sum(-1, keepdims=True)
+        dscores *= lc["attw"] * scale
+        dqkv = np.stack([dscores @ lc["k"], dscores.transpose(0, 1, 3, 2) @ lc["q"],
+                         lc["attw"].transpose(0, 1, 3, 2) @ dctx])
+        dqkv = _pack(dqkv.transpose(1, 3, 0, 2, 4), mask)
+        dw, db = lc["h_in"].T @ dqkv, dqkv.sum(axis=0)
+        for c, dw_c, db_c in zip("qkv", np.split(dw, 3, axis=1), np.split(db, 3)):
+            grads[p + "w" + c][...], grads[p + "b" + c][...] = dw_c, db_c
+        dh = ds1 + dqkv @ lc["wqkv"].T
 
-    grads["w_in"] = matgrad(cache["x_std"], dh)
-    grads["b_in"] = dh.sum(axis=(0, 1))
+    linear(cache["x_std"], dh, "w_in", "b_in")
     return grads
 
 

@@ -18,8 +18,8 @@ from ..core import Melody, TICKS_PER_BEAT
 from ..errors import InputError, ShapeError
 from ..evaluate import _scores, octave_invariant_f1
 from .config import LabelerConfig
-from .decode import decode, onset_classes, onset_melody
-from .labels import DenseLabelSequence
+from .decode import onset_melody, onset_sweep
+from .labels import DenseLabelSequence, vocab_by_name
 from .loss import _loss_and_grad
 from .model import backward, forward_cached, forward_windowed, init_params
 
@@ -95,16 +95,15 @@ def _sample_slice(rng: np.random.Generator, ex: TrainExample) -> tuple[int, int]
 
 
 def _adam_step(params, grads, m, v, t, lr):
+    """One Adam update, in place, of the flat buffers of ``params`` (FlatParams),
+    its moments ``m`` and ``v``, from the flat buffer of ``grads``."""
     b1, b2, eps = 0.9, 0.999, 1e-8
-    c1 = 1.0 - b1**t
-    c2 = 1.0 - b2**t
-    for name, g in grads.items():
-        g32 = g.astype(np.float32, copy=False)
-        m[name] = b1 * m[name] + (1.0 - b1) * g32
-        v[name] = b2 * v[name] + (1.0 - b2) * g32 * g32
-        params[name] = params[name] - lr * (m[name] / c1) / (
-            np.sqrt(v[name] / c2) + eps
-        )
+    g = grads.flat
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    params.flat -= lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
 
 
 def validation_f1(
@@ -114,22 +113,29 @@ def validation_f1(
     thresholds: Sequence[float],
 ) -> np.ndarray:
     """Macro-mean F1 per threshold: octave-invariant note F1 for melody
-    labels, exact F1 over (tick, class) onset events for chord labels."""
+    labels, exact F1 over (tick, class) onset events for chord labels.
+    Thresholds that find the same onset ticks share one score."""
     sums = np.zeros(len(thresholds))
     for ex in examples:
-        logits = forward_windowed(cfg, params, ex.features)
-        if cfg.vocab == "melody":
-            ref = reference_melody(ex.labels, ex.amap)
-            for k, tau in enumerate(thresholds):
-                est = decode(logits, tau, ex.amap)
-                sums[k] += octave_invariant_f1(est, ref).f1
-        else:
-            events = set(ex.labels.onset_events())
-            for k, tau in enumerate(thresholds):
-                ticks, classes = onset_classes(logits, tau)
-                found = set(zip(ticks.tolist(), classes.tolist()))
-                sums[k] += _scores(len(found & events), len(found), len(events))[2]
+        score = _scorer(cfg, ex)
+        sweep = onset_sweep(forward_windowed(cfg, params, ex.features), thresholds)
+        keys = [ticks.tobytes() for ticks, _ in sweep]
+        scores = {key: score(*onsets) for key, onsets in dict(zip(keys, sweep)).items()}
+        sums += [scores[key] for key in keys]
     return sums / len(examples)
+
+
+def _scorer(cfg: LabelerConfig, ex: TrainExample) -> Callable[[np.ndarray, np.ndarray], float]:
+    """F1 of onsets (ticks, classes) found in ``ex``, as ``validation_f1`` scores it."""
+    if cfg.vocab == "melody":
+        ref = reference_melody(ex.labels, ex.amap)
+        return lambda ticks, classes: octave_invariant_f1(
+            onset_melody(ex.amap, ticks, classes), ref
+        ).f1
+    events = set(ex.labels.onset_events())
+    return lambda ticks, classes: _scores(
+        len(events.intersection(zip(ticks.tolist(), classes.tolist()))), len(ticks), len(events)
+    )[2]
 
 
 def train(
@@ -152,9 +158,10 @@ def train(
             raise ShapeError(f"{ex.seg_id}: feature dim {ex.features.shape[1]}")
 
     rng = np.random.default_rng(settings.seed)
+    vocab = vocab_by_name(cfg.vocab)
     params = init_params(cfg)
-    m = {k: np.zeros_like(p) for k, p in params.items()}
-    v = {k: np.zeros_like(p) for k, p in params.items()}
+    m = np.zeros_like(params.flat)
+    v = np.zeros_like(params.flat)
 
     def evaluated(at_step: int) -> TrainResult:
         """The current params, copied, at their best validation threshold."""
@@ -177,22 +184,17 @@ def train(
         picks = rng.integers(0, len(train_ex), size=settings.batch_size)
         slices = [(train_ex[int(i)], *_sample_slice(rng, train_ex[int(i)]))
                   for i in picks]
-        max_len = max(hi - lo for _, lo, hi in slices)
-        batch = np.zeros((len(slices), max_len, cfg.input_dim), dtype=np.float32)
-        mask = np.zeros((len(slices), max_len), dtype=bool)
+        lengths = np.array([hi - lo for _, lo, hi in slices])
+        mask = np.arange(lengths.max()) < lengths[:, None]
+        batch = np.zeros((*mask.shape, cfg.input_dim), dtype=np.float32)
         for row, (ex, lo, hi) in enumerate(slices):
             batch[row, : hi - lo] = ex.features[lo:hi]
-            mask[row, : hi - lo] = True
 
         logits, cache = forward_cached(cfg, params, batch, mask, rng=rng)
+        classes = np.concatenate([ex.labels.classes[lo:hi] for ex, lo, hi in slices])
+        loss, _sigmas, dpacked = _loss_and_grad(logits[mask], classes, vocab, lengths)
         dlogits = np.zeros_like(logits)
-        loss_total = 0.0
-        for row, (ex, lo, hi) in enumerate(slices):
-            loss, _sigma, dl = _loss_and_grad(
-                logits[row, : hi - lo], ex.labels.classes[lo:hi], ex.labels.vocab
-            )
-            loss_total += loss
-            dlogits[row, : hi - lo] = dl / len(slices)
+        dlogits[mask] = dpacked
         grads = backward(cfg, params, cache, dlogits)
         _adam_step(params, grads, m, v, step, settings.lr)
 
@@ -200,7 +202,7 @@ def train(
             result = evaluated(step)
             entry = {
                 "step": step,
-                "loss": loss_total / len(slices),
+                "loss": loss,
                 "f1": result.valid_f1,
                 "tau": result.tau,
             }

@@ -1,5 +1,7 @@
 import json
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from melscribe import htparse
 from melscribe.core import KeySignature, PitchClass
-from melscribe.errors import FormatError, RangeError
+from melscribe.errors import FormatError, MelscribeError, RangeError
 
 
 def key(tonic=0, mode="major"):
@@ -284,6 +286,39 @@ def test_readers_refuse_an_id_that_is_not_a_file_name(tmp_path, load):
         path.write_text(json.dumps({**good, "id": seg_id}))
         with pytest.raises(FormatError, match=r"seg\.segment\.json" + message):
             htparse.load_segment(path)
+
+
+def test_ticks_past_int64_are_refused_naming_the_file(tmp_path, load):
+    seg_path = tmp_path / "seg.segment.json"
+    htparse.save_segment(seg_path, load(doc())[0])
+    good = json.loads(seg_path.read_text())
+    note, chord = good["melody"][0], good["chords"][0]
+    for name, bad, message in (
+        ("onset.segment.json", {"melody": [{**note, "onset_ticks": 2**63}]},
+         r"\$\.melody\[0\]: ends past tick 9223372036854775807"),
+        ("end.segment.json", {"melody": [{**note, "onset_ticks": 2**62, "duration_ticks": 2**62}]},
+         r"\$\.melody\[0\]: ends past tick 9223372036854775807"),
+        ("chord.segment.json", {"chords": [{**chord, "onset_ticks": 2**62,
+                                            "duration_ticks": 2**62}]},
+         r"\$\.chords\[0\]: ends past tick"),
+    ):
+        path = tmp_path / name
+        path.write_text(json.dumps({**good, **bad}))
+        with pytest.raises(MelscribeError, match=re.escape(name) + ": " + message):
+            htparse.load_segment(path)
+    huge = doc(melody=[{"scale_degree": 1, "accidental": 0, "rel_octave": 0,
+                        "onset_beats": beats(10**19), "duration_beats": beats(1)}])
+    with pytest.raises(MelscribeError, match=r"doc\.json: \$\.melody\[0\]: ends past tick"):
+        load(huge)
+    (tmp_path / "in").mkdir()
+    (tmp_path / "in" / "huge.json").write_text(huge)
+    proc = subprocess.run(
+        [sys.executable, "-m", "melscribe.cli", "dataset", "convert", str(tmp_path / "in"),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "huge.json" in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
 
 
 def test_stratified_split_groups_artists():

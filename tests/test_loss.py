@@ -139,3 +139,23 @@ def test_loss_shape_errors():
         _loss_and_grad(np.zeros((8, 97)), silence, MELODY_VOCAB)
     with pytest.raises(ShapeError):
         _loss_and_grad(np.zeros(8), silence, MELODY_VOCAB)
+
+
+def test_batched_loss_matches_one_call_per_sequence():
+    rng = np.random.default_rng(7)
+    lengths = np.array([4, 20, 9, 33, 1])
+    logits = rng.normal(scale=2.0, size=(lengths.sum(), 89)).astype(np.float32)
+    classes = np.where(rng.random(lengths.sum()) < 0.4, 0,
+                       rng.integers(25, 65, size=lengths.sum())).astype(np.int64)
+    classes[4:24] = 0  # a silent sequence keeps shift 0
+    loss, sigmas, grad = _loss_and_grad(logits, classes, MELODY_VOCAB, lengths)
+    starts = np.cumsum(lengths) - lengths
+    solo = [_loss_and_grad(logits[a : a + n], classes[a : a + n], MELODY_VOCAB)
+            for a, n in zip(starts, lengths)]
+    assert sigmas.tolist() == [s for _, s, _ in solo]
+    assert sigmas[1] == 0 and np.any(sigmas != 0)
+    assert abs(loss - np.mean([l for l, _, _ in solo])) < 1e-6
+    expected = np.concatenate([g / len(lengths) for _, _, g in solo])
+    assert grad.dtype == np.float32 and np.array_equal(grad, expected)
+    with pytest.raises(ShapeError):
+        _loss_and_grad(logits, classes, MELODY_VOCAB, lengths[:-1])

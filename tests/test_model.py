@@ -93,11 +93,12 @@ def test_standardize_whitens_each_sequence():
     mask = np.ones((2, 10), dtype=bool)
     mask[1, 6:] = False
     _, cache = forward_cached(TINY, params, x, mask)
-    xs = cache["x_std"]
-    flat0 = xs[0].ravel()
+    xs = cache["x_std"]  # packed: row 0's 10 real ticks, then row 1's 6
+    assert xs.shape == (16, 12)
+    flat0 = xs[:10].ravel()
     assert abs(flat0.mean()) < 1e-4
     assert abs(flat0.std() - 1.0) < 1e-3
-    valid1 = xs[1, :6].ravel()
+    valid1 = xs[10:].ravel()
     assert abs(valid1.mean()) < 1e-4
     assert abs(valid1.std() - 1.0) < 1e-3
 
@@ -169,3 +170,31 @@ def test_gradient_check_chord_vocab():
     )
     worst = gradient_check(cfg, n_ticks=6, coords_per_tensor=2, seeds=(23,))
     assert worst < 1e-3
+
+
+def test_padded_batch_gradients_are_the_sum_of_single_sequence_gradients():
+    # float64, so packing, scattering and gathering are checked to 1e-10
+    params = {k: p.astype(np.float64) for k, p in init_params(TINY).items()}
+    rng = np.random.default_rng(9)
+    lengths = (4, 12, 32, 17)
+    seqs = [rng.normal(size=(n, 12)) for n in lengths]
+    dseqs = [rng.normal(size=(n, 89)) for n in lengths]
+    batch = np.zeros((len(lengths), 32, 12))
+    dlogits = np.zeros((len(lengths), 32, 89))
+    mask = np.zeros((len(lengths), 32), dtype=bool)
+    for row, (x, dl) in enumerate(zip(seqs, dseqs)):
+        batch[row, : len(x)], dlogits[row, : len(x)], mask[row, : len(x)] = x, dl, True
+    logits, cache = forward_cached(TINY, params, batch, mask)
+    grads = backward(TINY, params, cache, dlogits)
+
+    summed = {k: np.zeros_like(p) for k, p in params.items()}
+    for row, (x, dl) in enumerate(zip(seqs, dseqs)):
+        solo, solo_cache = forward_cached(TINY, params, x[None])
+        assert np.max(np.abs(logits[row, : len(x)] - solo[0])) < 1e-12
+        for k, g in backward(TINY, params, solo_cache, dl[None]).items():
+            summed[k] += g
+    assert not np.any(logits[~mask])
+    for k in params:
+        # the key bias's gradient is zero but for rounding: softmax ignores it
+        scale = max(np.abs(summed[k]).max(), 1e-3)
+        assert np.abs(grads[k] - summed[k]).max() / scale < 1e-10, k

@@ -1,14 +1,17 @@
-"""Every program name the benchmark in ``perfbench/`` imports still exists.
+"""Every program name the benchmark in ``perfbench/`` imports or traces still exists.
 
 perfbench pins names the program no longer uses itself: the four SSFT
 aliases in ``melscribe.features``, the labeler re-exports and
 ``LabelerConfig.to_dict``/``from_dict``.  Deleting one would otherwise
-show only as a failed benchmark run.  This reads perfbench's sources
-and never writes them.
+show only as a failed benchmark run.  Its tracer wraps program
+functions by module and name, and skips a name that is gone, so a
+rename would show only as a layer reading 0.  This reads perfbench's
+sources and never writes them.
 """
 
 import ast
 import importlib
+import importlib.util
 import inspect
 from pathlib import Path
 
@@ -51,3 +54,51 @@ def test_every_name_perfbench_imports_from_melscribe_resolves():
     assert ("melscribe.labeler", "LabelerConfig", "from_dict") in seen
     missing = [entry for entry in pinned if not resolves(*entry[1:])]
     assert not missing, missing
+
+
+#: Names perfbench's tracer wraps that the program no longer calls through
+#: that module.  Their layers still read values: ``align.align_calls``
+#: through the decode, features and leadsheet entries, and
+#: ``labeler.decode`` from the train workload's own spans.
+NOT_CALLED_THERE = {
+    ("melscribe.labeler.train", "align"),  # train reaches align via decode.onset_melody
+    ("melscribe.labeler.train", "decode"),  # validation_f1 thresholds via onset_sweep
+}
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_name_perfbench_traces_resolves():
+    # tracing.instrument skips a missing name silently, so a rename would
+    # zero its layer without failing the benchmark
+    tracing = load_tracing()
+    targets = {(module, attr) for module, attr, _ in tracing._wrappers(tracing.Tracer())}
+    assert ("melscribe.labeler.train", "forward_cached") in targets
+    assert NOT_CALLED_THERE <= targets
+    missing = {(module, attr) for module, attr in targets
+               if not hasattr(importlib.import_module(module), attr)}
+    assert missing == NOT_CALLED_THERE
+
+
+def test_traced_training_reads_every_training_layer():
+    from melscribe.labeler.config import LabelerConfig
+    from melscribe.labeler.train import TrainSettings, train
+    from test_train import flat_example
+
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    cfg = LabelerConfig(layers=1, model_dim=16, heads=2, ff_dim=32, input_dim=229)
+    examples = [flat_example(f"t{i}", 3 + i) for i in range(4)]
+    examples.append(flat_example("v", 4, split="valid"))
+    with tracing.instrument(tracer):
+        train(cfg, examples, TrainSettings(batch_size=4, max_steps=2, eval_every=2))
+    names = {span[0] for span in tracer.spans}
+    for layer in ("forward_cached", "backward", "loss", "adam", "validation_f1"):
+        assert f"labeler.{layer}" in names
+    # forward_cached still takes the padded batch and its mask as arguments 2 and 3
+    assert 0 < tracer.counts["train.real_ticks"] < tracer.counts["train.padded_ticks"]

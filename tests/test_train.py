@@ -6,7 +6,9 @@ import pytest
 from helpers import one_hot_logits, synth_examples
 from melscribe.align import AlignmentMap
 from melscribe.errors import InputError, ShapeError
+from melscribe.evaluate import octave_invariant_f1
 from melscribe.labeler.config import LabelerConfig
+from melscribe.labeler.decode import decode, onset_sweep
 from melscribe.labeler.labels import CHORD_VOCAB, DenseLabelSequence
 from melscribe.labeler.train import (
     DEFAULT_THRESHOLDS,
@@ -123,6 +125,45 @@ def test_validation_f1_perfect_with_oracle_logits(monkeypatch):
     f1s = validation_f1(SMALL, {}, examples, (0.1, 0.5, 0.9))
     assert f1s.shape == (3,)
     assert np.all(f1s == 1.0)
+
+
+def test_validation_f1_scores_each_threshold_as_decode_then_f1(monkeypatch):
+    # random logits, so thresholds that share onset ticks and ones that do
+    # not both occur; each must score exactly as decoding at that threshold
+    rng = np.random.default_rng(4)
+    examples, logits = [], {}
+    for k in range(3):
+        classes = np.zeros(48, dtype=np.int64)
+        ticks = rng.choice(48, size=9, replace=False)
+        classes[ticks] = rng.integers(20, 60, size=9)
+        ex = flat_example(f"r{k}", 12, classes, split="valid")
+        examples.append(ex)
+        z = rng.normal(size=(48, 89)).astype(np.float32)
+        z[np.arange(48), classes] += 6.0  # right pitches, blurred silence
+        z[:, 0] += rng.uniform(-3.0, 6.0, size=48).astype(np.float32)
+        logits[id(ex.features)] = z
+
+    import importlib
+
+    train_module = importlib.import_module("melscribe.labeler.train")
+    monkeypatch.setattr(train_module, "forward_windowed",
+                        lambda cfg, params, feats: logits[id(feats)])
+    f1s = validation_f1(SMALL, {}, examples, DEFAULT_THRESHOLDS)
+    expected = [
+        np.mean([
+            octave_invariant_f1(
+                decode(logits[id(ex.features)], tau, ex.amap),
+                reference_melody(ex.labels, ex.amap),
+            ).f1
+            for ex in examples
+        ])
+        for tau in DEFAULT_THRESHOLDS
+    ]
+    assert f1s.tolist() == expected
+    # some thresholds share onset ticks, so a score is reused, and some do not
+    sets = {t.tobytes() for t, _ in onset_sweep(logits[id(examples[0].features)],
+                                                 DEFAULT_THRESHOLDS)}
+    assert 1 < len(sets) < len(DEFAULT_THRESHOLDS)
 
 
 def test_train_input_validation():
