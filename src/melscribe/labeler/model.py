@@ -6,8 +6,8 @@ residual blocks, sinusoidal positions, ReLU feed-forward; one GEMM per
 layer projects queries, keys and values.  A padded (N, L, dim) batch is
 packed to its T real ticks: every per-tick operation runs on (T, ·)
 arrays, and only attention scores scatter to (N, heads, L, L) under the
-key mask.  Parameters and gradients are ``FlatParams``, named views in a
-fixed canonical order into one flat buffer.
+key mask.  ``init_params`` and ``backward`` return ``FlatParams``: named
+views, in a fixed canonical order, into one flat buffer.
 
 Compute dtype follows the parameter dtype: float32 as ``init_params``
 draws them, float64 when a caller (the gradient check) casts them for
