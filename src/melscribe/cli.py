@@ -18,7 +18,7 @@ from pathlib import Path
 from . import htparse
 from .align import AlignmentMap, BeatGrid, refine_alignment
 from .core import KeySignature, Meter, PitchClass
-from .errors import FormatError, InputError, MelscribeError, ParseError, RangeError
+from .errors import FormatError, InputError, MelscribeError, ParseError, RangeError, in_file
 from .evaluate import (
     DEFAULT_TOL_S,
     load_transcript,
@@ -163,8 +163,9 @@ def cmd_align_refine(args) -> int:
 
 def _mel_one(job: tuple[str, str]) -> tuple[str, int]:
     audio_path, out_path = job
-    samples, rate = load_wav(audio_path)
-    feats = logmel(samples, rate)
+    samples, rate = load_wav(audio_path)  # names the file in its own errors
+    with in_file(audio_path):  # a sample rate logmel refuses comes from the header
+        feats = logmel(samples, rate)
     write_ssft(out_path, feats)
     return out_path, feats.n_frames
 

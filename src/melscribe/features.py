@@ -215,9 +215,41 @@ def _mel_filterbank() -> np.ndarray:
     return np.clip(np.minimum(rising, falling), 0.0, None)
 
 
+#: Groups of consecutive mel bands in ``_mel_bands``.
+_MEL_GROUPS = 16
+
+
+@cache
+def _mel_bands() -> tuple[tuple[int, int, int, int, np.ndarray], ...]:
+    """``_mel_filterbank().T`` cut into ``_MEL_GROUPS`` banded blocks.
+
+    Each group of consecutive bands keeps only the run of FFT bins where
+    one of its bands is nonzero, as a contiguous (bins, bands) matrix.
+    The 16 matrices hold 6.5 % of the 1025 x 229 entries; the 2029
+    nonzeros are 0.9 %.  Returns ((first bin, end bin, first band, end
+    band, weights), ...).
+    """
+    fb_t = _mel_filterbank().T
+    groups = []
+    for cols in np.array_split(np.arange(N_MELS), _MEL_GROUPS):
+        c0, c1 = int(cols[0]), int(cols[-1]) + 1
+        bins = np.flatnonzero(fb_t[:, c0:c1].any(axis=1))
+        lo, hi = int(bins[0]), int(bins[-1]) + 1
+        groups.append((lo, hi, c0, c1, np.ascontiguousarray(fb_t[lo:hi, c0:c1])))
+    return tuple(groups)
+
+
 #: Frames transformed per step of ``logmel``.  Of 128 to 2048, 256 ran
 #: fastest on 165 s of audio (2-core x86 VM, numpy 2.4 with OpenBLAS).
+#: With the banded mel product and reused buffers, blocks of 32 to 512
+#: gave the same output and timings within the noise on 669 s of audio
+#: (same VM, one BLAS thread), so it stays at 256.
 _LOGMEL_BLOCK = 256
+
+#: The highest sample rate ``logmel`` takes, the highest standard one.
+#: The resampling filter grows with the rate, so a corrupt header's rate,
+#: such as 10**9 Hz, would otherwise ask for gigabytes.
+MAX_SAMPLE_RATE = 384000
 
 #: Output phases per band matrix, and blocks per chunk, in ``_resample``.
 #: Of 10, 20 and 40 phases and 64 to 1024 blocks, 20 and 256 ran fastest
@@ -286,7 +318,7 @@ def _resample(x: np.ndarray, rate_in: int, rate_out: int) -> np.ndarray:
     first = min(lo for lo, _, _ in groups)
     span = max(lo + len(band) for lo, _, band in groups) - first
     y = np.empty((n_blocks, block_out))
-    buf = np.empty((_RESAMPLE_CHUNK - 1) * block_in + span)
+    buf = np.empty((min(_RESAMPLE_CHUNK, n_blocks) - 1) * block_in + span)
     for b0 in range(0, n_blocks, _RESAMPLE_CHUNK):
         nb = min(_RESAMPLE_CHUNK, n_blocks - b0)
         s = b0 * block_in + first  # the input index of buf[0]
@@ -314,8 +346,11 @@ def logmel(samples: np.ndarray, sample_rate_hz: int) -> FeatureMatrix:
     if not np.all(np.isfinite(x)):
         raise InputError("samples contain non-finite values")
     rate = float(sample_rate_hz)
-    if not (rate > 0 and rate.is_integer()):  # also refuses nan and inf
-        raise InputError(f"sample rate {sample_rate_hz} must be a positive whole number")
+    if not (0 < rate <= MAX_SAMPLE_RATE and rate.is_integer()):  # also refuses nan and inf
+        raise InputError(
+            f"sample rate {sample_rate_hz} must be a positive whole number"
+            f" of at most {MAX_SAMPLE_RATE} Hz"
+        )
     if rate != SAMPLE_RATE:
         x = _resample(x, int(rate), SAMPLE_RATE)
 
@@ -325,12 +360,22 @@ def logmel(samples: np.ndarray, sample_rate_hz: int) -> FeatureMatrix:
     xp = np.pad(x, (pad, tail))
     frames = np.lib.stride_tricks.sliding_window_view(xp, N_FFT)[::HOP]
     window = np.hanning(N_FFT)
-    fb_t = _mel_filterbank().T
     out = np.empty((n_frames, N_MELS), dtype=np.float32)
-    for start in range(0, n_frames, _LOGMEL_BLOCK):
-        stop = min(start + _LOGMEL_BLOCK, n_frames)
-        mag = np.abs(np.fft.rfft(frames[start:stop] * window, axis=1))
-        out[start:stop] = np.log(mag @ fb_t + LOG_OFFSET).astype(np.float32)
+    block = min(_LOGMEL_BLOCK, n_frames)
+    windowed = np.empty((block, N_FFT))
+    spectrum = np.empty((block, N_FFT // 2 + 1), dtype=np.complex128)
+    mag = np.empty((block, N_FFT // 2 + 1))
+    mel = np.empty((block, N_MELS))
+    for start in range(0, n_frames, block):
+        n = min(block, n_frames - start)
+        np.multiply(frames[start : start + n], window, out=windowed[:n])
+        np.fft.rfft(windowed[:n], axis=1, out=spectrum[:n])
+        np.abs(spectrum[:n], out=mag[:n])
+        for lo, hi, c0, c1, band in _mel_bands():
+            np.matmul(mag[:n, lo:hi], band, out=mel[:n, c0:c1])
+        mel[:n] += LOG_OFFSET
+        np.log(mel[:n], out=mel[:n])
+        out[start : start + n] = mel[:n]
     return FeatureMatrix(rate_hz=SAMPLE_RATE / HOP, frames=out, t0_s=0.0)
 
 

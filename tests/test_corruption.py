@@ -173,6 +173,20 @@ def test_cli_mel_exits_1_on_a_damaged_wav_and_2_on_an_unusable_path(tmp_path):
         assert not (tmp_path / "x.ssft").exists()
 
 
+def test_cli_mel_names_the_wav_whose_header_gives_an_absurd_rate(tmp_path):
+    write_wav(tmp_path / "fast.wav", np.zeros(1000), 10**9)
+    proc = subprocess.run(
+        [sys.executable, "-m", "melscribe.cli", "features", "mel",
+         str(tmp_path / "fast.wav"), "--out", str(tmp_path / "x.ssft")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error:"), proc.stderr
+    assert str(tmp_path / "fast.wav") in proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert not (tmp_path / "x.ssft").exists()
+
+
 def test_cli_exits_without_traceback_on_damaged_files(files, tmp_path):
     fixed = files["fixed.ssft"].read_bytes()
     ticks = files["ticks.ssft"].read_bytes()

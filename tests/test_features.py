@@ -119,7 +119,7 @@ def test_logmel_matches_per_frame_reference(extra_frames):
     assert np.array_equal(fm.frames, logmel_per_frame(samples, 16000))
 
 
-@pytest.mark.parametrize("rate", [8000, 44100])
+@pytest.mark.parametrize("rate", [8000, 22050, 44100, 48000])
 def test_logmel_matches_per_frame_reference_after_resampling(rate):
     samples = np.random.default_rng(rate).normal(0, 0.1, size=3 * rate)
     assert np.array_equal(logmel(samples, rate).frames, logmel_per_frame(samples, rate))
@@ -135,6 +135,25 @@ def test_logmel_input_validation():
     for rate in (44100.5, float("nan"), float("inf"), 0, -1):
         with pytest.raises(InputError, match="positive whole number"):
             logmel(np.zeros(100), rate)
+
+
+def test_logmel_refuses_rates_above_384_khz():
+    assert logmel(np.zeros(100), 384000).n_frames == 1
+    for rate in (384001, 10**9):
+        with pytest.raises(InputError, match="at most 384000 Hz"):
+            logmel(np.zeros(100), rate)
+
+
+def test_mel_bands_hold_each_filterbank_weight_once():
+    fb_t = features._mel_filterbank().T
+    rebuilt = np.zeros_like(fb_t)
+    held = np.zeros(fb_t.shape, dtype=int)
+    for lo, hi, c0, c1, band in features._mel_bands():
+        assert band.shape == (hi - lo, c1 - c0) and band.flags.c_contiguous
+        rebuilt[lo:hi, c0:c1] = band
+        held[lo:hi, c0:c1] += band != 0
+    assert np.array_equal(rebuilt, fb_t)
+    assert np.array_equal(held, fb_t != 0)  # every nonzero in exactly one band
 
 
 def test_logmel_takes_a_whole_float_rate():
@@ -164,7 +183,7 @@ def test_load_wav_formats(tmp_path):
         load_wav(bad)
 
 
-@pytest.mark.parametrize("rate", [8000, 11025, 22050, 32000, 44100, 48000])
+@pytest.mark.parametrize("rate", [8000, 11025, 22050, 32000, 44100, 48000, 44101])
 def test_resample_matches_scipy_resample_poly(rate):
     import scipy.signal
 
