@@ -164,7 +164,7 @@ def cmd_align_refine(args) -> int:
 def _mel_one(job: tuple[str, str]) -> tuple[str, int]:
     audio_path, out_path = job
     samples, rate = load_wav(audio_path)  # names the file in its own errors
-    with in_file(audio_path):  # a sample rate logmel refuses comes from the header
+    with in_file(audio_path):  # logmel refuses the header's rate or NaN float samples
         feats = logmel(samples, rate)
     write_ssft(out_path, feats)
     return out_path, feats.n_frames

@@ -336,9 +336,10 @@ def _resample(x: np.ndarray, rate_in: int, rate_out: int) -> np.ndarray:
 def logmel(samples: np.ndarray, sample_rate_hz: int) -> FeatureMatrix:
     """Log-amplitude mel spectrogram at 31.25 Hz, 229 dims, t0 = 0.
 
-    Audio is resampled to 16 kHz if needed, then analyzed with a
-    centered Hann window of 2048 samples and hop 512.  Mel amplitudes
-    map through log(a + 1e-6), so silence sits at log(1e-6).
+    Audio at a whole rate of at most ``MAX_SAMPLE_RATE`` is resampled
+    to 16 kHz if needed, then analyzed with a centered Hann window of
+    2048 samples and hop 512.  Mel amplitudes map through
+    log(a + 1e-6), so silence sits at log(1e-6).
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:

@@ -173,18 +173,22 @@ def test_cli_mel_exits_1_on_a_damaged_wav_and_2_on_an_unusable_path(tmp_path):
         assert not (tmp_path / "x.ssft").exists()
 
 
-def test_cli_mel_names_the_wav_whose_header_gives_an_absurd_rate(tmp_path):
+def test_cli_mel_names_the_wav_whose_rate_or_samples_logmel_refuses(tmp_path):
+    import scipy.io.wavfile
+
     write_wav(tmp_path / "fast.wav", np.zeros(1000), 10**9)
-    proc = subprocess.run(
-        [sys.executable, "-m", "melscribe.cli", "features", "mel",
-         str(tmp_path / "fast.wav"), "--out", str(tmp_path / "x.ssft")],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 1, proc.stderr
-    assert proc.stderr.startswith("error:"), proc.stderr
-    assert str(tmp_path / "fast.wav") in proc.stderr, proc.stderr
-    assert "Traceback" not in proc.stderr, proc.stderr
-    assert not (tmp_path / "x.ssft").exists()
+    scipy.io.wavfile.write(tmp_path / "nan.wav", 16000, np.full(1000, np.nan, np.float32))
+    for name in ("fast.wav", "nan.wav"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "melscribe.cli", "features", "mel",
+             str(tmp_path / name), "--out", str(tmp_path / "x.ssft")],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error:"), proc.stderr
+        assert str(tmp_path / name) in proc.stderr, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert not (tmp_path / "x.ssft").exists()
 
 
 def test_cli_exits_without_traceback_on_damaged_files(files, tmp_path):

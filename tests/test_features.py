@@ -132,16 +132,10 @@ def test_logmel_input_validation():
         logmel(np.zeros((10, 2)), 16000)
     with pytest.raises(InputError):
         logmel(np.full(100, np.nan), 16000)
-    for rate in (44100.5, float("nan"), float("inf"), 0, -1):
+    for rate in (44100.5, float("nan"), float("inf"), 0, -1, 384001, 10**9):
         with pytest.raises(InputError, match="positive whole number"):
             logmel(np.zeros(100), rate)
-
-
-def test_logmel_refuses_rates_above_384_khz():
-    assert logmel(np.zeros(100), 384000).n_frames == 1
-    for rate in (384001, 10**9):
-        with pytest.raises(InputError, match="at most 384000 Hz"):
-            logmel(np.zeros(100), rate)
+    assert logmel(np.zeros(100), features.MAX_SAMPLE_RATE).n_frames == 1
 
 
 def test_mel_bands_hold_each_filterbank_weight_once():
