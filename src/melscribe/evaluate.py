@@ -1,4 +1,4 @@
-"""Note-wise onset F-measure, octave-invariant, with a brute-force oracle.
+"""Note-wise onset F-measure, octave-invariant.
 
 A transcription is scored on onsets and pitches only; offsets never
 enter the metric.  Estimated and reference onsets form a bipartite
@@ -135,48 +135,6 @@ def octave_invariant_f1(
     prefer the smaller |sigma|, then the lower sigma.
     """
     return _best_shift_f1(estimate, reference, tol_s, octave_free=True)
-
-
-def oracle_note_f1(
-    estimate: Melody, reference: Melody, tol_s: float = DEFAULT_TOL_S
-) -> EvalReport:
-    """Exhaustive-enumeration oracle for note_f1 (sigma = 0), n <= 8 a side.
-
-    Recurses over every injective onset-matching, tracking the maximum
-    cardinality and the maximum pitch-equal pair count independently.
-    Kept deliberately free of matching theory so it can check the
-    greedy window matcher that note_f1 uses.
-    """
-    e_on, e_mid = _perf_arrays(estimate)
-    r_on, r_mid = _perf_arrays(reference)
-    if len(e_on) > 8 or len(r_on) > 8:
-        raise InputError("oracle is limited to 8 notes per side")
-    compatible = [
-        [j for j in range(len(r_on)) if abs(e_on[i] - r_on[j]) <= tol_s]
-        for i in range(len(e_on))
-    ]
-    best = {"matched": 0, "tp": 0}
-
-    def explore(i: int, used: int, card: int, tp: int) -> None:
-        if card > best["matched"]:
-            best["matched"] = card
-        if tp > best["tp"]:
-            best["tp"] = tp
-        if i == len(e_on):
-            return
-        explore(i + 1, used, card, tp)
-        for j in compatible[i]:
-            if not used & (1 << j):
-                explore(
-                    i + 1,
-                    used | (1 << j),
-                    card + 1,
-                    tp + (1 if e_mid[i] == r_mid[j] else 0),
-                )
-
-    explore(0, 0, 0, 0)
-    precision, recall, f1 = _scores(best["tp"], len(e_on), len(r_on))
-    return EvalReport(precision, recall, f1, 0, best["matched"])
 
 
 #: Kind of each transcript field: JSON numbers for times, a JSON integer for pitch.

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 
 import numpy as np
 
@@ -259,7 +259,14 @@ _RESAMPLE_GROUP = 20
 _RESAMPLE_CHUNK = 256
 
 
-@cache
+#: Rate pairs whose ``_polyphase`` bands stay cached.  Bands take about
+#: 320 bytes per unit of ``down`` (0.14 MB at 44.1 kHz, where down is
+#: 441), so the worst case, two rates coprime with 16 kHz near
+#: ``MAX_SAMPLE_RATE``, retains about 2 x 123 MB.
+_POLYPHASE_CACHED = 2
+
+
+@lru_cache(maxsize=_POLYPHASE_CACHED)
 def _polyphase(up: int, down: int) -> tuple[int, int, list[tuple[int, int, np.ndarray]]]:
     """The banded phase matrices of ``scipy.signal.resample_poly``'s filter.
 

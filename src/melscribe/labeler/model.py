@@ -11,12 +11,18 @@ views, in a fixed canonical order, into one flat buffer.
 
 Compute dtype follows the parameter dtype: float32 as ``init_params``
 draws them, float64 when a caller (the gradient check) casts them for
-tighter arithmetic.
+tighter arithmetic.  Every cached array, scalar and gradient of a step
+stays in that dtype; a float64 scalar such as ``np.float64(0.25)`` must
+not enter, because under NumPy 2's promotion rules (NEP 50) it turns a
+float32 array it multiplies into a float64 one.  Where a step would make
+a temporary and drop it at once, it updates an array in place instead,
+with the same operations in the same order, so no result changes.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,10 +64,11 @@ class FlatParams(dict):
 
     def __init__(self, cfg: LabelerConfig, dtype=np.float32) -> None:
         shapes = param_shapes(cfg)
-        sizes = [math.prod(shape) for shape in shapes.values()]
-        self.flat = np.zeros(sum(sizes), dtype=dtype)
-        parts = np.split(self.flat, np.cumsum(sizes)[:-1])
-        super().__init__(zip(shapes, map(np.reshape, parts, shapes.values())))
+        self.flat = np.zeros(sum(map(math.prod, shapes.values())), dtype=dtype)
+        stop = 0
+        for name, shape in shapes.items():
+            start, stop = stop, stop + math.prod(shape)
+            self[name] = self.flat[start:stop].reshape(shape)
 
 
 def init_params(cfg: LabelerConfig) -> FlatParams:
@@ -88,38 +95,55 @@ def positional_encoding(length: int, dim: int, dtype=np.float32) -> np.ndarray:
     return pe.astype(dtype)
 
 
+@lru_cache(maxsize=8)
+def _position_table(max_ticks: int, dim: int, dtype: np.dtype) -> np.ndarray:
+    """``positional_encoding(max_ticks, dim, dtype)``, read-only; its first
+    ``l`` rows equal ``positional_encoding(l, dim, dtype)`` bit for bit.
+    One table per configuration, so a process holds at most 8 of them
+    (0.8 MB each for ``FULL_CONFIG``)."""
+    table = positional_encoding(max_ticks, dim, dtype)
+    table.flags.writeable = False
+    return table
+
+
 def _layer_norm_forward(x, g, b):
+    """Layer norm of the rows of ``x``, which it overwrites with the output."""
     mu = x.mean(-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(-1, keepdims=True)
+    xhat = x - mu
+    var = np.multiply(xhat, xhat, out=x).mean(-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return xhat * g + b, (xhat, inv)
+    xhat *= inv
+    out = np.multiply(xhat, g, out=x)
+    out += b
+    return out, (xhat, inv)
 
 
 def _layer_norm_backward(dy, cache, g):
     xhat, inv = cache
-    dg = (dy * xhat).sum(axis=0)
+    tmp = dy * xhat
+    dg = tmp.sum(axis=0)
     db = dy.sum(axis=0)
-    dxhat = dy * g
-    m1 = dxhat.mean(-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(-1, keepdims=True)
-    dx = (dxhat - m1 - xhat * m2) * inv
+    dx = dy * g
+    m1 = dx.mean(-1, keepdims=True)
+    m2 = np.multiply(dx, xhat, out=tmp).mean(-1, keepdims=True)
+    dx -= m1
+    dx -= np.multiply(xhat, m2, out=tmp)
+    dx *= inv
     return dx, dg, db
 
 
 def _standardize(x, lengths):
-    """Scalar mean/std per sequence, each a block of consecutive rows of x."""
-    out = np.empty_like(x)
+    """Scalar mean/std per sequence, each a block of consecutive rows of x,
+    in place."""
     stop = 0
     for length in lengths.tolist():
         block = x[stop : stop + length]
         count = x.dtype.type(block.size)
-        centered = block - block.sum() / count
-        std = np.maximum(np.sqrt((centered * centered).sum() / count), x.dtype.type(1e-6))
-        out[stop : stop + length] = centered / std
+        block -= block.sum() / count
+        std = np.maximum(np.sqrt((block * block).sum() / count), x.dtype.type(1e-6))
+        block /= std
         stop += length
-    return out
+    return x
 
 
 def _scatter(rows, mask):
@@ -166,10 +190,12 @@ def forward_cached(
         if drop_p == 0.0:
             return t, None
         keep = (rng.random(t.shape) >= drop_p).astype(dt) / dt.type(1.0 - drop_p)
-        return t * keep, keep
+        t *= keep
+        return t, keep
 
-    positions = positional_encoding(length, cfg.model_dim, dt)[np.nonzero(mask)[1]]
-    h = x @ params["w_in"] + params["b_in"] + positions
+    h = x @ params["w_in"]
+    h += params["b_in"]
+    h += _position_table(cfg.max_ticks, cfg.model_dim, dt)[np.nonzero(mask)[1]]
 
     key_bias = np.where(mask, dt.type(0.0), dt.type(MASK_BIAS))[:, None, None, :]
     scale = dt.type(1.0 / np.sqrt(cfg.head_dim))
@@ -180,23 +206,32 @@ def forward_cached(
         h_in = h
         wqkv = np.concatenate([params[p + "w" + c] for c in "qkv"], axis=1)
         bqkv = np.concatenate([params[p + "b" + c] for c in "qkv"])
-        qkv = _scatter(h @ wqkv + bqkv, mask).reshape(n, length, 3, cfg.heads, -1)
+        qkv = h @ wqkv
+        qkv += bqkv
+        qkv = _scatter(qkv, mask).reshape(n, length, 3, cfg.heads, -1)
         q, k, v = qkv.transpose(2, 0, 3, 1, 4)
-        attw = (q @ k.transpose(0, 1, 3, 2)) * scale + key_bias
-        attw -= attw.max(-1, keepdims=True)
+        attw = q @ k.transpose(0, 1, 3, 2)
+        attw *= scale
+        attw += key_bias
+        attw -= np.fmax.reduce(attw, axis=-1, keepdims=True)
         np.exp(attw, out=attw)
         attw /= attw.sum(-1, keepdims=True)
         heads_out = attw @ v
         ctx = _pack(heads_out.transpose(0, 2, 1, 3), mask)
-        attn_out = ctx @ params[p + "wo"] + params[p + "bo"]
+        attn_out = ctx @ params[p + "wo"]
+        attn_out += params[p + "bo"]
         attn_out, drop1 = dropout(attn_out)
-        h1, ln1c = _layer_norm_forward(h_in + attn_out, params[p + "ln1_g"], params[p + "ln1_b"])
-        u = h1 @ params[p + "w1"] + params[p + "b1"]
-        relu_mask = u > 0
-        r = u * relu_mask
-        f2 = r @ params[p + "w2"] + params[p + "b2"]
+        attn_out += h_in
+        h1, ln1c = _layer_norm_forward(attn_out, params[p + "ln1_g"], params[p + "ln1_b"])
+        r = h1 @ params[p + "w1"]
+        r += params[p + "b1"]
+        relu_mask = r > 0
+        r *= relu_mask
+        f2 = r @ params[p + "w2"]
+        f2 += params[p + "b2"]
         f2, drop2 = dropout(f2)
-        h, ln2c = _layer_norm_forward(h1 + f2, params[p + "ln2_g"], params[p + "ln2_b"])
+        f2 += h1
+        h, ln2c = _layer_norm_forward(f2, params[p + "ln2_g"], params[p + "ln2_b"])
         cache["layers"].append({
             "h_in": h_in, "wqkv": wqkv, "q": q, "k": k, "v": v, "attw": attw,
             "heads_out": heads_out, "ctx": ctx,
@@ -204,7 +239,8 @@ def forward_cached(
             "r": r, "drop2": drop2, "ln2": ln2c,
         })
     cache["h_out"] = h
-    logits = h @ params["w_out"] + params["b_out"]
+    logits = h @ params["w_out"]
+    logits += params["b_out"]
     return _scatter(logits, mask), cache
 
 
@@ -217,7 +253,8 @@ def backward(
     """Parameter gradients for a cached forward pass, from padded (N, L, C)
     logit gradients."""
     mask = cache["mask"]
-    grads = FlatParams(cfg, params["w_in"].dtype)
+    dt = params["w_in"].dtype
+    grads = FlatParams(cfg, dt)
 
     def linear(a, dy, w, b):
         """Gradients of ``a @ params[w] + params[b]`` given the output's ``dy``."""
@@ -228,7 +265,7 @@ def backward(
     linear(cache["h_out"], dlogits, "w_out", "b_out")
     dh = dlogits @ params["w_out"].T
 
-    scale = 1.0 / np.sqrt(cfg.head_dim)
+    scale = dt.type(1.0 / np.sqrt(cfg.head_dim))
     for i in reversed(range(cfg.layers)):
         p = f"l{i}_"
         lc = cache["layers"][i]
@@ -237,9 +274,11 @@ def backward(
         )
         df2 = ds2 if lc["drop2"] is None else ds2 * lc["drop2"]
         linear(lc["r"], df2, p + "w2", p + "b2")
-        du = (df2 @ params[p + "w2"].T) * lc["relu_mask"]
+        du = df2 @ params[p + "w2"].T
+        du *= lc["relu_mask"]
         linear(lc["h1"], du, p + "w1", p + "b1")
-        dh1 = ds2 + du @ params[p + "w1"].T
+        dh1 = du @ params[p + "w1"].T
+        dh1 += ds2
         ds1, grads[p + "ln1_g"][...], grads[p + "ln1_b"][...] = _layer_norm_backward(
             dh1, lc["ln1"], params[p + "ln1_g"]
         )
@@ -251,13 +290,16 @@ def backward(
         dscores = dctx @ lc["v"].transpose(0, 1, 3, 2)
         dscores -= (dctx * lc["heads_out"]).sum(-1, keepdims=True)
         dscores *= lc["attw"] * scale
-        dqkv = np.stack([dscores @ lc["k"], dscores.transpose(0, 1, 3, 2) @ lc["q"],
-                         lc["attw"].transpose(0, 1, 3, 2) @ dctx])
+        dqkv = np.empty((3, *dctx.shape), dtype=dt)
+        np.matmul(dscores, lc["k"], out=dqkv[0])
+        np.matmul(dscores.transpose(0, 1, 3, 2), lc["q"], out=dqkv[1])
+        np.matmul(lc["attw"].transpose(0, 1, 3, 2), dctx, out=dqkv[2])
         dqkv = _pack(dqkv.transpose(1, 3, 0, 2, 4), mask)
         dw, db = lc["h_in"].T @ dqkv, dqkv.sum(axis=0)
         for c, dw_c, db_c in zip("qkv", np.split(dw, 3, axis=1), np.split(db, 3)):
             grads[p + "w" + c][...], grads[p + "b" + c][...] = dw_c, db_c
-        dh = ds1 + dqkv @ lc["wqkv"].T
+        dh = dqkv @ lc["wqkv"].T
+        dh += ds1
 
     linear(cache["x_std"], dh, "w_in", "b_in")
     return grads

@@ -96,14 +96,24 @@ def _sample_slice(rng: np.random.Generator, ex: TrainExample) -> tuple[int, int]
 
 def _adam_step(params, grads, m, v, t, lr):
     """One Adam update, in place, of the flat buffers of ``params`` (FlatParams),
-    its moments ``m`` and ``v``, from the flat buffer of ``grads``."""
+    its moments ``m`` and ``v``, from the flat buffer of ``grads``.  The
+    Python float constants keep the arithmetic in the buffers' dtype."""
     b1, b2, eps = 0.9, 0.999, 1e-8
     g = grads.flat
+    step = np.empty_like(g)
+    denom = np.empty_like(g)
     m *= b1
-    m += (1.0 - b1) * g
+    m += np.multiply(g, 1.0 - b1, out=step)
     v *= b2
-    v += (1.0 - b2) * g * g
-    params.flat -= lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+    np.multiply(g, 1.0 - b2, out=step)
+    v += np.multiply(step, g, out=step)
+    np.divide(m, 1.0 - b1**t, out=step)
+    step *= lr
+    np.divide(v, 1.0 - b2**t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step /= denom
+    params.flat -= step
 
 
 def validation_f1(

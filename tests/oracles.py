@@ -1,4 +1,7 @@
-"""Central-difference verification of the hand-written backward pass.
+"""Oracles the tests check the program against, kept outside the program.
+
+``gradient_check``: central-difference verification of the hand-written
+backward pass.
 
 Runs the full objective (forward pass plus octave-tolerant loss) in
 float64 and compares analytic parameter gradients against symmetric
@@ -13,17 +16,22 @@ times smaller (a few times) until they agree; float64 keeps the
 difference well above cancellation noise at the smallest step.  A
 coordinate that straddles a branch point even at the smallest step is
 skipped and another coordinate of the same tensor is drawn.
+
+``oracle_note_f1``: exhaustive enumeration of onset matchings, against
+which ``evaluate.note_f1`` is checked.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import InputError
-from .config import LabelerConfig
-from .labels import vocab_by_name
-from .loss import _loss_and_grad
-from .model import backward, forward_cached, init_params
+from melscribe.core import Melody
+from melscribe.errors import InputError
+from melscribe.evaluate import DEFAULT_TOL_S, EvalReport, _perf_arrays, _scores
+from melscribe.labeler.config import LabelerConfig
+from melscribe.labeler.labels import vocab_by_name
+from melscribe.labeler.loss import _loss_and_grad
+from melscribe.labeler.model import backward, forward_cached, init_params
 
 CHECK_SEEDS = (11, 23, 47)
 
@@ -88,3 +96,45 @@ def gradient_check(
                     f"tensor {name}: sampling found no conclusive coordinates"
                 )
     return worst
+
+
+def oracle_note_f1(
+    estimate: Melody, reference: Melody, tol_s: float = DEFAULT_TOL_S
+) -> EvalReport:
+    """Exhaustive-enumeration oracle for note_f1 (sigma = 0), n <= 8 a side.
+
+    Recurses over every injective onset-matching, tracking the maximum
+    cardinality and the maximum pitch-equal pair count independently.
+    Kept deliberately free of matching theory so it can check the
+    greedy window matcher that note_f1 uses.
+    """
+    e_on, e_mid = _perf_arrays(estimate)
+    r_on, r_mid = _perf_arrays(reference)
+    if len(e_on) > 8 or len(r_on) > 8:
+        raise InputError("oracle is limited to 8 notes per side")
+    compatible = [
+        [j for j in range(len(r_on)) if abs(e_on[i] - r_on[j]) <= tol_s]
+        for i in range(len(e_on))
+    ]
+    best = {"matched": 0, "tp": 0}
+
+    def explore(i: int, used: int, card: int, tp: int) -> None:
+        if card > best["matched"]:
+            best["matched"] = card
+        if tp > best["tp"]:
+            best["tp"] = tp
+        if i == len(e_on):
+            return
+        explore(i + 1, used, card, tp)
+        for j in compatible[i]:
+            if not used & (1 << j):
+                explore(
+                    i + 1,
+                    used | (1 << j),
+                    card + 1,
+                    tp + (1 if e_mid[i] == r_mid[j] else 0),
+                )
+
+    explore(0, 0, 0, 0)
+    precision, recall, f1 = _scores(best["tp"], len(e_on), len(r_on))
+    return EvalReport(precision, recall, f1, 0, best["matched"])

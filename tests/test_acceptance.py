@@ -21,7 +21,7 @@ from melscribe.core import (
     SCALE_OFFSETS,
     ScoreNote,
 )
-from melscribe.evaluate import note_f1, octave_invariant_f1, oracle_note_f1
+from melscribe.evaluate import note_f1, octave_invariant_f1
 from melscribe.features import (
     FeatureMatrix,
     _cell_boundaries,
@@ -34,13 +34,13 @@ from melscribe.features import (
 from melscribe.labeler.checkpoint import load_checkpoint, save_checkpoint
 from melscribe.labeler.config import DESK_CONFIG
 from melscribe.labeler.decode import decode, onset_classes
-from melscribe.labeler.gradcheck import gradient_check
 from melscribe.labeler.labels import MELODY_VOCAB, densify, densify_melody
 from melscribe.labeler.loss import _loss_and_grad, feasible_shifts
 from melscribe.labeler.model import forward_windowed, init_params
 from melscribe.labeler.train import DEFAULT_THRESHOLDS, TrainSettings, reference_melody, train
 from melscribe.leadsheet import LeadSheet, emit_lilypond, emit_midi, estimate_key
 from melscribe.synth import random_segment
+from oracles import gradient_check, oracle_note_f1
 
 
 def _ok(n: int, name: str) -> None:

@@ -12,9 +12,9 @@ from melscribe.evaluate import (
     load_transcript,
     note_f1,
     octave_invariant_f1,
-    oracle_note_f1,
     save_transcript,
 )
+from oracles import oracle_note_f1
 
 EMPTY = Melody(())
 

@@ -191,6 +191,16 @@ def test_resample_matches_scipy_resample_poly(rate):
         assert np.max(np.abs(got - want)) <= 1e-12, n
 
 
+def test_polyphase_cache_keeps_the_latest_rate_pairs_only():
+    features._polyphase.cache_clear()
+    for rate in (8000, 44100, 48000):
+        features._resample(np.ones(rate // 100), rate, features.SAMPLE_RATE)
+    info = features._polyphase.cache_info()
+    assert (info.misses, info.currsize, info.maxsize) == (3, 2, 2)
+    features._resample(np.ones(480), 48000, features.SAMPLE_RATE)
+    assert features._polyphase.cache_info().hits == info.hits + 1
+
+
 def scipy_samples(path):
     """load_wav's conversion of scipy.io.wavfile.read's array, before it read WAV itself."""
     import scipy.io.wavfile

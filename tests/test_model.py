@@ -3,15 +3,18 @@ import pytest
 
 from melscribe.errors import InputError, ShapeError
 from melscribe.labeler.config import LabelerConfig
-from melscribe.labeler.gradcheck import gradient_check
 from melscribe.labeler.model import (
+    FlatParams,
+    _position_table,
     backward,
     forward_cached,
     forward_windowed,
     init_params,
     param_names,
+    param_shapes,
     positional_encoding,
 )
+from oracles import gradient_check
 
 TINY = LabelerConfig(
     layers=1, model_dim=16, heads=2, ff_dim=32, input_dim=12, max_ticks=32
@@ -52,6 +55,65 @@ def test_positional_encoding_structure():
     assert np.allclose(pe[:, 0], np.sin(np.arange(10)), atol=1e-6)
     assert np.allclose(pe[:, 1], np.cos(np.arange(10)), atol=1e-6)
     assert np.abs(pe).max() <= 1.0
+
+
+def test_position_table_is_read_only_and_starts_every_shorter_encoding():
+    for dim in (64, 512):
+        for dtype in (np.float32, np.float64):
+            table = _position_table(384, dim, np.dtype(dtype))
+            assert _position_table(384, dim, np.dtype(dtype)) is table
+            assert not table.flags.writeable
+            for length in range(1, 385):
+                assert np.array_equal(table[:length], positional_encoding(length, dim, dtype))
+
+
+def test_flat_params_views_tile_the_flat_buffer_in_canonical_order():
+    for params in (init_params(TINY), FlatParams(TINY, np.float64)):
+        assert list(params) == param_names(TINY)
+        offset = 0
+        for name, shape in param_shapes(TINY).items():
+            p = params[name]
+            assert p.shape == shape and p.dtype == params.flat.dtype
+            assert p.flags.c_contiguous and np.shares_memory(p, params.flat)
+            assert p.ctypes.data == params.flat.ctypes.data + offset * p.itemsize, name
+            offset += p.size
+        assert offset == params.flat.size
+
+
+class _Recorded(np.ndarray):
+    """An array that notes the dtype of every ufunc result computed from it."""
+
+    dtypes: set = set()
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        plain = lambda xs: tuple(np.asarray(x) if isinstance(x, np.ndarray) else x for x in xs)  # noqa: E731
+        if out is not None:
+            kwargs["out"] = plain(out)
+        result = getattr(ufunc, method)(*plain(inputs), **kwargs)
+        _Recorded.dtypes.add(np.asarray(result).dtype)
+        return result.view(_Recorded) if isinstance(result, np.ndarray) else result
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_and_backward_stay_in_the_parameter_dtype(dtype):
+    # a float64 scalar would promote a float32 array it multiplies (NEP 50)
+    cfg = LabelerConfig(**{**TINY.to_dict(), "dropout": 0.5})
+    params = {k: p.astype(dtype).view(_Recorded) for k, p in init_params(cfg).items()}
+    x = np.random.default_rng(10).normal(size=(2, 9, 12))
+    mask = np.arange(9) < np.array([[6], [9]])
+    _Recorded.dtypes = set()
+    logits, cache = forward_cached(cfg, params, x, mask, rng=np.random.default_rng(11))
+    arrays = [logits, cache["x_std"], cache["h_out"]]
+    for lc in cache["layers"]:
+        for key, value in lc.items():
+            group = value if key in ("ln1", "ln2") else (value,)
+            arrays += [a for a in group if a.dtype != bool]
+            recorded = tuple(a.view(_Recorded) for a in group)
+            lc[key] = recorded if key in ("ln1", "ln2") else recorded[0]
+    assert all(a.dtype == dtype for a in arrays)
+    grads = backward(cfg, params, cache, logits / logits.size)
+    assert all(g.dtype == dtype for g in grads.values())
+    assert {d for d in _Recorded.dtypes if d.kind == "f"} == {np.dtype(dtype)}
 
 
 def test_forward_shapes_and_dtype():
