@@ -216,8 +216,9 @@ def forward_cached(
         attw -= np.fmax.reduce(attw, axis=-1, keepdims=True)
         np.exp(attw, out=attw)
         attw /= attw.sum(-1, keepdims=True)
-        heads_out = attw @ v
-        ctx = _pack(heads_out.transpose(0, 2, 1, 3), mask)
+        heads_out = np.empty((n, length, cfg.heads, cfg.head_dim), dtype=dt)
+        np.matmul(attw, v, out=heads_out.transpose(0, 2, 1, 3))
+        ctx = _pack(heads_out, mask)
         attn_out = ctx @ params[p + "wo"]
         attn_out += params[p + "bo"]
         attn_out, drop1 = dropout(attn_out)
@@ -284,20 +285,24 @@ def backward(
         )
         dattn = ds1 if lc["drop1"] is None else ds1 * lc["drop1"]
         linear(lc["ctx"], dattn, p + "wo", p + "bo")
-        dctx = _scatter(dattn @ params[p + "wo"].T, mask).reshape(*mask.shape, cfg.heads, -1)
-        dctx = dctx.transpose(0, 2, 1, 3)
+        dctx = _scatter(dattn @ params[p + "wo"].T, mask).reshape(lc["heads_out"].shape)
         # softmax backward; sum_j dattw_ij attw_ij equals dctx_i . heads_out_i
+        ctx_dot = (dctx * lc["heads_out"]).sum(-1, keepdims=True).transpose(0, 2, 1, 3)
+        dctx = dctx.transpose(0, 2, 1, 3)
         dscores = dctx @ lc["v"].transpose(0, 1, 3, 2)
-        dscores -= (dctx * lc["heads_out"]).sum(-1, keepdims=True)
+        dscores -= ctx_dot
         dscores *= lc["attw"] * scale
-        dqkv = np.empty((3, *dctx.shape), dtype=dt)
-        np.matmul(dscores, lc["k"], out=dqkv[0])
-        np.matmul(dscores.transpose(0, 1, 3, 2), lc["q"], out=dqkv[1])
-        np.matmul(lc["attw"].transpose(0, 1, 3, 2), dctx, out=dqkv[2])
-        dqkv = _pack(dqkv.transpose(1, 3, 0, 2, 4), mask)
+        # dq, dk and dv land in the (N, L, 3, heads, head_dim) layout of qkv
+        dqkv = np.empty((*mask.shape, 3, cfg.heads, cfg.head_dim), dtype=dt)
+        dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)
+        np.matmul(dscores, lc["k"], out=dq)
+        np.matmul(dscores.transpose(0, 1, 3, 2), lc["q"], out=dk)
+        np.matmul(lc["attw"].transpose(0, 1, 3, 2), dctx, out=dv)
+        dqkv = _pack(dqkv, mask)
         dw, db = lc["h_in"].T @ dqkv, dqkv.sum(axis=0)
-        for c, dw_c, db_c in zip("qkv", np.split(dw, 3, axis=1), np.split(db, 3)):
-            grads[p + "w" + c][...], grads[p + "b" + c][...] = dw_c, db_c
+        for j, c in enumerate("qkv"):
+            cols = slice(j * cfg.model_dim, (j + 1) * cfg.model_dim)
+            grads[p + "w" + c][...], grads[p + "b" + c][...] = dw[:, cols], db[cols]
         dh = dqkv @ lc["wqkv"].T
         dh += ds1
 
