@@ -292,7 +292,7 @@ def backward(
         dscores = dctx @ lc["v"].transpose(0, 1, 3, 2)
         dscores -= ctx_dot
         dscores *= lc["attw"] * scale
-        # dq, dk and dv land in the (N, L, 3, heads, head_dim) layout of qkv
+        # dq, dk and dv in qkv's (N, L, 3, heads, head_dim) layout: packing copies rows
         dqkv = np.empty((*mask.shape, 3, cfg.heads, cfg.head_dim), dtype=dt)
         dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)
         np.matmul(dscores, lc["k"], out=dq)

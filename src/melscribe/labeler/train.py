@@ -100,20 +100,20 @@ def _adam_step(params, grads, m, v, t, lr):
     Python float constants keep the arithmetic in the buffers' dtype."""
     b1, b2, eps = 0.9, 0.999, 1e-8
     g = grads.flat
-    step = np.empty_like(g)
+    update = np.empty_like(g)
     denom = np.empty_like(g)
     m *= b1
-    m += np.multiply(g, 1.0 - b1, out=step)
+    m += np.multiply(g, 1.0 - b1, out=update)
     v *= b2
-    np.multiply(g, 1.0 - b2, out=step)
-    v += np.multiply(step, g, out=step)
-    np.divide(m, 1.0 - b1**t, out=step)
-    step *= lr
+    np.multiply(g, 1.0 - b2, out=update)
+    v += np.multiply(update, g, out=update)
+    np.divide(m, 1.0 - b1**t, out=update)
+    update *= lr
     np.divide(v, 1.0 - b2**t, out=denom)
     np.sqrt(denom, out=denom)
     denom += eps
-    step /= denom
-    params.flat -= step
+    update /= denom
+    params.flat -= update
 
 
 def validation_f1(

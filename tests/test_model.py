@@ -86,7 +86,9 @@ class _Recorded(np.ndarray):
     dtypes: set = set()
 
     def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
-        plain = lambda xs: tuple(np.asarray(x) if isinstance(x, np.ndarray) else x for x in xs)  # noqa: E731
+        def plain(xs):
+            return tuple(np.asarray(x) if isinstance(x, np.ndarray) else x for x in xs)
+
         if out is not None:
             kwargs["out"] = plain(out)
         result = getattr(ufunc, method)(*plain(inputs), **kwargs)
