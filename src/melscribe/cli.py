@@ -398,10 +398,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.func is cmd_features_mel and args.out is not None and len(args.audio) != 1:
-        parser.error(
-            "features mel: --out takes exactly one input; use --out-dir for batches"
-        )
+    if args.func is cmd_features_mel:
+        [(stem, count)] = Counter(Path(p).stem for p in args.audio).most_common(1)
+        if args.out is not None and len(args.audio) != 1:
+            parser.error("features mel: --out takes exactly one input; use --out-dir for batches")
+        if args.out_dir is not None and count > 1:
+            parser.error(f"features mel: {count} inputs would write "
+                         f"{Path(args.out_dir) / stem}.ssft")
     try:
         return args.func(args)
     except MelscribeError as exc:
@@ -410,7 +413,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         _info(f"error: not found: {exc}")
         return 2
-    except (IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+    except (FileExistsError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         _info(f"error: unusable path: {exc}")
         return 2
 

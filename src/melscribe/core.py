@@ -67,10 +67,6 @@ class Pitch:
                 f"pitch {self.midi} outside playable range {MIDI_MIN}..{MIDI_MAX}"
             )
 
-    @property
-    def frequency_hz(self) -> float:
-        return 440.0 * 2.0 ** ((self.midi - 69) / 12)
-
 
 @dataclass(frozen=True)
 class PitchClass:

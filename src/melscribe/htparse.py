@@ -270,7 +270,7 @@ def _functional_segment(obj) -> Segment:
 
 def save_segment(path, segment: Segment) -> None:
     """Write a segment in its absolute interchange form."""
-    meter, key = segment.meter, segment.key
+    meter, key, melody = segment.meter, segment.key, segment.melody
     write_json(path, dict(zip(_SEGMENT_FIELDS, (
         segment.id,
         segment.audio_ref,
@@ -280,8 +280,9 @@ def save_segment(path, segment: Segment) -> None:
         dict(zip(_METER_FIELDS, (meter.beats_per_bar, meter.beat_unit))),
         dict(zip(_KEY_FIELDS, (key.tonic.pc, key.mode))),
         [
-            dict(zip(_NOTE_FIELDS, (n.onset_ticks, n.duration_ticks, n.pitch.midi)))
-            for n in segment.melody
+            dict(zip(_NOTE_FIELDS, note)) for note in zip(
+                melody.onsets.tolist(), (melody.ends - melody.onsets).tolist(),
+                melody.midis.tolist())
         ],
         [
             dict(zip(_CHORD_FIELDS, (c.onset_ticks, c.duration_ticks, c.chord.root.pc,

@@ -27,7 +27,7 @@ from ..errors import FormatError, ParseError, ShapeError, in_file
 from ..jsonio import at, column, fields
 from .config import LabelerConfig
 from .decode import check_tau
-from .model import param_names, param_shapes
+from .model import param_shapes
 
 MAGIC = b"MSCK"
 VERSION = 1
@@ -47,7 +47,7 @@ def save_checkpoint(
     tau: float,
     step: int,
 ) -> None:
-    names = param_names(cfg)
+    names = list(param_shapes(cfg))
     missing = [n for n in names if n not in params]
     if missing:
         raise ShapeError(f"params missing tensors: {missing}")

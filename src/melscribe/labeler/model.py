@@ -6,8 +6,10 @@ residual blocks, sinusoidal positions, ReLU feed-forward; one GEMM per
 layer projects queries, keys and values.  A padded (N, L, dim) batch is
 packed to its T real ticks: every per-tick operation runs on (T, ·)
 arrays, and only attention scores scatter to (N, heads, L, L) under the
-key mask.  ``init_params`` and ``backward`` return ``FlatParams``: named
-views, in a fixed canonical order, into one flat buffer.
+key mask.  Logits come back as those (T, C) packed rows, and ``backward``
+takes their gradient in the same rows.  ``init_params`` and ``backward``
+return ``FlatParams``: named views, in a fixed canonical order, into one
+flat buffer.
 
 Compute dtype follows the parameter dtype: float32 as ``init_params``
 draws them, float64 when a caller (the gradient check) casts them for
@@ -55,10 +57,6 @@ def param_shapes(cfg: LabelerConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def param_names(cfg: LabelerConfig) -> list[str]:
-    return list(param_shapes(cfg))
-
-
 class FlatParams(dict):
     """Every parameter's tensor, zeroed, as a view into the one buffer ``flat``."""
 
@@ -84,7 +82,10 @@ def init_params(cfg: LabelerConfig) -> FlatParams:
     return params
 
 
+@lru_cache(maxsize=32)
 def positional_encoding(length: int, dim: int, dtype=np.float32) -> np.ndarray:
+    """Sinusoidal positions (length, dim), read-only and cached; the first
+    ``l`` rows of one encoding equal the encoding of length ``l`` bit for bit."""
     pos = np.arange(length, dtype=np.float64)[:, None]
     half = (dim + 1) // 2
     freqs = np.power(10000.0, -np.arange(half, dtype=np.float64) * 2.0 / dim)
@@ -92,18 +93,9 @@ def positional_encoding(length: int, dim: int, dtype=np.float32) -> np.ndarray:
     pe = np.zeros((length, dim), dtype=np.float64)
     pe[:, 0::2] = np.sin(angles)
     pe[:, 1::2] = np.cos(angles[:, : dim // 2])
-    return pe.astype(dtype)
-
-
-@lru_cache(maxsize=8)
-def _position_table(max_ticks: int, dim: int, dtype: np.dtype) -> np.ndarray:
-    """``positional_encoding(max_ticks, dim, dtype)``, read-only; its first
-    ``l`` rows equal ``positional_encoding(l, dim, dtype)`` bit for bit.
-    One table per configuration, so a process holds at most 8 of them
-    (0.8 MB each for ``FULL_CONFIG``)."""
-    table = positional_encoding(max_ticks, dim, dtype)
-    table.flags.writeable = False
-    return table
+    pe = pe.astype(dtype)
+    pe.flags.writeable = False
+    return pe
 
 
 def _layer_norm_forward(x, g, b):
@@ -166,11 +158,12 @@ def forward_cached(
     mask: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, dict]:
-    """Logits (N, L, C) of a padded batch (N, L, dim), plus a cache for ``backward``.
+    """Logits (T, C) of the T real ticks of a padded batch (N, L, dim), in
+    row-major order over ``mask``, plus a cache for ``backward``.
 
-    ``mask`` marks the real ticks, all of them when None; logits at
-    padded ticks are zero.  Dropout runs exactly when ``rng`` is given,
-    drawing its masks over the real ticks from it.
+    ``mask`` marks the real ticks, all of them when None.  Dropout runs
+    exactly when ``rng`` is given, drawing its masks over the real ticks
+    from it.
     """
     if x.ndim != 3:
         raise ShapeError(f"expected (batch, ticks, dim), got {x.shape}")
@@ -195,7 +188,9 @@ def forward_cached(
 
     h = x @ params["w_in"]
     h += params["b_in"]
-    h += _position_table(cfg.max_ticks, cfg.model_dim, dt)[np.nonzero(mask)[1]]
+    # read at the power of two at or above the batch length: few cached encodings
+    positions = positional_encoding(1 << (length - 1).bit_length(), cfg.model_dim, dt)
+    h += positions[np.nonzero(mask)[1]]
 
     key_bias = np.where(mask, dt.type(0.0), dt.type(MASK_BIAS))[:, None, None, :]
     scale = dt.type(1.0 / np.sqrt(cfg.head_dim))
@@ -242,7 +237,7 @@ def forward_cached(
     cache["h_out"] = h
     logits = h @ params["w_out"]
     logits += params["b_out"]
-    return _scatter(logits, mask), cache
+    return logits, cache
 
 
 def backward(
@@ -251,8 +246,8 @@ def backward(
     cache: dict,
     dlogits: np.ndarray,
 ) -> FlatParams:
-    """Parameter gradients for a cached forward pass, from padded (N, L, C)
-    logit gradients."""
+    """Parameter gradients for a cached forward pass, from the gradients of
+    its (T, C) logit rows."""
     mask = cache["mask"]
     dt = params["w_in"].dtype
     grads = FlatParams(cfg, dt)
@@ -262,7 +257,6 @@ def backward(
         np.matmul(a.T, dy, out=grads[w])
         np.sum(dy, axis=0, out=grads[b])
 
-    dlogits = _pack(dlogits, mask)
     linear(cache["h_out"], dlogits, "w_out", "b_out")
     dh = dlogits @ params["w_out"].T
 
@@ -317,7 +311,7 @@ def forward_windowed(cfg: LabelerConfig, params: dict[str, np.ndarray], feats) -
     if x.ndim != 2:
         raise ShapeError(f"expected (ticks, dim) features, got shape {x.shape}")
     logits = np.concatenate([
-        forward_cached(cfg, params, x[None, start : start + cfg.max_ticks])[0][0]
+        forward_cached(cfg, params, x[None, start : start + cfg.max_ticks])[0]
         for start in range(0, max(len(x), 1), cfg.max_ticks)
     ])
     if not np.all(np.isfinite(logits)):

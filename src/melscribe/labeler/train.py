@@ -202,9 +202,7 @@ def train(
 
         logits, cache = forward_cached(cfg, params, batch, mask, rng=rng)
         classes = np.concatenate([ex.labels.classes[lo:hi] for ex, lo, hi in slices])
-        loss, _sigmas, dpacked = _loss_and_grad(logits[mask], classes, vocab, lengths)
-        dlogits = np.zeros_like(logits)
-        dlogits[mask] = dpacked
+        loss, _sigmas, dlogits = _loss_and_grad(logits, classes, vocab, lengths)
         grads = backward(cfg, params, cache, dlogits)
         _adam_step(params, grads, m, v, step, settings.lr)
 

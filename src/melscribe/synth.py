@@ -13,14 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .align import AlignmentMap, align, constant_tempo_grid, refine_alignment
-from .core import (
-    KeySignature,
-    Melody,
-    PitchClass,
-    Pitch,
-    ScoreNote,
-    TICKS_PER_BEAT,
-)
+from .core import KeySignature, Melody, PitchClass, TICKS_PER_BEAT
 from .errors import InputError
 
 ATTACK_S = 0.008
@@ -56,21 +49,20 @@ def random_melody(
     """Diatonic random walk with legato durations on the sixteenth grid."""
     if num_beats < 1:
         raise InputError(f"num_beats {num_beats} below 1")
-    onsets: list[int] = []
+    onsets = []
     for beat in range(num_beats):
         pattern = _BEAT_PATTERNS[int(rng.integers(0, len(_BEAT_PATTERNS)))]
         onsets.extend(beat * TICKS_PER_BEAT + off for off in pattern)
-    if not onsets:
-        onsets = [0]
     tones = _scale_midis(key)
     idx = len(tones) // 2 + int(rng.integers(-2, 3))
-    ticks_total = num_beats * TICKS_PER_BEAT
-    notes = []
-    for i, tick in enumerate(onsets):
+    midis = []
+    for _ in onsets:
         idx = int(np.clip(idx + rng.integers(-3, 4), 0, len(tones) - 1))
-        end = onsets[i + 1] if i + 1 < len(onsets) else ticks_total
-        notes.append(ScoreNote(tick, end - tick, Pitch(tones[idx])))
-    return Melody(tuple(notes))
+        midis.append(tones[idx])
+    # every beat pattern is non-empty, so each note ends at the next onset or the end
+    onsets = np.array(onsets, dtype=np.int64)
+    ends = np.append(onsets[1:], num_beats * TICKS_PER_BEAT)
+    return Melody._of_columns(onsets, ends, np.array(midis, dtype=np.int64), True)
 
 
 def random_segment(
@@ -107,7 +99,7 @@ def render_audio(melody: Melody, amap: AlignmentMap, sample_rate: int = 16000) -
         if n <= 0:
             continue
         t = np.arange(n) / sample_rate
-        freq = Pitch(midi).frequency_hz
+        freq = 440.0 * 2.0 ** ((midi - 69) / 12)
         tone = np.sin(2 * np.pi * freq * t)
         if 2 * freq < sample_rate / 2:
             tone += PARTIAL_GAIN * np.sin(4 * np.pi * freq * t)

@@ -56,7 +56,7 @@ def gradient_check(
 
         def evaluate() -> tuple[float, tuple]:
             logits, cache = forward_cached(cfg, params, x)
-            loss, sigma, _ = _loss_and_grad(logits[0], classes, vocab)
+            loss, sigma, _ = _loss_and_grad(logits, classes, vocab)
             branch = (sigma, *(lc["relu_mask"].tobytes() for lc in cache["layers"]))
             return loss, branch
 
@@ -73,8 +73,8 @@ def gradient_check(
             return None
 
         logits, cache = forward_cached(cfg, params, x)
-        _, _, dlogits = _loss_and_grad(logits[0], classes, vocab)
-        grads = backward(cfg, params, cache, dlogits[None])
+        _, _, dlogits = _loss_and_grad(logits, classes, vocab)
+        grads = backward(cfg, params, cache, dlogits)
 
         for name in sorted(grads):
             flat = params[name].reshape(-1)

@@ -207,6 +207,25 @@ def test_transcribe_with_mis_shaped_checkpoint_exits_1(tmp_path):
     assert "w_in" in proc.stderr
 
 
+def test_transcribe_reads_a_checkpoint_whose_max_ticks_is_huge(tmp_path, capsys):
+    # max_ticks sets only the inference window; positions follow the ticks given
+    good = tmp_path / "good.ckpt"
+    write_ckpt(good)
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(rewrite_header(good.read_bytes(),
+                                    lambda h: h["config"].update(max_ticks=2**62)))
+    assert load_checkpoint(path)[0].max_ticks == 2**62
+    frames = np.random.default_rng(5).normal(size=(32, CFG.input_dim))
+    write_ssft(tmp_path / "f.ssft", ResampledFeatures(frames))
+    AlignmentMap(np.arange(9) * 0.5).save(tmp_path / "a.json")
+    for ckpt, out in ((good, "good.json"), (path, "huge.json")):
+        code = main(["transcribe", "--checkpoint", str(ckpt), "--features",
+                     str(tmp_path / "f.ssft"), "--alignment", str(tmp_path / "a.json"),
+                     "--out", str(tmp_path / out)])
+        assert code == 0, capsys.readouterr().err
+    assert (tmp_path / "huge.json").read_bytes() == (tmp_path / "good.json").read_bytes()
+
+
 CONFIG_FAULTS = [
     ("model_dim", 16.0, r"\$\.config\.model_dim: field 'model_dim' must be an integer"),
     ("heads", True, r"\$\.config\.heads: field 'heads' must be an integer"),

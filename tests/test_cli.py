@@ -363,6 +363,24 @@ def test_unusable_input_paths_exit_2(corpus, tmp_path):
         assert proc.stderr.startswith("error:"), proc.stderr
 
 
+def test_an_existing_file_as_output_directory_exits_2(tmp_path):
+    (tmp_path / "doc.json").write_text(functional_doc("f00", "ann"))
+    write_wav(tmp_path / "x.wav", np.zeros(1600, dtype=np.float32), 16000)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    commands = [
+        ["dataset", "convert", str(tmp_path / "doc.json"), "--out", str(taken)],
+        ["features", "mel", str(tmp_path / "x.wav"), "--out-dir", str(taken)],
+    ]
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-m", "melscribe.cli", *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert proc.stderr.startswith("error: unusable path: "), proc.stderr
+        assert str(taken) in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+        assert taken.read_text() == "not a directory"
+
+
 def test_huge_integer_in_transcript_exits_1(corpus, tmp_path):
     """A number no float holds, or too long for Python to parse, is a format error."""
     path = tmp_path / "huge.json"
@@ -486,6 +504,22 @@ def test_usage_errors_exit_2(tmp_path):
         main(["features", "mel", *wavs, "--out", str(out)])
     assert exc.value.code == 2
     assert not out.exists()
+
+
+def test_mel_refuses_inputs_that_would_write_one_output(tmp_path, capsys):
+    # a/x.wav and b/x.wav both map to out/x.ssft; refused before any file is read
+    wavs = [tmp_path / side / "x.wav" for side in ("a", "b")]
+    for wav in wavs:
+        wav.parent.mkdir()
+        write_wav(wav, np.zeros(1600, dtype=np.float32), 16000)
+    out_dir = tmp_path / "out"
+    for jobs in ("1", "2"):
+        with pytest.raises(SystemExit) as exc:
+            main(["features", "mel", *map(str, wavs), "--out-dir", str(out_dir),
+                  "--jobs", jobs])
+        assert exc.value.code == 2
+        assert f"2 inputs would write {out_dir / 'x.ssft'}" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_convert_skips_bad_documents(tmp_path, capsys):

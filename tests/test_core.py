@@ -41,12 +41,6 @@ def test_pitch_validation():
         Pitch(60.0)
 
 
-def test_pitch_properties():
-    assert Pitch(69).frequency_hz == 440.0
-    assert Pitch(21).frequency_hz == pytest.approx(27.5)
-    assert Pitch(108).frequency_hz == pytest.approx(4186.009, abs=1e-3)
-
-
 def test_pitch_class_validation():
     PitchClass(0)
     PitchClass(11)

@@ -5,12 +5,10 @@ from melscribe.errors import InputError, ShapeError
 from melscribe.labeler.config import LabelerConfig
 from melscribe.labeler.model import (
     FlatParams,
-    _position_table,
     backward,
     forward_cached,
     forward_windowed,
     init_params,
-    param_names,
     param_shapes,
     positional_encoding,
 )
@@ -22,7 +20,7 @@ TINY = LabelerConfig(
 
 
 def test_param_names_cover_all_tensors():
-    names = param_names(TINY)
+    names = list(param_shapes(TINY))
     assert names[0] == "w_in" and names[-1] == "b_out"
     assert len(names) == 2 + TINY.layers * 16 + 2
     assert len(set(names)) == len(names)
@@ -58,18 +56,20 @@ def test_positional_encoding_structure():
 
 
 def test_position_table_is_read_only_and_starts_every_shorter_encoding():
+    # forward_cached reads the encoding at the power of two at or above its
+    # tick count, so its first rows must be each shorter encoding
     for dim in (64, 512):
         for dtype in (np.float32, np.float64):
-            table = _position_table(384, dim, np.dtype(dtype))
-            assert _position_table(384, dim, np.dtype(dtype)) is table
+            table = positional_encoding(512, dim, np.dtype(dtype))
+            assert positional_encoding(512, dim, np.dtype(dtype)) is table
             assert not table.flags.writeable
-            for length in range(1, 385):
+            for length in range(1, 512):
                 assert np.array_equal(table[:length], positional_encoding(length, dim, dtype))
 
 
 def test_flat_params_views_tile_the_flat_buffer_in_canonical_order():
     for params in (init_params(TINY), FlatParams(TINY, np.float64)):
-        assert list(params) == param_names(TINY)
+        assert list(params) == list(param_shapes(TINY))
         offset = 0
         for name, shape in param_shapes(TINY).items():
             p = params[name]
@@ -178,9 +178,9 @@ def test_mask_blocks_cross_row_influence():
     mask = np.zeros((2, 9), dtype=bool)
     mask[0, :6] = True
     mask[1] = True
-    logits, _ = forward_cached(TINY, params, batch, mask)
+    logits, _ = forward_cached(TINY, params, batch, mask)  # row 0's 6 ticks come first
     solo = forward_windowed(TINY, params, a)
-    assert np.max(np.abs(logits[0, :6] - solo)) < 1e-4
+    assert np.max(np.abs(logits[:6] - solo)) < 1e-4
 
 
 def test_forward_windowed_chunks_long_inputs():
@@ -192,7 +192,7 @@ def test_forward_windowed_chunks_long_inputs():
     for start in (0, 32, 64):
         stop = min(start + 32, 80)
         window, _ = forward_cached(TINY, params, x[None, start:stop])
-        assert np.array_equal(logits[start:stop], window[0])
+        assert np.array_equal(logits[start:stop], window)
 
 
 def test_dropout_only_active_in_training():
@@ -244,20 +244,20 @@ def test_padded_batch_gradients_are_the_sum_of_single_sequence_gradients():
     seqs = [rng.normal(size=(n, 12)) for n in lengths]
     dseqs = [rng.normal(size=(n, 89)) for n in lengths]
     batch = np.zeros((len(lengths), 32, 12))
-    dlogits = np.zeros((len(lengths), 32, 89))
     mask = np.zeros((len(lengths), 32), dtype=bool)
-    for row, (x, dl) in enumerate(zip(seqs, dseqs)):
-        batch[row, : len(x)], dlogits[row, : len(x)], mask[row, : len(x)] = x, dl, True
+    for row, x in enumerate(seqs):
+        batch[row, : len(x)], mask[row, : len(x)] = x, True
     logits, cache = forward_cached(TINY, params, batch, mask)
-    grads = backward(TINY, params, cache, dlogits)
+    grads = backward(TINY, params, cache, np.concatenate(dseqs))
+    assert logits.shape == (sum(lengths), 89)
 
     summed = {k: np.zeros_like(p) for k, p in params.items()}
-    for row, (x, dl) in enumerate(zip(seqs, dseqs)):
+    starts = np.cumsum((0,) + lengths)
+    for x, dl, start in zip(seqs, dseqs, starts):
         solo, solo_cache = forward_cached(TINY, params, x[None])
-        assert np.max(np.abs(logits[row, : len(x)] - solo[0])) < 1e-12
-        for k, g in backward(TINY, params, solo_cache, dl[None]).items():
+        assert np.max(np.abs(logits[start : start + len(x)] - solo)) < 1e-12
+        for k, g in backward(TINY, params, solo_cache, dl).items():
             summed[k] += g
-    assert not np.any(logits[~mask])
     for k in params:
         # the key bias's gradient is zero but for rounding: softmax ignores it
         scale = max(np.abs(summed[k]).max(), 1e-3)
