@@ -88,6 +88,14 @@ def _tau(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value; argparse exits 2 on one that is not a non-negative integer."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def cmd_dataset_convert(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -206,11 +214,19 @@ def _labeler_config(name: str, vocab: str, seed: int) -> LabelerConfig:
 
 
 def cmd_train(args) -> int:
+    settings = TrainSettings(
+        batch_size=args.batch_size,
+        lr=args.lr,
+        max_steps=args.steps,
+        eval_every=args.eval_every,
+        patience=args.patience,
+        seed=args.seed,
+    )
+    cfg = _labeler_config(args.config, args.vocab, args.seed)
     data_dir = Path(args.data)
     seg_paths = sorted(data_dir.glob("*.segment.json"))
     if not seg_paths:
         raise FileNotFoundError(f"no *.segment.json files under {data_dir}")
-    cfg = _labeler_config(args.config, args.vocab, args.seed)
     examples = []
     for seg_path in seg_paths:
         segment = htparse.load_segment(seg_path)
@@ -226,14 +242,6 @@ def cmd_train(args) -> int:
         examples.append(
             TrainExample(segment.id, resampled.frames, labels, amap, segment.split)
         )
-    settings = TrainSettings(
-        batch_size=args.batch_size,
-        lr=args.lr,
-        max_steps=args.steps,
-        eval_every=args.eval_every,
-        patience=args.patience,
-        seed=args.seed,
-    )
     result = train(cfg, examples, settings, log=_info)
     save_checkpoint(args.out, cfg, result.params, result.tau, result.best_step)
     _emit(
@@ -323,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     split = dataset_sub.add_parser("split", help="assign artist-stratified splits")
     split.add_argument("--dir", required=True, help="directory of *.segment.json")
     split.add_argument("--artists", required=True, help="artists.json from convert")
-    split.add_argument("--seed", type=int, default=0)
+    split.add_argument("--seed", type=_seed, default=0)
     split.set_defaults(func=cmd_dataset_split)
 
     align_cmd = sub.add_parser("align", help="beat alignment")
@@ -361,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     train_cmd.add_argument("--batch-size", type=int, default=8)
     train_cmd.add_argument("--eval-every", type=int, default=250)
     train_cmd.add_argument("--patience", type=int, default=10)
-    train_cmd.add_argument("--seed", type=int, default=0)
+    train_cmd.add_argument("--seed", type=_seed, default=0)
     train_cmd.set_defaults(func=cmd_train)
 
     transcribe = sub.add_parser("transcribe", help="run a checkpoint on features")

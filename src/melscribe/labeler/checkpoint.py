@@ -5,8 +5,9 @@ header (sorted keys, no whitespace), then raw float32 little-endian
 tensor data concatenated in the header's listed order.  Writing the
 same model twice yields byte-identical files.
 
-The header's config also carries ``"standardize_input": true`` and
-``"use_positions": true``: the model always standardizes its input and
+The header's config also carries ``"max_ticks": 384``,
+``"standardize_input": true`` and ``"use_positions": true``: the model
+always runs windows of ``MAX_TICKS`` ticks, standardizes its input and
 adds positional encodings, and a header that says otherwise is refused.
 Every other config field is read as the JSON kind of its default, and
 every fault raises FormatError naming the file and, in the header, the
@@ -27,12 +28,13 @@ from ..errors import FormatError, ParseError, ShapeError, in_file
 from ..jsonio import at, column, fields
 from .config import LabelerConfig
 from .decode import check_tau
-from .model import param_shapes
+from .model import MAX_TICKS, param_shapes
 
 MAGIC = b"MSCK"
 VERSION = 1
 _PREFIX = struct.Struct("<4sII")
-_FIXED_SWITCHES = ("standardize_input", "use_positions")
+#: Header config fields with one legal value each; none is a LabelerConfig field.
+_FIXED_FIELDS = {"max_ticks": MAX_TICKS, "standardize_input": True, "use_positions": True}
 #: Each config field and the JSON kind it is read as, the kind of its default.
 _CONFIG_KINDS = {f.name: type(f.default) for f in dataclasses.fields(LabelerConfig)}
 #: Kind of each key of the header and of its tensor entries.
@@ -60,7 +62,7 @@ def save_checkpoint(
         tensors.append(dict(zip(_TENSOR_FIELDS, (name, list(arr.shape)))))
         blobs.append(arr.tobytes())
     header = dict(zip(_HEADER_FIELDS, (
-        {**dataclasses.asdict(cfg), **dict.fromkeys(_FIXED_SWITCHES, True)},
+        {**dataclasses.asdict(cfg), **_FIXED_FIELDS},
         int(step),
         check_tau(tau),
         tensors,
@@ -92,10 +94,10 @@ def load_checkpoint(
         except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
             raise FormatError(f"invalid checkpoint header: {exc}") from exc
         config, step, tau, tensors = fields(header, _HEADER_FIELDS, "$")
-        values = fields(config, _CONFIG_KINDS, "$.config", optional=_FIXED_SWITCHES)
-        for key in _FIXED_SWITCHES:
-            if config.get(key) is not True:
-                raise ParseError("must be true", f"$.config.{key}")
+        values = fields(config, _CONFIG_KINDS, "$.config", optional=_FIXED_FIELDS)
+        for key, fixed in _FIXED_FIELDS.items():
+            if type(value := config.get(key)) is not type(fixed) or value != fixed:
+                raise ParseError(f"must be {json.dumps(fixed)}", f"$.config.{key}")
         with at("$.config"):
             cfg = LabelerConfig(*values)
         with at("$.tau"):

@@ -21,14 +21,12 @@ class LabelerConfig:
     heads: int = 4
     ff_dim: int = 256
     input_dim: int = 229
-    max_ticks: int = 384
     seed: int = 0
     vocab: str = "melody"
     dropout: float = 0.0
 
     def __post_init__(self) -> None:
-        if min(self.layers, self.model_dim, self.heads, self.ff_dim,
-               self.input_dim, self.max_ticks) < 1:
+        if min(self.layers, self.model_dim, self.heads, self.ff_dim, self.input_dim) < 1:
             raise InputError("all size fields must be at least 1")
         if self.model_dim % self.heads:
             raise InputError(

@@ -7,9 +7,12 @@ layer projects queries, keys and values.  A padded (N, L, dim) batch is
 packed to its T real ticks: every per-tick operation runs on (T, ·)
 arrays, and only attention scores scatter to (N, heads, L, L) under the
 key mask.  Logits come back as those (T, C) packed rows, and ``backward``
-takes their gradient in the same rows.  ``init_params`` and ``backward``
-return ``FlatParams``: named views, in a fixed canonical order, into one
-flat buffer.
+takes their gradient in the same rows.  No sequence is longer than
+``MAX_TICKS``, the one window length: training draws no longer slices,
+and ``forward_windowed`` cuts longer inputs into windows of that length,
+so the scores stay bounded.  ``init_params`` and ``backward`` return
+``FlatParams``: named views, in a fixed canonical order, into one flat
+buffer.
 
 Compute dtype follows the parameter dtype: float32 as ``init_params``
 draws them, float64 when a caller (the gradient check) casts them for
@@ -33,6 +36,8 @@ from .config import LabelerConfig
 
 LN_EPS = 1e-5
 MASK_BIAS = -1e9
+#: The one window length: ticks per sequence of a batch, 96 beats of sixteenths.
+MAX_TICKS = 384
 
 
 def param_shapes(cfg: LabelerConfig) -> dict[str, tuple[int, ...]]:
@@ -170,8 +175,8 @@ def forward_cached(
     n, length, dim = x.shape
     if dim != cfg.input_dim:
         raise ShapeError(f"feature dim {dim} != config input_dim {cfg.input_dim}")
-    if length < 1 or length > cfg.max_ticks:
-        raise InputError(f"tick count {length} outside 1..{cfg.max_ticks}")
+    if length < 1 or length > MAX_TICKS:
+        raise InputError(f"tick count {length} outside 1..{MAX_TICKS}")
     dt = params["w_in"].dtype
     if mask is None:
         mask = np.ones((n, length), dtype=bool)
@@ -188,8 +193,7 @@ def forward_cached(
 
     h = x @ params["w_in"]
     h += params["b_in"]
-    # read at the power of two at or above the batch length: few cached encodings
-    positions = positional_encoding(1 << (length - 1).bit_length(), cfg.model_dim, dt)
+    positions = positional_encoding(MAX_TICKS, cfg.model_dim, dt)
     h += positions[np.nonzero(mask)[1]]
 
     key_bias = np.where(mask, dt.type(0.0), dt.type(MASK_BIAS))[:, None, None, :]
@@ -306,13 +310,13 @@ def backward(
 
 def forward_windowed(cfg: LabelerConfig, params: dict[str, np.ndarray], feats) -> np.ndarray:
     """Logits (ticks, n_classes) for one (ticks, dim) array of resampled
-    features of any length, run through the model in windows of max_ticks."""
+    features of any length, run through the model in windows of MAX_TICKS."""
     x = np.asarray(feats)
     if x.ndim != 2:
         raise ShapeError(f"expected (ticks, dim) features, got shape {x.shape}")
     logits = np.concatenate([
-        forward_cached(cfg, params, x[None, start : start + cfg.max_ticks])[0]
-        for start in range(0, max(len(x), 1), cfg.max_ticks)
+        forward_cached(cfg, params, x[None, start : start + MAX_TICKS])[0]
+        for start in range(0, max(len(x), 1), MAX_TICKS)
     ])
     if not np.all(np.isfinite(logits)):
         raise InputError("forward pass produced non-finite logits")

@@ -21,10 +21,9 @@ from .config import LabelerConfig
 from .decode import onset_melody, onset_sweep
 from .labels import DenseLabelSequence, vocab_by_name
 from .loss import _loss_and_grad
-from .model import backward, forward_cached, forward_windowed, init_params
+from .model import MAX_TICKS, backward, forward_cached, forward_windowed, init_params
 
 DEFAULT_THRESHOLDS = tuple(round(0.05 * k, 2) for k in range(1, 20))
-MAX_SLICE_BEATS = 96
 MAX_SLICE_SECONDS = 24.0
 
 
@@ -66,6 +65,8 @@ class TrainSettings:
             raise InputError("batch_size must be >= 1 and max_steps >= 0")
         if self.eval_every < 1 or self.patience < 1:
             raise InputError("eval_every and patience must be >= 1")
+        if not (self.lr >= 0.0 and np.isfinite(self.lr)):
+            raise InputError(f"lr must be finite and >= 0, got {self.lr}")
 
 
 @dataclass
@@ -87,7 +88,7 @@ def reference_melody(labels: DenseLabelSequence, amap: AlignmentMap) -> Melody:
 def _sample_slice(rng: np.random.Generator, ex: TrainExample) -> tuple[int, int]:
     total = ex.amap.num_beats
     start = int(rng.integers(0, total))
-    length = min(MAX_SLICE_BEATS, total - start)
+    length = min(MAX_TICKS // TICKS_PER_BEAT, total - start)
     times = ex.amap.beat_to_time_s
     while length > 1 and times[start + length] - times[start] > MAX_SLICE_SECONDS:
         length -= 1

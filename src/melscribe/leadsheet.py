@@ -265,10 +265,10 @@ def _pc_name(pc: int, spellings: dict, fifths: int) -> str:
 
 
 def _note_name(midi: int, spellings: dict, fifths: int) -> str:
-    li, alter = _spell_pc(midi % 12, spellings, fifths)
-    name = _LETTERS[li] + ("is" * alter if alter > 0 else "es" * -alter)
+    _, alter = _spell_pc(midi % 12, spellings, fifths)
     octave = (midi - alter) // 12 - 1
-    return name + ("'" * (octave - 3) if octave >= 3 else "," * (3 - octave))
+    return _pc_name(midi % 12, spellings, fifths) + (
+        "'" * (octave - 3) if octave >= 3 else "," * (3 - octave))
 
 
 def _duration_candidates(unit: int) -> list[tuple[int, str]]:

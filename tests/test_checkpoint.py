@@ -121,22 +121,33 @@ def test_load_rejects_header_payload_mismatch(tmp_path):
         load_checkpoint(bad)
 
 
-def test_load_refuses_a_model_switch_that_is_not_true(tmp_path):
+#: Each config field with one legal value, that value and values loading refuses.
+FIXED_FIELDS = {
+    "max_ticks": (384, (383, 385, 384.0, 2**62, True, None, "384")),
+    "standardize_input": (True, (False, 1, None, "true")),
+    "use_positions": (True, (False, 1, None, "true")),
+}
+
+
+def test_load_refuses_a_fixed_config_field_of_another_value(tmp_path, capsys):
     path = tmp_path / "m.ckpt"
     write_ckpt(path)
     raw = path.read_bytes()
     header = json.loads(raw[12 : 12 + struct.unpack_from("<4sII", raw)[2]])
-    assert header["config"]["standardize_input"] is True
-    assert header["config"]["use_positions"] is True
-    for key in ("standardize_input", "use_positions"):
-        for value in (False, 1, None, "true"):
-            bad = tmp_path / "bad.ckpt"
-            bad.write_bytes(rewrite_header(raw, lambda h: h["config"].update({key: value})))
-            with pytest.raises(FormatError, match=rf"\$\.config\.{key}: must be true"):
+    bad = tmp_path / "bad.ckpt"
+    for key, (fixed, values) in FIXED_FIELDS.items():
+        assert type(header["config"][key]) is type(fixed)
+        assert header["config"][key] == fixed
+        message = re.escape(f"{bad}: $.config.{key}: must be {json.dumps(fixed)}")
+        edits = [lambda h, v=v: h["config"].update({key: v}) for v in values]
+        for edit in edits + [lambda h: h["config"].pop(key)]:
+            bad.write_bytes(rewrite_header(raw, edit))
+            with pytest.raises(FormatError, match=message):
                 load_checkpoint(bad)
-        bad.write_bytes(rewrite_header(raw, lambda h: h["config"].pop(key)))
-        with pytest.raises(FormatError, match=rf"\$\.config\.{key}: must be true"):
-            load_checkpoint(bad)
+            code = main(["transcribe", "--checkpoint", str(bad), "--features", "f.ssft",
+                         "--alignment", "a.json", "--out", str(tmp_path / "est.json")])
+            assert code == 1
+            assert re.match("error: " + message, capsys.readouterr().err)
 
 
 def test_load_rejects_non_finite_blob(tmp_path):
@@ -207,29 +218,9 @@ def test_transcribe_with_mis_shaped_checkpoint_exits_1(tmp_path):
     assert "w_in" in proc.stderr
 
 
-def test_transcribe_reads_a_checkpoint_whose_max_ticks_is_huge(tmp_path, capsys):
-    # max_ticks sets only the inference window; positions follow the ticks given
-    good = tmp_path / "good.ckpt"
-    write_ckpt(good)
-    path = tmp_path / "m.ckpt"
-    path.write_bytes(rewrite_header(good.read_bytes(),
-                                    lambda h: h["config"].update(max_ticks=2**62)))
-    assert load_checkpoint(path)[0].max_ticks == 2**62
-    frames = np.random.default_rng(5).normal(size=(32, CFG.input_dim))
-    write_ssft(tmp_path / "f.ssft", ResampledFeatures(frames))
-    AlignmentMap(np.arange(9) * 0.5).save(tmp_path / "a.json")
-    for ckpt, out in ((good, "good.json"), (path, "huge.json")):
-        code = main(["transcribe", "--checkpoint", str(ckpt), "--features",
-                     str(tmp_path / "f.ssft"), "--alignment", str(tmp_path / "a.json"),
-                     "--out", str(tmp_path / out)])
-        assert code == 0, capsys.readouterr().err
-    assert (tmp_path / "huge.json").read_bytes() == (tmp_path / "good.json").read_bytes()
-
-
 CONFIG_FAULTS = [
     ("model_dim", 16.0, r"\$\.config\.model_dim: field 'model_dim' must be an integer"),
     ("heads", True, r"\$\.config\.heads: field 'heads' must be an integer"),
-    ("max_ticks", 2.5, r"\$\.config\.max_ticks: field 'max_ticks' must be an integer"),
     ("layers", 0, r"\$\.config: all size fields must be at least 1"),
     ("vocab", "drums", r"\$\.config: unknown vocabulary 'drums'"),
 ]

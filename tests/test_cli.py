@@ -268,6 +268,32 @@ def test_transcribe_refuses_a_tau_outside_0_1_before_reading_a_file(tmp_path, ca
         assert not out_path.exists()
 
 
+def test_a_negative_seed_is_a_usage_error_before_any_file_is_read(tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    for argv in (["train", "--data", missing, "--out", str(tmp_path / "m.ckpt")],
+                 ["dataset", "split", "--dir", missing, "--artists", missing]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "-1"])
+        assert exc.value.code == 2, argv
+        assert "argument --seed: seed must be non-negative, got -1" in capsys.readouterr().err
+
+
+def test_train_refuses_its_settings_before_reading_the_data(tmp_path, capsys):
+    out_path = tmp_path / "m.ckpt"
+    for option, value, message in (
+        ("--lr", "nan", "lr must be finite and >= 0, got nan"),
+        ("--lr", "inf", "lr must be finite and >= 0, got inf"),
+        ("--lr", "-0.001", "lr must be finite and >= 0, got -0.001"),
+        ("--batch-size", "0", "batch_size must be >= 1 and max_steps >= 0"),
+        ("--steps", "-1", "batch_size must be >= 1 and max_steps >= 0"),
+    ):
+        code = main(["train", "--data", str(tmp_path / "missing"), "--out", str(out_path),
+                     option, value])
+        assert code == 1, (option, value)
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_path.exists()
+
+
 def test_evaluate_self_is_perfect(corpus):
     ref = str(corpus["ref"])
     code, out = run(["evaluate", "--estimate", ref, "--reference", ref])

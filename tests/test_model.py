@@ -14,9 +14,7 @@ from melscribe.labeler.model import (
 )
 from oracles import gradient_check
 
-TINY = LabelerConfig(
-    layers=1, model_dim=16, heads=2, ff_dim=32, input_dim=12, max_ticks=32
-)
+TINY = LabelerConfig(layers=1, model_dim=16, heads=2, ff_dim=32, input_dim=12)
 
 
 def test_param_names_cover_all_tensors():
@@ -56,8 +54,8 @@ def test_positional_encoding_structure():
 
 
 def test_position_table_is_read_only_and_starts_every_shorter_encoding():
-    # forward_cached reads the encoding at the power of two at or above its
-    # tick count, so its first rows must be each shorter encoding
+    # forward_cached reads the first rows of the MAX_TICKS encoding, so they
+    # must be each shorter encoding
     for dim in (64, 512):
         for dtype in (np.float32, np.float64):
             table = positional_encoding(512, dim, np.dtype(dtype))
@@ -131,6 +129,8 @@ def test_forward_shapes_and_dtype():
         forward_windowed(TINY, params, x[None])
     with pytest.raises(InputError, match="tick count 0"):
         forward_windowed(TINY, params, x[:0])
+    with pytest.raises(InputError, match=r"tick count 385 outside 1\.\.384"):
+        forward_cached(TINY, params, np.zeros((1, 385, 12), dtype=np.float32))
     broken = {**params, "b_out": np.full_like(params["b_out"], np.inf)}
     with pytest.raises(InputError, match="non-finite"):
         forward_windowed(TINY, broken, x)
@@ -186,11 +186,11 @@ def test_mask_blocks_cross_row_influence():
 def test_forward_windowed_chunks_long_inputs():
     params = init_params(TINY)
     rng = np.random.default_rng(4)
-    x = rng.normal(size=(80, 12)).astype(np.float32)  # max_ticks is 32
+    x = rng.normal(size=(800, 12)).astype(np.float32)  # MAX_TICKS is 384
     logits = forward_windowed(TINY, params, x)
-    assert logits.shape == (80, 89)
-    for start in (0, 32, 64):
-        stop = min(start + 32, 80)
+    assert logits.shape == (800, 89)
+    for start in (0, 384, 768):
+        stop = min(start + 384, 800)
         window, _ = forward_cached(TINY, params, x[None, start:stop])
         assert np.array_equal(logits[start:stop], window)
 
@@ -220,17 +220,14 @@ def test_backward_produces_full_gradient_dict():
 
 
 def test_gradient_check_small_config():
-    cfg = LabelerConfig(
-        layers=1, model_dim=16, heads=2, ff_dim=32, input_dim=12, max_ticks=32
-    )
+    cfg = LabelerConfig(layers=1, model_dim=16, heads=2, ff_dim=32, input_dim=12)
     worst = gradient_check(cfg, n_ticks=6, coords_per_tensor=2, seeds=(11,))
     assert worst < 1e-3
 
 
 def test_gradient_check_chord_vocab():
     cfg = LabelerConfig(
-        layers=1, model_dim=16, heads=2, ff_dim=32, input_dim=12,
-        max_ticks=32, vocab="chords",
+        layers=1, model_dim=16, heads=2, ff_dim=32, input_dim=12, vocab="chords",
     )
     worst = gradient_check(cfg, n_ticks=6, coords_per_tensor=2, seeds=(23,))
     assert worst < 1e-3

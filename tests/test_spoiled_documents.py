@@ -1,13 +1,14 @@
 """Spoiled JSON documents fail closed.
 
-At every JSON path of ``test_corruption``'s six JSON fixtures, the root
-included, each value of ``SPOILERS`` replaces the value there, and each
-object key is also deleted in turn.  A loader may accept a spoiled
-document that still parses, but may raise nothing except a
-MelscribeError that names the file.
+At every JSON path of ``test_corruption``'s six JSON fixtures and of its
+checkpoint's JSON header, the root included, each value of ``SPOILERS``
+replaces the value there, and each object key is also deleted in turn.
+A loader may accept a spoiled document that still parses, but may raise
+nothing except a MelscribeError that names the file.
 """
 
 import json
+import struct
 
 import pytest
 from test_corruption import assert_fails_closed, files  # noqa: F401  (files is a fixture)
@@ -15,6 +16,7 @@ from test_corruption import assert_fails_closed, files  # noqa: F401  (files is 
 from melscribe import htparse
 from melscribe.align import AlignmentMap, BeatGrid
 from melscribe.evaluate import load_transcript
+from melscribe.labeler.checkpoint import load_checkpoint
 from melscribe.leadsheet import load_chord_changes
 
 SPOILERS = (
@@ -49,3 +51,16 @@ def test_json_loaders_refuse_spoiled_documents(files, tmp_path, name, load):  # 
     doc = json.loads(files[name].read_text())
     variants = (json.dumps(d).encode() for d in spoiled(doc))
     assert_fails_closed(load, tmp_path / name, variants)
+
+
+def test_checkpoint_loader_refuses_spoiled_headers(files, tmp_path):  # noqa: F811
+    raw = files["m.ckpt"].read_bytes()
+    head_len = struct.unpack_from("<4sII", raw)[2]
+    payload = raw[12 + head_len :]
+
+    def with_header(doc):
+        head = json.dumps(doc).encode()
+        return raw[:4] + struct.pack("<II", 1, len(head)) + head + payload
+
+    header = json.loads(raw[12 : 12 + head_len])
+    assert_fails_closed(load_checkpoint, tmp_path / "m.ckpt", map(with_header, spoiled(header)))

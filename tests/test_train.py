@@ -20,9 +20,7 @@ from melscribe.labeler.train import (
     validation_f1,
 )
 
-SMALL = LabelerConfig(
-    layers=1, model_dim=32, heads=2, ff_dim=64, input_dim=229, max_ticks=384
-)
+SMALL = LabelerConfig(layers=1, model_dim=32, heads=2, ff_dim=64, input_dim=229)
 
 
 def flat_example(seg_id, num_beats, classes=None, split="train", dim=229, spb=0.5):
@@ -65,6 +63,10 @@ def test_train_settings_validation():
         TrainSettings(eval_every=0)
     with pytest.raises(InputError):
         TrainSettings(patience=0)
+    TrainSettings(lr=0.0)  # legal: it freezes the parameters
+    for lr in (float("nan"), float("inf"), -1e-4):
+        with pytest.raises(InputError, match="lr must be finite and >= 0"):
+            TrainSettings(lr=lr)
     assert DEFAULT_THRESHOLDS[0] == 0.05
     assert DEFAULT_THRESHOLDS[-1] == 0.95
     assert len(DEFAULT_THRESHOLDS) == 19
