@@ -129,13 +129,15 @@ FIXED_FIELDS = {
 }
 
 
-def test_load_refuses_a_fixed_config_field_of_another_value(tmp_path, capsys):
+def assert_fixed_fields_refused(tmp_path, capsys, keys):
+    """Loading and transcribe refuse each of ``keys`` set to another value or left out."""
     path = tmp_path / "m.ckpt"
     write_ckpt(path)
     raw = path.read_bytes()
     header = json.loads(raw[12 : 12 + struct.unpack_from("<4sII", raw)[2]])
     bad = tmp_path / "bad.ckpt"
-    for key, (fixed, values) in FIXED_FIELDS.items():
+    for key in keys:
+        fixed, values = FIXED_FIELDS[key]
         assert type(header["config"][key]) is type(fixed)
         assert header["config"][key] == fixed
         message = re.escape(f"{bad}: $.config.{key}: must be {json.dumps(fixed)}")
@@ -148,6 +150,14 @@ def test_load_refuses_a_fixed_config_field_of_another_value(tmp_path, capsys):
                          "--alignment", "a.json", "--out", str(tmp_path / "est.json")])
             assert code == 1
             assert re.match("error: " + message, capsys.readouterr().err)
+
+
+def test_load_refuses_a_model_switch_that_is_not_true(tmp_path, capsys):
+    assert_fixed_fields_refused(tmp_path, capsys, ("standardize_input", "use_positions"))
+
+
+def test_load_refuses_a_max_ticks_other_than_384(tmp_path, capsys):
+    assert_fixed_fields_refused(tmp_path, capsys, ("max_ticks",))
 
 
 def test_load_rejects_non_finite_blob(tmp_path):
@@ -221,6 +231,7 @@ def test_transcribe_with_mis_shaped_checkpoint_exits_1(tmp_path):
 CONFIG_FAULTS = [
     ("model_dim", 16.0, r"\$\.config\.model_dim: field 'model_dim' must be an integer"),
     ("heads", True, r"\$\.config\.heads: field 'heads' must be an integer"),
+    ("max_ticks", 2.5, r"\$\.config\.max_ticks: must be 384"),
     ("layers", 0, r"\$\.config: all size fields must be at least 1"),
     ("vocab", "drums", r"\$\.config: unknown vocabulary 'drums'"),
 ]
