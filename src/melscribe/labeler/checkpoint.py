@@ -1,9 +1,9 @@
 """Deterministic binary checkpoints for trained labelers.
 
 Layout: magic ``MSCK``, u32 format version, u32 header length, a JSON
-header (sorted keys, no whitespace), then raw float32 little-endian
-tensor data concatenated in the header's listed order.  Writing the
-same model twice yields byte-identical files.
+header (sorted keys, no whitespace), then ``FlatParams.flat``: every
+tensor in ``param_shapes`` order, one little-endian float32 buffer.
+Writing the same model twice yields byte-identical files.
 
 The header's config also carries ``"max_ticks": 384``,
 ``"standardize_input": true`` and ``"use_positions": true``: the model
@@ -19,7 +19,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import struct
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,7 @@ from ..errors import FormatError, ParseError, ShapeError, in_file
 from ..jsonio import at, column, fields
 from .config import LabelerConfig
 from .decode import check_tau
-from .model import MAX_TICKS, param_shapes
+from .model import MAX_TICKS, FlatParams, param_shapes
 
 MAGIC = b"MSCK"
 VERSION = 1
@@ -42,55 +44,62 @@ _HEADER_FIELDS = {"config": dict, "step": int, "tau": float, "tensors": list}
 _TENSOR_FIELDS = {"name": str, "shape": list}
 
 
+def _check_shapes(shapes, given, error) -> None:
+    """Refuse ``given`` shapes unless each tensor of ``shapes`` is there in its shape."""
+    for name, shape in shapes.items():
+        if given.get(name) != shape:
+            found = f"has shape {list(given[name])}" if name in given else "is missing"
+            raise error(f"tensor {name} {found}, the stored config implies {list(shape)}")
+
+
+def _check_finite(params: FlatParams) -> None:
+    """Refuse parameters holding NaN or inf, naming the first tensor that does."""
+    if not np.all(np.isfinite(params.flat)):
+        name = next(name for name, p in params.items() if not np.all(np.isfinite(p)))
+        raise FormatError(f"tensor {name} has non-finite values")
+
+
 def save_checkpoint(
     path: str | Path,
     cfg: LabelerConfig,
-    params: dict[str, np.ndarray],
+    params: Mapping[str, np.ndarray],
     tau: float,
     step: int,
 ) -> None:
-    names = list(param_shapes(cfg))
-    missing = [n for n in names if n not in params]
-    if missing:
-        raise ShapeError(f"params missing tensors: {missing}")
-    tensors = []
-    blobs = []
-    for name in names:
-        arr = np.ascontiguousarray(params[name], dtype="<f4")
-        if not np.all(np.isfinite(arr)):
-            raise FormatError(f"tensor {name} contains non-finite values")
-        tensors.append(dict(zip(_TENSOR_FIELDS, (name, list(arr.shape)))))
-        blobs.append(arr.tobytes())
+    shapes = param_shapes(cfg)
+    _check_shapes(shapes, {name: np.shape(p) for name, p in params.items()}, ShapeError)
+    payload = FlatParams(cfg, "<f4", np.concatenate([np.ravel(params[name]) for name in shapes]))
+    _check_finite(payload)
     header = dict(zip(_HEADER_FIELDS, (
         {**dataclasses.asdict(cfg), **_FIXED_FIELDS},
         int(step),
         check_tau(tau),
-        tensors,
+        [dict(zip(_TENSOR_FIELDS, (name, list(shape)))) for name, shape in shapes.items()],
     )))
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as fh:
         fh.write(_PREFIX.pack(MAGIC, VERSION, len(head)))
         fh.write(head)
-        for blob in blobs:
-            fh.write(blob)
+        fh.write(payload.flat.tobytes())
 
 
 def load_checkpoint(
     path: str | Path,
-) -> tuple[LabelerConfig, dict[str, np.ndarray], float, int]:
-    raw = Path(path).read_bytes()
-    with in_file(path):
-        if len(raw) < _PREFIX.size:
+) -> tuple[LabelerConfig, FlatParams, float, int]:
+    with open(path, "rb") as fh, in_file(path):
+        prefix = fh.read(_PREFIX.size)
+        if len(prefix) < _PREFIX.size:
             raise FormatError("truncated checkpoint")
-        magic, version, head_len = _PREFIX.unpack_from(raw)
+        magic, version, head_len = _PREFIX.unpack(prefix)
         if magic != MAGIC:
             raise FormatError(f"bad magic {magic!r}")
         if version != VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
-        if len(raw) < _PREFIX.size + head_len:
+        payload = os.fstat(fh.fileno()).st_size - _PREFIX.size - head_len
+        if payload < 0:
             raise FormatError("header extends past end of file")
         try:
-            header = json.loads(raw[_PREFIX.size : _PREFIX.size + head_len])
+            header = json.loads(fh.read(head_len))
         except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
             raise FormatError(f"invalid checkpoint header: {exc}") from exc
         config, step, tau, tensors = fields(header, _HEADER_FIELDS, "$")
@@ -102,36 +111,20 @@ def load_checkpoint(
             cfg = LabelerConfig(*values)
         with at("$.tau"):
             tau = check_tau(tau)
-        listed = []
+        listed = {}
         for i, tensor in enumerate(tensors):
             where = f"$.tensors[{i}]"
             name, shape = fields(tensor, _TENSOR_FIELDS, where)
-            listed.append((name, tuple(column(shape, int, f"{where}.shape").tolist())))
-
-        # param_shapes' count, compared before a huge layer count builds it
-        if len(listed) != 4 + 16 * cfg.layers:
+            listed[name] = tuple(column(shape, int, f"{where}.shape").tolist())
+        # param_shapes' count first, so a huge layer count fails before it is built
+        if len(tensors) != 4 + 16 * cfg.layers or list(listed) != list(shapes := param_shapes(cfg)):
             raise FormatError("tensor list does not match the stored config")
-        shapes = param_shapes(cfg)
-        if [name for name, _ in listed] != list(shapes):
-            raise FormatError("tensor list does not match the stored config")
-        for name, shape in listed:
-            if shape != shapes[name]:
-                raise FormatError(
-                    f"tensor {name} has shape {list(shape)}, "
-                    f"the stored config implies {list(shapes[name])}"
-                )
-
-        params: dict[str, np.ndarray] = {}
-        offset = _PREFIX.size + head_len
-        for name, shape in shapes.items():
-            end = offset + 4 * math.prod(shape)  # exact, so a huge shape overruns
-            if end > len(raw):
-                raise FormatError(f"tensor {name} overruns the file")
-            arr = np.frombuffer(raw[offset:end], dtype="<f4").reshape(shape)
-            if not np.all(np.isfinite(arr)):
-                raise FormatError(f"tensor {name} has non-finite values")
-            params[name] = arr.astype(np.float32)
-            offset = end
-        if offset != len(raw):
-            raise FormatError(f"{len(raw) - offset} trailing bytes")
+        _check_shapes(shapes, listed, FormatError)
+        size = 4 * sum(map(math.prod, shapes.values()))  # Python ints, exact for any shape
+        if payload != size:
+            raise FormatError(f"tensor data is {payload} bytes, the stored config implies {size}")
+        params = FlatParams(cfg, "<f4")
+        if fh.readinto(params.flat) != size:  # the file shrank while it was read
+            raise FormatError("truncated checkpoint")
+        _check_finite(params)
     return cfg, params, tau, step

@@ -32,6 +32,8 @@ class LabelerConfig:
             raise InputError(
                 f"model_dim {self.model_dim} not divisible by heads {self.heads}"
             )
+        if self.seed < 0:
+            raise InputError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.dropout < 1.0:
             raise InputError(f"dropout {self.dropout} outside [0, 1)")
         vocab_by_name(self.vocab)

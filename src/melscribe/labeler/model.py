@@ -10,9 +10,9 @@ key mask.  Logits come back as those (T, C) packed rows, and ``backward``
 takes their gradient in the same rows.  No sequence is longer than
 ``MAX_TICKS``, the one window length: training draws no longer slices,
 and ``forward_windowed`` cuts longer inputs into windows of that length,
-so the scores stay bounded.  ``init_params`` and ``backward`` return
-``FlatParams``: named views, in a fixed canonical order, into one flat
-buffer.
+so the scores stay bounded.  ``FlatParams`` is the one parameter layout:
+named views, in ``param_shapes`` order, into one flat buffer, which
+parameters, gradients, Adam's moments and checkpoints all share.
 
 Compute dtype follows the parameter dtype: float32 as ``init_params``
 draws them, float64 when a caller (the gradient check) casts them for
@@ -63,11 +63,14 @@ def param_shapes(cfg: LabelerConfig) -> dict[str, tuple[int, ...]]:
 
 
 class FlatParams(dict):
-    """Every parameter's tensor, zeroed, as a view into the one buffer ``flat``."""
+    """Every parameter's tensor as a view into the one buffer ``flat``, which
+    holds them in ``param_shapes`` order: a copy of ``data`` if given, else zeros."""
 
-    def __init__(self, cfg: LabelerConfig, dtype=np.float32) -> None:
+    def __init__(self, cfg: LabelerConfig, dtype=np.float32, data=None) -> None:
         shapes = param_shapes(cfg)
         self.flat = np.zeros(sum(map(math.prod, shapes.values())), dtype=dtype)
+        if data is not None:
+            self.flat[...] = data
         stop = 0
         for name, shape in shapes.items():
             start, stop = stop, stop + math.prod(shape)
@@ -88,14 +91,13 @@ def init_params(cfg: LabelerConfig) -> FlatParams:
 
 
 @lru_cache(maxsize=32)
-def positional_encoding(length: int, dim: int, dtype=np.float32) -> np.ndarray:
-    """Sinusoidal positions (length, dim), read-only and cached; the first
-    ``l`` rows of one encoding equal the encoding of length ``l`` bit for bit."""
-    pos = np.arange(length, dtype=np.float64)[:, None]
+def positional_encoding(dim: int, dtype=np.float32) -> np.ndarray:
+    """Sinusoidal positions (MAX_TICKS, dim), read-only and cached."""
+    pos = np.arange(MAX_TICKS, dtype=np.float64)[:, None]
     half = (dim + 1) // 2
     freqs = np.power(10000.0, -np.arange(half, dtype=np.float64) * 2.0 / dim)
     angles = pos * freqs[None, :]
-    pe = np.zeros((length, dim), dtype=np.float64)
+    pe = np.zeros((MAX_TICKS, dim), dtype=np.float64)
     pe[:, 0::2] = np.sin(angles)
     pe[:, 1::2] = np.cos(angles[:, : dim // 2])
     pe = pe.astype(dtype)
@@ -193,7 +195,7 @@ def forward_cached(
 
     h = x @ params["w_in"]
     h += params["b_in"]
-    positions = positional_encoding(MAX_TICKS, cfg.model_dim, dt)
+    positions = positional_encoding(cfg.model_dim, dt)
     h += positions[np.nonzero(mask)[1]]
 
     key_bias = np.where(mask, dt.type(0.0), dt.type(MASK_BIAS))[:, None, None, :]

@@ -21,7 +21,7 @@ from .config import LabelerConfig
 from .decode import onset_melody, onset_sweep
 from .labels import DenseLabelSequence, vocab_by_name
 from .loss import _loss_and_grad
-from .model import MAX_TICKS, backward, forward_cached, forward_windowed, init_params
+from .model import MAX_TICKS, FlatParams, backward, forward_cached, forward_windowed, init_params
 
 DEFAULT_THRESHOLDS = tuple(round(0.05 * k, 2) for k in range(1, 20))
 MAX_SLICE_SECONDS = 24.0
@@ -63,6 +63,8 @@ class TrainSettings:
     def __post_init__(self) -> None:
         if self.batch_size < 1 or self.max_steps < 0:
             raise InputError("batch_size must be >= 1 and max_steps >= 0")
+        if self.seed < 0:
+            raise InputError(f"seed must be non-negative, got {self.seed}")
         if self.eval_every < 1 or self.patience < 1:
             raise InputError("eval_every and patience must be >= 1")
         if not (self.lr >= 0.0 and np.isfinite(self.lr)):
@@ -71,7 +73,7 @@ class TrainSettings:
 
 @dataclass
 class TrainResult:
-    params: dict
+    params: FlatParams
     tau: float
     valid_f1: float
     best_step: int
@@ -179,7 +181,7 @@ def train(
         f1s = validation_f1(cfg, params, valid_ex, DEFAULT_THRESHOLDS)
         k = int(np.argmax(f1s))
         return TrainResult(
-            params={name: p.copy() for name, p in params.items()},
+            params=FlatParams(cfg, data=params.flat),
             tau=float(DEFAULT_THRESHOLDS[k]),
             valid_f1=float(f1s[k]),
             best_step=at_step,

@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import math
+import os
 import re
 import struct
 import subprocess
 import sys
 import time
+import types
 
 import numpy as np
 import pytest
@@ -13,9 +16,10 @@ from melscribe.align import AlignmentMap
 from melscribe.cli import main
 from melscribe.errors import FormatError, RangeError, ShapeError
 from melscribe.features import ResampledFeatures, write_ssft
+from melscribe.labeler import checkpoint
 from melscribe.labeler.checkpoint import load_checkpoint, save_checkpoint
 from melscribe.labeler.config import LabelerConfig
-from melscribe.labeler.model import init_params
+from melscribe.labeler.model import FlatParams, init_params, param_shapes
 
 CFG = LabelerConfig(layers=1, model_dim=16, heads=2, ff_dim=32, input_dim=8)
 
@@ -42,6 +46,9 @@ def test_round_trip(tmp_path):
     assert cfg == CFG
     assert tau == 0.35
     assert step == 123
+    assert isinstance(loaded, FlatParams)
+    assert loaded.flat.dtype == np.float32 and np.array_equal(loaded.flat, params.flat)
+    assert loaded.flat.flags.writeable
     assert set(loaded) == set(params)
     for name in params:
         assert loaded[name].dtype == np.float32
@@ -98,9 +105,11 @@ def test_load_rejects_corruption(tmp_path):
     expect(raw[:4] + struct.pack("<I", 9) + raw[8:], "version")
     head_len = struct.unpack_from("<4sII", raw)[2]
     expect(raw[: 12 + head_len - 5], "past end")
-    expect(raw + b"\x00\x00\x00\x00", "trailing")
+    payload = len(raw) - 12 - head_len
+    expect(raw + b"\x00\x00\x00\x00",
+           f"tensor data is {payload + 4} bytes, the stored config implies {payload}")
     # truncate inside the tensor payload
-    expect(raw[:-8], "overruns")
+    expect(raw[:-8], f"tensor data is {payload - 8} bytes, the stored config implies {payload}")
     # garbage header bytes of the declared length
     expect(raw[:12] + b"{" * head_len + raw[12 + head_len :], "invalid")
     # valid JSON, wrong structure
@@ -230,6 +239,7 @@ def test_transcribe_with_mis_shaped_checkpoint_exits_1(tmp_path):
 
 CONFIG_FAULTS = [
     ("model_dim", 16.0, r"\$\.config\.model_dim: field 'model_dim' must be an integer"),
+    ("seed", -1, r"\$\.config: seed must be non-negative, got -1"),
     ("heads", True, r"\$\.config\.heads: field 'heads' must be an integer"),
     ("max_ticks", 2.5, r"\$\.config\.max_ticks: must be 384"),
     ("layers", 0, r"\$\.config: all size fields must be at least 1"),
@@ -313,6 +323,70 @@ def test_load_refuses_a_shape_whose_size_overflows_int64(tmp_path):
         header["config"]["input_dim"] = 2**60
         header["tensors"][0]["shape"] = [2**60, CFG.model_dim]
 
-    path.write_bytes(rewrite_header(path.read_bytes(), huge_input))
-    with pytest.raises(FormatError, match=r"m\.ckpt: tensor w_in overruns the file"):
+    raw = rewrite_header(path.read_bytes(), huge_input)
+    path.write_bytes(raw)
+    payload = len(raw) - 12 - struct.unpack_from("<4sII", raw)[2]
+    implied = 4 * sum(map(math.prod, param_shapes(
+        dataclasses.replace(CFG, input_dim=2**60)).values()))
+    with pytest.raises(FormatError, match=re.escape(
+            f"m.ckpt: tensor data is {payload} bytes, the stored config implies {implied}")):
         load_checkpoint(path)
+
+
+def test_save_refuses_params_built_for_another_config(tmp_path):
+    path = tmp_path / "m.ckpt"
+    wider = init_params(dataclasses.replace(CFG, ff_dim=64))
+    with pytest.raises(ShapeError, match=re.escape(
+            "tensor l0_w1 has shape [16, 64], the stored config implies [16, 32]")):
+        save_checkpoint(path, CFG, wider, 0.5, 0)
+    assert not path.exists()
+
+
+def test_load_refuses_a_payload_cut_or_extended_at_every_tensor_boundary(tmp_path):
+    path = tmp_path / "m.ckpt"
+    write_ckpt(path)
+    raw = path.read_bytes()
+    start = 12 + struct.unpack_from("<4sII", raw)[2]
+    payload = len(raw) - start
+    bounds = np.cumsum([0] + [4 * math.prod(shape) for shape in param_shapes(CFG).values()])
+    assert bounds[-1] == payload
+    lengths = {b + d for b in bounds.tolist() for d in (-1, 0, 1)} - {-1, payload}
+    bad = tmp_path / "bad.ckpt"
+    for length in sorted(lengths | {payload + k for k in range(1, 5)}):
+        bad.write_bytes(raw[: start + length] + b"\x00" * max(0, length - payload))
+        message = f"{bad}: tensor data is {length} bytes, the stored config implies {payload}"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_checkpoint(bad)
+
+
+def test_load_refuses_a_file_that_shrinks_while_it_is_read(tmp_path, monkeypatch):
+    path = tmp_path / "m.ckpt"
+    write_ckpt(path)
+    path.write_bytes(path.read_bytes()[:-4])
+    fstat = os.fstat  # reports the size the file had before it lost its last 4 bytes
+    monkeypatch.setattr(checkpoint.os, "fstat",
+                        lambda fd: types.SimpleNamespace(st_size=fstat(fd).st_size + 4))
+    with pytest.raises(FormatError, match=r"m\.ckpt: truncated checkpoint"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_value_names_its_tensor(tmp_path, value):
+    path = tmp_path / "m.ckpt"
+    params = write_ckpt(path)
+    raw = path.read_bytes()
+    start = 12 + struct.unpack_from("<4sII", raw)[2]
+    bad, spoiled_path = tmp_path / "bad.ckpt", tmp_path / "spoiled.ckpt"
+    end = 0
+    for name, shape in param_shapes(CFG).items():
+        end += math.prod(shape)
+        # the tensor's last value and the payload's last: the first bad tensor is named
+        data = bytearray(raw)
+        data[start + 4 * (end - 1) : start + 4 * end] = data[-4:] = struct.pack("<f", value)
+        bad.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=re.escape(f"{bad}: tensor {name} has non-finite")):
+            load_checkpoint(bad)
+        spoiled = {**params, name: np.full(shape, value), "b_out": np.full(CFG.n_classes, value)}
+        with pytest.raises(FormatError, match=f"tensor {name} has non-finite"):
+            save_checkpoint(spoiled_path, CFG, spoiled, 0.5, 0)
+        assert not spoiled_path.exists()

@@ -4,6 +4,7 @@ import pytest
 from melscribe.errors import InputError, ShapeError
 from melscribe.labeler.config import LabelerConfig
 from melscribe.labeler.model import (
+    MAX_TICKS,
     FlatParams,
     backward,
     forward_cached,
@@ -44,8 +45,8 @@ def test_init_params_shapes_and_determinism():
 
 
 def test_positional_encoding_structure():
-    pe = positional_encoding(10, 16)
-    assert pe.shape == (10, 16)
+    assert positional_encoding(16).shape == (MAX_TICKS, 16)
+    pe = positional_encoding(16)[:10]
     assert np.allclose(pe[0, 0::2], 0.0)
     assert np.allclose(pe[0, 1::2], 1.0)
     assert np.allclose(pe[:, 0], np.sin(np.arange(10)), atol=1e-6)
@@ -53,16 +54,12 @@ def test_positional_encoding_structure():
     assert np.abs(pe).max() <= 1.0
 
 
-def test_position_table_is_read_only_and_starts_every_shorter_encoding():
-    # forward_cached reads the first rows of the MAX_TICKS encoding, so they
-    # must be each shorter encoding
+def test_position_table_is_read_only_and_cached():
     for dim in (64, 512):
         for dtype in (np.float32, np.float64):
-            table = positional_encoding(512, dim, np.dtype(dtype))
-            assert positional_encoding(512, dim, np.dtype(dtype)) is table
+            table = positional_encoding(dim, np.dtype(dtype))
+            assert positional_encoding(dim, np.dtype(dtype)) is table
             assert not table.flags.writeable
-            for length in range(1, 512):
-                assert np.array_equal(table[:length], positional_encoding(length, dim, dtype))
 
 
 def test_flat_params_views_tile_the_flat_buffer_in_canonical_order():

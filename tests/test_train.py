@@ -10,6 +10,7 @@ from melscribe.evaluate import octave_invariant_f1
 from melscribe.labeler.config import LabelerConfig
 from melscribe.labeler.decode import decode, onset_sweep
 from melscribe.labeler.labels import CHORD_VOCAB, DenseLabelSequence
+from melscribe.labeler.model import FlatParams, param_shapes
 from melscribe.labeler.train import (
     DEFAULT_THRESHOLDS,
     TrainExample,
@@ -70,6 +71,13 @@ def test_train_settings_validation():
     assert DEFAULT_THRESHOLDS[0] == 0.05
     assert DEFAULT_THRESHOLDS[-1] == 0.95
     assert len(DEFAULT_THRESHOLDS) == 19
+
+
+def test_a_negative_seed_is_refused_by_the_config_and_the_train_settings():
+    # numpy's generators take only non-negative seeds
+    for make in (LabelerConfig, TrainSettings):
+        with pytest.raises(InputError, match="seed must be non-negative, got -1"):
+            make(seed=-1)
 
 
 def test_reference_melody_from_labels():
@@ -216,7 +224,8 @@ def test_train_is_seed_deterministic():
     b = train(SMALL, examples, settings)
     assert a.history == b.history
     assert a.tau == b.tau and a.best_step == b.best_step
-    assert all(np.array_equal(a.params[k], b.params[k]) for k in a.params)
+    assert isinstance(a.params, FlatParams) and list(a.params) == list(param_shapes(SMALL))
+    assert np.array_equal(a.params.flat, b.params.flat)
 
 
 def test_train_early_stops_on_stale_validation():
