@@ -370,12 +370,17 @@ def check_segment_id(seg_id: str) -> str:
     return seg_id
 
 
+def octave_shift_range(lowest, highest):
+    """The least and the greatest whole-octave shift keeping pitches from
+    ``lowest`` to ``highest`` in range; works elementwise on arrays."""
+    return -((lowest - MIDI_MIN) // 12), (MIDI_MAX - highest) // 12
+
+
 def octave_shifts(midis: np.ndarray) -> list[int]:
     """Whole-octave shifts keeping every pitch in range, in the order 0, -1, 1, -2, ..."""
     if midis.size == 0:
         return [0]
-    lo = -((int(midis.min()) - MIDI_MIN) // 12)
-    hi = (MIDI_MAX - int(midis.max())) // 12
+    lo, hi = octave_shift_range(int(midis.min()), int(midis.max()))
     return sorted(range(lo, hi + 1), key=lambda s: (abs(s), s))
 
 

@@ -22,6 +22,7 @@ feature types it builds refuse non-finite values.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -179,12 +180,15 @@ def _wav_samples(blob: bytes) -> tuple[np.ndarray, int]:
         wide = np.zeros((size // 3, 4), np.uint8)
         wide[:, 1:] = raw.reshape(-1, 3)
         raw, width = wide, 4
-    samples = raw.view(dtype).astype(np.float64).reshape(-1)
+    view = raw.view(dtype).reshape(-1)
+    # The scales are powers of two, so one pass gives what dividing would.
     if tag == 1 and width == 1:
-        samples -= 128.0
-        samples /= 128.0
+        samples = np.subtract(view, 128.0, dtype=np.float64)
+        samples *= 2.0 ** -7
     elif tag == 1:
-        samples /= 2.0 ** (8 * width - 1)
+        samples = np.multiply(view, 2.0 ** -(8 * width - 1), dtype=np.float64)
+    else:
+        samples = view.astype(np.float64)
     if channels > 1:
         samples = samples.reshape(-1, channels).mean(axis=1)
     return samples, rate
@@ -251,7 +255,7 @@ _LOGMEL_BLOCK = 256
 #: such as 10**9 Hz, would otherwise ask for gigabytes.
 MAX_SAMPLE_RATE = 384000
 
-#: Output phases per band matrix, and blocks per chunk, in ``_resample``.
+#: Output phases per band matrix, and blocks per chunk, in ``_resampled``.
 #: Of 10, 20 and 40 phases and 64 to 1024 blocks, 20 and 256 ran fastest
 #: on 224 s of 44.1 and of 48 kHz audio (2-core x86 VM, numpy 2.4 with
 #: OpenBLAS on one thread).  At 44.1 kHz that is 8 matrices per block.
@@ -280,7 +284,7 @@ def _polyphase(up: int, down: int) -> tuple[int, int, list[tuple[int, int, np.nd
     A block is ``reps`` periods of the filter: ``reps * up`` outputs from
     ``reps * down`` inputs, with ``reps`` the fewest for which every
     band fits in one block's input stride, so that the strided windows
-    ``_resample`` multiplies are BLAS operands without a copy.  Returns
+    ``_resampled`` multiplies are BLAS operands without a copy.  Returns
     (outputs per block, inputs per block, [(input offset of the band's
     first row, first output, band)]).
     """
@@ -309,14 +313,20 @@ def _polyphase(up: int, down: int) -> tuple[int, int, list[tuple[int, int, np.nd
     return reps * up, reps * down, groups
 
 
-def _resample(x: np.ndarray, rate_in: int, rate_out: int) -> np.ndarray:
-    """``x`` resampled as ``scipy.signal.resample_poly`` does by default.
+def _resampled(x: np.ndarray, rate_in: int, rate_out: int):
+    """``x`` resampled as ``scipy.signal.resample_poly`` does by default,
+    as consecutive pieces of the output.
 
     Polyphase decomposition (Crochiere and Rabiner, *Multirate Digital
     Signal Processing*, 1983) as one GEMM per band of ``_polyphase``.
-    Time runs in chunks of blocks, each copied into one reusable
-    zero-padded buffer, so no padded copy of all of ``x`` is made.
+    Time runs in chunks of ``_RESAMPLE_CHUNK`` blocks, each copied into
+    one reusable zero-padded buffer, and each chunk's outputs are one
+    piece, a view of one reused buffer that holds until the next piece
+    is asked for.  At equal rates the one piece is ``x`` itself.
     """
+    if rate_in == rate_out:
+        yield x
+        return
     g = math.gcd(rate_in, rate_out)
     up, down = rate_out // g, rate_in // g
     block_out, block_in, groups = _polyphase(up, down)
@@ -324,10 +334,11 @@ def _resample(x: np.ndarray, rate_in: int, rate_out: int) -> np.ndarray:
     n_blocks = -(-n_out // block_out)
     first = min(lo for lo, _, _ in groups)
     span = max(lo + len(band) for lo, _, band in groups) - first
-    y = np.empty((n_blocks, block_out))
-    buf = np.empty((min(_RESAMPLE_CHUNK, n_blocks) - 1) * block_in + span)
-    for b0 in range(0, n_blocks, _RESAMPLE_CHUNK):
-        nb = min(_RESAMPLE_CHUNK, n_blocks - b0)
+    chunk = min(_RESAMPLE_CHUNK, n_blocks)
+    y = np.empty((chunk, block_out))
+    buf = np.empty((chunk - 1) * block_in + span)
+    for b0 in range(0, n_blocks, chunk):
+        nb = min(chunk, n_blocks - b0)
         s = b0 * block_in + first  # the input index of buf[0]
         a, e = max(s, 0), min(s + len(buf), len(x))
         buf[: a - s] = 0.0
@@ -335,9 +346,13 @@ def _resample(x: np.ndarray, rate_in: int, rate_out: int) -> np.ndarray:
         buf[max(e - s, 0) :] = 0.0
         for lo, q0, band in groups:
             windows = np.lib.stride_tricks.sliding_window_view(buf[lo - first :], len(band))
-            np.matmul(windows[::block_in][:nb], band,
-                      out=y[b0 : b0 + nb, q0 : q0 + band.shape[1]])
-    return y.reshape(-1)[:n_out]
+            np.matmul(windows[::block_in][:nb], band, out=y[:nb, q0 : q0 + band.shape[1]])
+        yield y[:nb].reshape(-1)[: n_out - b0 * block_out]
+
+
+def _resample(x: np.ndarray, rate_in: int, rate_out: int) -> np.ndarray:
+    """All of ``_resampled``'s pieces joined into one array."""
+    return np.concatenate([piece.copy() for piece in _resampled(x, rate_in, rate_out)])
 
 
 def logmel(samples: np.ndarray, sample_rate_hz: int) -> FeatureMatrix:
@@ -347,6 +362,11 @@ def logmel(samples: np.ndarray, sample_rate_hz: int) -> FeatureMatrix:
     to 16 kHz if needed, then analyzed with a centered Hann window of
     2048 samples and hop 512.  Mel amplitudes map through
     log(a + 1e-6), so silence sits at log(1e-6).
+
+    The 16 kHz signal is never held whole: it streams from the resampler
+    through one buffer of a block of frames' samples.  Beyond its input
+    and output, ``logmel`` holds fixed block buffers of about 12 MB
+    whatever the song's length.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
@@ -359,24 +379,34 @@ def logmel(samples: np.ndarray, sample_rate_hz: int) -> FeatureMatrix:
             f"sample rate {sample_rate_hz} must be a positive whole number"
             f" of at most {MAX_SAMPLE_RATE} Hz"
         )
-    if rate != SAMPLE_RATE:
-        x = _resample(x, int(rate), SAMPLE_RATE)
 
-    n_frames = -(-len(x) // HOP)
-    pad = N_FFT // 2
-    tail = max(0, (n_frames - 1) * HOP + N_FFT - pad - len(x))
-    xp = np.pad(x, (pad, tail))
-    frames = np.lib.stride_tricks.sliding_window_view(xp, N_FFT)[::HOP]
+    n_samples = -(-len(x) * SAMPLE_RATE // int(rate))  # at 16 kHz
+    n_frames = -(-n_samples // HOP)
+    block = min(_LOGMEL_BLOCK, n_frames)
+    # sig holds the centered signal of one block of frames: N_FFT // 2
+    # zeros, the 16 kHz samples, then zeros as far as the last frame reads.
+    sig = np.empty((block - 1) * HOP + N_FFT)
+    zeros = np.zeros(N_FFT)
+    stream = itertools.chain(
+        [zeros[: N_FFT // 2]], _resampled(x, int(rate), SAMPLE_RATE), itertools.repeat(zeros)
+    )
+    piece, filled = np.empty(0), 0
+    frames = np.lib.stride_tricks.sliding_window_view(sig, N_FFT)[::HOP]
     window = np.hanning(N_FFT)
     out = np.empty((n_frames, N_MELS), dtype=np.float32)
-    block = min(_LOGMEL_BLOCK, n_frames)
     windowed = np.empty((block, N_FFT))
     spectrum = np.empty((block, N_FFT // 2 + 1), dtype=np.complex128)
     mag = np.empty((block, N_FFT // 2 + 1))
     mel = np.empty((block, N_MELS))
     for start in range(0, n_frames, block):
+        while filled < len(sig):
+            if not len(piece):
+                piece = next(stream)
+            k = min(len(piece), len(sig) - filled)
+            sig[filled : filled + k] = piece[:k]
+            piece, filled = piece[k:], filled + k
         n = min(block, n_frames - start)
-        np.multiply(frames[start : start + n], window, out=windowed[:n])
+        np.multiply(frames[:n], window, out=windowed[:n])
         np.fft.rfft(windowed[:n], axis=1, out=spectrum[:n])
         np.abs(spectrum[:n], out=mag[:n])
         for lo, hi, c0, c1, band in _mel_bands():
@@ -384,6 +414,8 @@ def logmel(samples: np.ndarray, sample_rate_hz: int) -> FeatureMatrix:
         mel[:n] += LOG_OFFSET
         np.log(mel[:n], out=mel[:n])
         out[start : start + n] = mel[:n]
+        sig[: N_FFT - HOP] = sig[block * HOP :]  # the next block's frames overlap these
+        filled = N_FFT - HOP
     return FeatureMatrix(rate_hz=SAMPLE_RATE / HOP, frames=out, t0_s=0.0)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import octave_shifts
+from ..core import octave_shift_range, octave_shifts
 from ..errors import ShapeError
 from .labels import LabelVocab, class_to_midi
 
@@ -52,12 +52,19 @@ def _loss_and_grad(
     logp = log_softmax(logits)
     rows = np.arange(n)
 
-    per_seq = [feasible_shifts(classes[a : a + c], vocab) for a, c in zip(starts, counts)]
-    shifts = np.array(sorted(set().union(*per_seq), key=lambda s: (abs(s), s)))
+    # Each sequence's feasible shifts are the range [lo, hi], which holds 0.
+    lo = hi = np.zeros(len(counts), dtype=np.int64)
+    if vocab.octave_shiftable:
+        top = np.maximum.reduceat(classes, starts)  # 0 for an all-silent sequence
+        bottom = np.minimum.reduceat(np.where(classes > 0, classes, vocab.n_classes), starts)
+        lo, hi = octave_shift_range(class_to_midi(bottom), class_to_midi(top))
+        lo, hi = np.where(top > 0, lo, 0), np.where(top > 0, hi, 0)
+    shifts = np.arange(lo.min(), hi.max() + 1)
+    shifts = shifts[np.lexsort((shifts, np.abs(shifts)))]  # feasible_shifts order
     idx = np.where(classes > 0, classes + 12 * shifts[:, None], classes)
     picked = logp[rows, np.clip(idx, 0, vocab.n_classes - 1)]
     losses = -np.add.reduceat(picked, starts, axis=1, dtype=np.float64) / counts
-    losses[~np.array([[s in feasible for feasible in per_seq] for s in shifts])] = np.inf
+    losses[(shifts[:, None] < lo) | (shifts[:, None] > hi)] = np.inf
     best = np.argmin(losses, axis=0)
 
     seq = np.repeat(np.arange(len(counts)), counts)

@@ -119,10 +119,38 @@ def test_logmel_matches_per_frame_reference(extra_frames):
     assert np.array_equal(fm.frames, logmel_per_frame(samples, 16000))
 
 
-@pytest.mark.parametrize("rate", [8000, 22050, 44100, 48000])
-def test_logmel_matches_per_frame_reference_after_resampling(rate):
-    samples = np.random.default_rng(rate).normal(0, 0.1, size=3 * rate)
-    assert np.array_equal(logmel(samples, rate).frames, logmel_per_frame(samples, rate))
+def three_blocks(rate):
+    """Samples at ``rate`` giving 2 * _LOGMEL_BLOCK + 1 frames, three blocks, at 16 kHz."""
+    return -(-(2 * features._LOGMEL_BLOCK * features.HOP + 1) * rate // features.SAMPLE_RATE)
+
+
+@pytest.mark.parametrize("rate, n", [
+    *(pytest.param(rate, 3 * rate, id=str(rate)) for rate in (8000, 22050, 44100, 48000)),
+    *(pytest.param(rate, three_blocks(rate), id=f"{rate}-three-blocks")
+      for rate in (8000, 22050, 44100, 48000)),
+])
+def test_logmel_matches_per_frame_reference_after_resampling(rate, n):
+    samples = np.random.default_rng(rate).normal(0, 0.1, size=n)
+    fm = logmel(samples, rate)
+    if n == three_blocks(rate):
+        assert fm.n_frames == 2 * features._LOGMEL_BLOCK + 1
+    assert np.array_equal(fm.frames, logmel_per_frame(samples, rate))
+
+
+@pytest.mark.parametrize("rate", [16000, 44100])
+def test_logmel_holds_fixed_buffers_whatever_the_length(rate):
+    import tracemalloc
+
+    logmel(np.zeros(rate), rate)  # builds the cached filterbank and resampling bands
+    samples = np.random.default_rng(rate).normal(0, 0.1, size=180 * rate)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        frames = logmel(samples, rate).frames
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak <= frames.nbytes + 16 * 2**20, (peak, frames.nbytes)
 
 
 def test_logmel_input_validation():
