@@ -6,7 +6,7 @@ Design notes:
   values; nothing here mutates in place.  A Melody holds its notes as
   read-only onset, end and pitch columns rather than as note objects.
 - Invariants are enforced at construction time, so a value that exists
-  is a valid value.
+  is a valid value; a note or chord span checks its own int64 end.
 - Symbolic time is measured in ticks: sixteenth notes of the notated
   beat, four per beat, regardless of meter.  Compound meters are not
   given a special tick rule; ingestion flags them instead.
@@ -79,26 +79,40 @@ class PitchClass:
             raise RangeError(f"pitch class {self.pc!r} outside 0..11")
 
 
+#: Last tick an int64 tick column holds; a note or chord may end there at most.
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 @dataclass(frozen=True)
-class ScoreNote:
-    """A note in symbolic (tick) time."""
+class _TickSpan:
+    """The tick rule ScoreNote and ChordSpan share; errors name the subclass's ``_WORD``."""
 
     onset_ticks: int
     duration_ticks: int
-    pitch: Pitch
 
     def __post_init__(self) -> None:
-        for ticks in (self.onset_ticks, self.duration_ticks):
+        onset, duration = self.onset_ticks, self.duration_ticks
+        for ticks in (onset, duration):
             if type(ticks) is not int:  # refuses floats and bools
-                raise RangeError(f"note ticks must be integers, got {ticks!r}")
-        if self.onset_ticks < 0:
-            raise RangeError(f"note onset {self.onset_ticks} is negative")
-        if self.duration_ticks < 1:
-            raise RangeError(f"note duration {self.duration_ticks} is below one tick")
+                raise RangeError(f"{self._WORD} ticks must be integers, got {ticks!r}")
+        if onset < 0:
+            raise RangeError(f"{self._WORD} onset {onset} is negative")
+        if duration < 1:
+            raise RangeError(f"{self._WORD} duration {duration} is below one tick")
+        if onset + duration > INT64_MAX:
+            raise RangeError(f"ends past tick {INT64_MAX} ({self._WORD} onset {onset})")
 
     @property
     def end_ticks(self) -> int:
         return self.onset_ticks + self.duration_ticks
+
+
+@dataclass(frozen=True)
+class ScoreNote(_TickSpan):
+    """A note in symbolic (tick) time."""
+
+    _WORD = "note"
+    pitch: Pitch
 
 
 @dataclass(frozen=True)
@@ -268,22 +282,11 @@ class ChordSymbol:
 
 
 @dataclass(frozen=True)
-class ChordSpan:
+class ChordSpan(_TickSpan):
     """A chord with its symbolic onset and duration."""
 
-    onset_ticks: int
-    duration_ticks: int
+    _WORD = "chord"
     chord: ChordSymbol
-
-    def __post_init__(self) -> None:
-        if self.onset_ticks < 0:
-            raise RangeError(f"chord onset {self.onset_ticks} is negative")
-        if self.duration_ticks < 1:
-            raise RangeError(f"chord duration {self.duration_ticks} is below one tick")
-
-    @property
-    def end_ticks(self) -> int:
-        return self.onset_ticks + self.duration_ticks
 
 
 @dataclass(frozen=True)

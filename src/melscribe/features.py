@@ -12,18 +12,20 @@ The on-disk container is SSFT, a little-endian binary layout::
     rate_hz f64      frames per second
     dim     u32      feature dimensionality
     n       u64      frame count
-    t0_s    f64      center time of frame 0
+    t0_s    f64      center time of frame 0; 0 when rate_hz is 0
     data    n * dim float32, row-major
 
 ``write_ssft`` writes either kind and refuses non-finite values;
-``read_ssft`` validates the header and the exact payload length, and the
-feature types it builds refuse non-finite values.
+``read_ssft`` validates the header and the exact payload length, which it
+takes from the file's size before it allocates, and the feature types it
+builds refuse non-finite values.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import struct
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
@@ -440,23 +442,25 @@ def read_ssft(path, kind=None) -> FeatureMatrix | ResampledFeatures:
     ``kind``, FeatureMatrix or ResampledFeatures, refuses a file of the
     other kind.  Every fault raises FormatError naming the file.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    with in_file(path):
-        if len(blob) < _SSFT_HEADER.size:
+    with open(path, "rb") as fh, in_file(path):
+        head = fh.read(_SSFT_HEADER.size)
+        if len(head) < _SSFT_HEADER.size:
             raise FormatError("truncated SSFT header")
-        magic, version, rate, dim, n, t0 = _SSFT_HEADER.unpack_from(blob)
+        magic, version, rate, dim, n, t0 = _SSFT_HEADER.unpack(head)
         if magic != SSFT_MAGIC:
             raise FormatError(f"bad magic {magic!r}")
         if version != SSFT_VERSION:
             raise FormatError(f"unsupported SSFT version {version}")
-        if dim == 0:  # reshape(n, 0) would fail on a huge n before the features refuse it
+        if dim == 0:  # np.empty((n, 0)) would fail on a huge n before the features refuse it
             raise FormatError(f"header gives {n} rows of dim 0")
-        payload = len(blob) - _SSFT_HEADER.size
+        if rate == 0.0 and t0 != 0.0:
+            raise FormatError(f"tick-indexed rows (rate 0) start at t0 {t0}, not 0")
+        payload = os.fstat(fh.fileno()).st_size - _SSFT_HEADER.size
         if payload != 4 * dim * n:
             raise FormatError(f"payload is {payload} bytes, header implies {4 * dim * n}")
-        data = np.frombuffer(blob, dtype="<f4", offset=_SSFT_HEADER.size)
-        frames = data.reshape(n, dim).copy()
+        frames = np.empty((n, dim), dtype="<f4")
+        if fh.readinto(frames.reshape(-1)) != payload:  # the file shrank while it was read
+            raise FormatError("truncated SSFT payload")
         if rate == 0.0:
             feats = ResampledFeatures(frames)
         else:

@@ -80,8 +80,6 @@ SEVENTH_QUALITY = {
 }
 
 _CHORD_REJECT_FIELDS = ("inversion", "suspension", "secondary_degree", "pedal")
-#: Last tick an int64 tick column holds; a note or chord may end there at most.
-INT64_MAX = int(np.iinfo(np.int64).max)
 
 #: Kind of each key of the functional document and of its melody and chord
 #: entries, whose onset and duration are {num, den} beat fractions.
@@ -159,16 +157,8 @@ def _parse_ticks(obj, path: str) -> int:
 
 def _parse_span(onset: dict, duration: dict, path: str) -> tuple[int, int]:
     """Onset and duration ticks of a melody or chord entry at ``path``."""
-    span = (_parse_ticks(onset, f"{path}.onset_beats"),
+    return (_parse_ticks(onset, f"{path}.onset_beats"),
             _parse_ticks(duration, f"{path}.duration_beats"))
-    _check_end(*span, path)
-    return span
-
-
-def _check_end(onset_ticks: int, duration_ticks: int, path: str) -> None:
-    """Refuse a span ending past the last tick an int64 tick column holds."""
-    if onset_ticks + duration_ticks > INT64_MAX:
-        raise ParseError(f"ends past tick {INT64_MAX}", path)
 
 
 def _parse_meter(obj, path: str) -> Meter:
@@ -303,7 +293,6 @@ def load_segment(path) -> Segment:
         for i, entry in enumerate(melody_entries):
             path = f"$.melody[{i}]"
             onset_ticks, duration_ticks, midi = fields(entry, _NOTE_FIELDS, path)
-            _check_end(onset_ticks, duration_ticks, path)
             with at(path):
                 notes.append(ScoreNote(onset_ticks, duration_ticks, Pitch(midi)))
         with at("$.melody"):
@@ -312,7 +301,6 @@ def load_segment(path) -> Segment:
         for i, entry in enumerate(chord_entries):
             path = f"$.chords[{i}]"
             onset_ticks, duration_ticks, root_pc, quality = fields(entry, _CHORD_FIELDS, path)
-            _check_end(onset_ticks, duration_ticks, path)
             with at(path):
                 chords.append(ChordSpan(
                     onset_ticks, duration_ticks, ChordSymbol(PitchClass(root_pc), quality)

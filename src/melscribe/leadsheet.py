@@ -363,26 +363,20 @@ def emit_lilypond(sheet: LeadSheet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_midi(sheet: LeadSheet, amap: AlignmentMap | None = None) -> bytes:
-    """Format-0 MIDI bytes; an alignment supplies the per-beat tempo map."""
+def emit_midi(sheet: LeadSheet, amap: AlignmentMap) -> bytes:
+    """Format-0 MIDI bytes; the alignment supplies the per-beat tempo map."""
+    if amap.num_beats * TICKS_PER_BEAT != sheet.total_ticks:
+        raise ShapeError(
+            f"alignment covers {amap.num_beats} beats, sheet has {sheet.total_ticks} ticks"
+        )
     scale = smf.MIDI_TICKS_PER_SIXTEENTH
     messages = [
         smf.time_signature_message(0, sheet.meter.beats_per_bar, sheet.meter.beat_unit),
         smf.key_signature_message(0, key_fifths(sheet.key), sheet.key.mode == "minor"),
     ]
-    if amap is None:
-        messages.append(smf.tempo_message(0, 60.0 / sheet.tempo_bpm))
-    else:
-        if amap.num_beats * TICKS_PER_BEAT != sheet.total_ticks:
-            raise ShapeError(
-                f"alignment covers {amap.num_beats} beats, sheet has "
-                f"{sheet.total_ticks} ticks"
-            )
-        times = amap.beat_to_time_s
-        for b in range(amap.num_beats):
-            messages.append(
-                smf.tempo_message(b * TICKS_PER_BEAT * scale, times[b + 1] - times[b])
-            )
+    times = amap.beat_to_time_s
+    for b in range(amap.num_beats):
+        messages.append(smf.tempo_message(b * TICKS_PER_BEAT * scale, times[b + 1] - times[b]))
     for onset, dur, midi in _effective_notes(sheet):
         messages += smf.note_messages(
             onset * scale, (onset + dur) * scale, 0, midi, MELODY_VELOCITY

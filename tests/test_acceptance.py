@@ -274,7 +274,8 @@ def test_criterion_8_determinism_and_formats(tmp_path):
         KeySignature(PitchClass(0), "major"), Meter(4, 4), 120.0, melody, (), 16
     )
     assert emit_lilypond(sheet) == emit_lilypond(sheet)
-    assert emit_midi(sheet) == emit_midi(sheet)
+    steady = AlignmentMap(0.5 * np.arange(5))
+    assert emit_midi(sheet, steady) == emit_midi(sheet, steady)
 
     # seeded training reproduces parameters and threshold bit-exact
     examples = synth_examples(8, seed=3, num_beats=8, n_valid=2)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,28 @@ def test_chord_span():
         ChordSpan(-1, 4, ChordSymbol(PitchClass(0), "maj"))
     with pytest.raises(RangeError):
         ChordSpan(0, 0, ChordSymbol(PitchClass(0), "maj"))
+
+
+@pytest.mark.parametrize("make, word", [
+    (lambda onset, duration: ScoreNote(onset, duration, Pitch(60)), "note"),
+    (lambda onset, duration: ChordSpan(onset, duration, ChordSymbol(PitchClass(0), "maj")),
+     "chord"),
+    (lambda onset, duration: Melody([ScoreNote(onset, duration, Pitch(60))]), "note"),
+], ids=["note", "chord", "melody"])
+@pytest.mark.parametrize("onset, duration, message", [
+    (1.5, 2, "ticks must be integers, got 1.5"),
+    (0, 2.0, "ticks must be integers, got 2.0"),
+    (True, 2, "ticks must be integers, got True"),
+    (0, False, "ticks must be integers, got False"),
+    (-1, 2, "onset -1 is negative"),
+    (0, 0, "duration 0 is below one tick"),
+    (2**62, 2**62, "ends past tick 9223372036854775807"),
+], ids=["float-onset", "float-duration", "bool-onset", "bool-duration", "negative-onset",
+        "zero-duration", "end-past-int64"])
+def test_tick_spans_share_one_rule(make, word, onset, duration, message):
+    with pytest.raises(RangeError, match=re.escape(message)) as raised:
+        make(onset, duration)
+    assert re.search(rf"\b{word}\b", str(raised.value))
 
 
 def test_key_signature():

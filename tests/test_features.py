@@ -1,6 +1,8 @@
 import math
+import os
 import re
 import struct
+import types
 
 import numpy as np
 import pytest
@@ -416,7 +418,11 @@ def ssft_blob(rate, dim, n, t0):
     ssft_blob(31.25, 3, 2, math.nan),
     ssft_blob(0.0, 3, 3, 0.0),
     ssft_blob(31.25, 0, 2**63, 0.0),
-], ids=["dim-0", "n-0", "negative-rate", "nan-t0", "3-tick-rows", "dim-0-huge-n"])
+    ssft_blob(0.0, 3, 4, 5.0),
+    ssft_blob(0.0, 3, 4, math.nan),
+    ssft_blob(0.0, 3, 4, math.inf),
+], ids=["dim-0", "n-0", "negative-rate", "nan-t0", "3-tick-rows", "dim-0-huge-n",
+        "tick-rows-t0-5", "tick-rows-nan-t0", "tick-rows-inf-t0"])
 def test_ssft_header_faults_name_the_file(tmp_path, capsys, blob):
     path = tmp_path / "bad.ssft"
     path.write_bytes(blob)
@@ -428,6 +434,18 @@ def test_ssft_header_faults_name_the_file(tmp_path, capsys, blob):
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
     assert not (tmp_path / "o.ssft").exists()
+
+
+def test_read_ssft_refuses_a_file_that_shrinks_while_it_is_read(tmp_path, monkeypatch):
+    path = tmp_path / "x.ssft"
+    write_ssft(path, FeatureMatrix(31.25, np.ones((4, 3), dtype=np.float32)))
+    path.write_bytes(path.read_bytes()[:-4])
+    fstat = os.fstat  # reports the size the file had before it lost its last 4 bytes
+    monkeypatch.setattr(features.os, "fstat",
+                        lambda fd: types.SimpleNamespace(st_size=fstat(fd).st_size + 4))
+    with pytest.raises(FormatError, match=r"x\.ssft: truncated SSFT payload"):
+        read_ssft(path, FeatureMatrix)
+
 
 def constant_map(num_beats, seconds_per_beat=0.5, start=1.0):
     return AlignmentMap(start + seconds_per_beat * np.arange(num_beats + 1))

@@ -412,10 +412,15 @@ def test_emit_lilypond_tempo_rounds():
     assert "\\tempo 4 = 120" in text
 
 
+def steady(total_ticks):
+    """An alignment of half-second beats (120 bpm) covering ``total_ticks``."""
+    return AlignmentMap(0.5 * np.arange(total_ticks // 4 + 1))
+
+
 def test_emit_midi_constant_tempo():
     mel = score([(0, 4, 60), (4, 4, 64)])
     chords = [(0, ChordSymbol(PitchClass(0), "maj"))]
-    data = emit_midi(sheet(mel, chords=chords, total=8))
+    data = emit_midi(sheet(mel, chords=chords, total=8), steady(8))
     division, events = read_smf(data)
     assert division == 480
 
@@ -424,7 +429,8 @@ def test_emit_midi_constant_tempo():
     key_sigs = [(t, p) for t, kind, p in events if kind == "meta 59"]
     assert key_sigs == [(0, b"\x00\x00")]
     tempos = [(t, p) for t, kind, p in events if kind == "meta 51"]
-    assert tempos == [(0, struct.pack(">I", 500000)[1:])]
+    half_second = struct.pack(">I", 500000)[1:]
+    assert tempos == [(0, half_second), (480, half_second)]
 
     ons = [(t, p[0], p[1]) for t, kind, p in events if kind == "90"]
     assert ons == [(0, 60, MELODY_VELOCITY), (480, 64, MELODY_VELOCITY)]
@@ -443,7 +449,7 @@ def test_emit_midi_constant_tempo():
 
 def test_emit_midi_off_before_on_at_shared_tick():
     mel = score([(0, 4, 60), (4, 4, 64)])
-    _, events = read_smf(emit_midi(sheet(mel, total=8)))
+    _, events = read_smf(emit_midi(sheet(mel, total=8), steady(8)))
     at_480 = [(kind, p[0]) for t, kind, p in events if t == 480 and kind in ("80", "90")]
     assert at_480 == [("80", 60), ("90", 64)]
 
@@ -469,4 +475,4 @@ def test_emit_midi_rejects_mismatched_alignment():
 def test_emit_midi_bytes_are_stable():
     mel = score([(0, 4, 60), (4, 12, 67)])
     sh = sheet(mel, chords=[(0, ChordSymbol(PitchClass(0), "maj"))], total=16)
-    assert emit_midi(sh) == emit_midi(sh)
+    assert emit_midi(sh, steady(16)) == emit_midi(sh, steady(16))
