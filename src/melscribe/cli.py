@@ -88,12 +88,21 @@ def _tau(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _seed(text: str) -> int:
-    """A ``--seed`` value; argparse exits 2 on one that is not a non-negative integer."""
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
-    return seed
+def _int_at_least(low: int, rule: str):
+    """An argparse type for an integer of at least ``low``; argparse exits 2 on
+    any other value, stating ``rule``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{rule}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value: 'x'"
+    return parse
+
+
+_seed = _int_at_least(0, "seed must be non-negative")
 
 
 def cmd_dataset_convert(args) -> int:
@@ -350,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     mel_out = mel.add_mutually_exclusive_group(required=True)
     mel_out.add_argument("--out", help="output SSFT path (single input)")
     mel_out.add_argument("--out-dir", help="output directory (batch)")
-    mel.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    mel.add_argument("--jobs", type=_int_at_least(1, "jobs must be at least 1"), default=1,
+                     help="parallel workers")
     mel.set_defaults(func=cmd_features_mel)
     resample = feats_sub.add_parser("resample", help="pool frames per sixteenth")
     resample.add_argument("--features", required=True, help="fixed-rate SSFT input")

@@ -21,7 +21,7 @@ estimate, reporting the best shift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,13 +42,7 @@ class EvalReport:
     matched: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "best_sigma": self.best_sigma,
-            "matched": self.matched,
-        }
+        return asdict(self)
 
 
 def _perf_arrays(melody: Melody) -> tuple[np.ndarray, np.ndarray]:

@@ -352,11 +352,6 @@ def _resampled(x: np.ndarray, rate_in: int, rate_out: int):
         yield y[:nb].reshape(-1)[: n_out - b0 * block_out]
 
 
-def _resample(x: np.ndarray, rate_in: int, rate_out: int) -> np.ndarray:
-    """All of ``_resampled``'s pieces joined into one array."""
-    return np.concatenate([piece.copy() for piece in _resampled(x, rate_in, rate_out)])
-
-
 def logmel(samples: np.ndarray, sample_rate_hz: int) -> FeatureMatrix:
     """Log-amplitude mel spectrogram at 31.25 Hz, 229 dims, t0 = 0.
 

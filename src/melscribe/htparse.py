@@ -35,7 +35,10 @@ scale throughout.
 ``save_segment`` and ``load_segment`` write and read the absolute
 on-disk format: the same JSON shape with melody entries {onset_ticks,
 duration_ticks, midi} and chord entries {onset_ticks, duration_ticks,
-root_pc, quality}.
+root_pc, quality}.  Both readers build the Segment in one function,
+``_segment``, so they report a document's faults in one order: root
+keys and kinds (and ``$.split``), ``$.id``, ``$.meter``, ``$.key``, the
+melody entries' kinds, values and order, the chord entries, then ``$``.
 """
 
 from __future__ import annotations
@@ -175,11 +178,6 @@ def _parse_key(obj, path: str) -> KeySignature:
         return KeySignature(tonic, mode)
 
 
-def _check_id(seg_id: str) -> str:
-    with at("$.id"):
-        return check_segment_id(seg_id)
-
-
 def load_functional(path) -> tuple[Segment, str | None]:
     """Read one functional JSON file as (absolute Segment, artist or None).
 
@@ -189,66 +187,67 @@ def load_functional(path) -> tuple[Segment, str | None]:
     counted warning.  Errors name the file and the JSON path.
     """
     with reading(path) as obj:
-        segment = _functional_segment(obj)
+        seg_id, audio_ref, start_s, end_s, meter, key, melody, chords = fields(
+            obj, _FUNCTIONAL_FIELDS, "$", optional=("artist", "key_changes", "meter_changes")
+        )
+        with at("$.id"):
+            seg_id = check_segment_id(seg_id)
+        for name in ("key_changes", "meter_changes"):
+            if name in obj and field(obj, name, list, "$"):
+                warnings.warn(f"segment {seg_id!r} rejected: {name} present")
+                raise ParseError(
+                    f"segments with {name.replace('_', ' ')} are not supported",
+                    f"$.{name}",
+                )
+        meter, key = _parse_meter(meter, "$.meter"), _parse_key(key, "$.key")
+        rows = []
+        for i, entry in enumerate(melody):
+            where = f"$.melody[{i}]"
+            degree, accidental, rel_octave, onset, duration = fields(entry, _DEGREE_FIELDS, where)
+            with at(where):
+                rows.append((*_parse_span(onset, duration, where),
+                             degree_to_pitch_midi(key, degree, accidental, rel_octave)))
+        shift = 12 * canonical_octave_shift([midi for _, _, midi in rows])
+        rows = [(onset, duration, midi + shift) for onset, duration, midi in rows]
+        segment = _segment(seg_id, audio_ref, None, start_s, end_s, meter, key, rows, chords,
+                           lambda entry, where: _roman_span(key, entry, where))
         artist = field(obj, "artist", str, "$") if obj.get("artist") is not None else None
         return segment, artist
 
 
-def _functional_segment(obj) -> Segment:
-    seg_id, audio_ref, start_s, end_s, meter, key, melody, chords = fields(
-        obj, _FUNCTIONAL_FIELDS, "$", optional=("artist", "key_changes", "meter_changes")
+def _roman_span(key: KeySignature, entry, where: str) -> tuple[int, int, ChordSymbol]:
+    """Onset ticks, duration ticks and chord of a functional chord entry at ``where``."""
+    degree, accidental, kind, onset, duration = fields(
+        entry, _ROMAN_FIELDS, where, optional=("borrowed_mode", *_CHORD_REJECT_FIELDS)
     )
-    seg_id = _check_id(seg_id)
-    for name in ("key_changes", "meter_changes"):
-        if name in obj and field(obj, name, list, "$"):
-            warnings.warn(f"segment {seg_id!r} rejected: {name} present")
+    for rejected in _CHORD_REJECT_FIELDS:
+        if entry.get(rejected) not in (None, 0):
             raise ParseError(
-                f"segments with {name.replace('_', ' ')} are not supported",
-                f"$.{name}",
+                f"chord construct {rejected!r} is not supported", f"{where}.{rejected}"
             )
+    return (*_parse_span(onset, duration, where),
+            roman_to_chord(key, degree, accidental, kind, entry.get("borrowed_mode")))
 
-    meter = _parse_meter(meter, "$.meter")
-    key = _parse_key(key, "$.key")
 
-    raw_notes: list[tuple[int, int, int]] = []
-    for i, entry in enumerate(melody):
-        path = f"$.melody[{i}]"
-        degree, accidental, rel_octave, onset, duration = fields(entry, _DEGREE_FIELDS, path)
-        onset_ticks, duration_ticks = _parse_span(onset, duration, path)
-        with at(path):
-            midi = degree_to_pitch_midi(key, degree, accidental, rel_octave)
-        raw_notes.append((onset_ticks, duration_ticks, midi))
-
-    shift = canonical_octave_shift([m for _, _, m in raw_notes])
+def _segment(seg_id, audio_ref, split, start_s, end_s, meter, key, rows, chords, read_chord):
+    """The Segment of a read document, from its melody as (onset_ticks,
+    duration_ticks, midi) rows and its ``chords`` entries, each read by
+    ``read_chord(entry, where)`` as (onset_ticks, duration_ticks, ChordSymbol)."""
     notes = []
-    for i, (onset_ticks, duration_ticks, midi) in enumerate(raw_notes):
+    for i, (onset_ticks, duration_ticks, midi) in enumerate(rows):
         with at(f"$.melody[{i}]"):
-            notes.append(ScoreNote(onset_ticks, duration_ticks, Pitch(midi + 12 * shift)))
+            notes.append(ScoreNote(onset_ticks, duration_ticks, Pitch(midi)))
     with at("$.melody"):
         melody = Melody(tuple(notes))
-
     spans = []
     for i, entry in enumerate(chords):
-        path = f"$.chords[{i}]"
-        degree, accidental, kind, onset, duration = fields(
-            entry, _ROMAN_FIELDS, path, optional=("borrowed_mode", *_CHORD_REJECT_FIELDS)
-        )
-        for rejected in _CHORD_REJECT_FIELDS:
-            if entry.get(rejected) not in (None, 0):
-                raise ParseError(
-                    f"chord construct {rejected!r} is not supported",
-                    f"{path}.{rejected}",
-                )
-        onset_ticks, duration_ticks = _parse_span(onset, duration, path)
-        with at(path):
-            chord = roman_to_chord(key, degree, accidental, kind, entry.get("borrowed_mode"))
-            spans.append(ChordSpan(onset_ticks, duration_ticks, chord))
-
+        with at(where := f"$.chords[{i}]"):
+            spans.append(ChordSpan(*read_chord(entry, where)))
     with at("$"):
         return Segment(
             id=seg_id,
             audio_ref=audio_ref,
-            split=None,
+            split=split,
             user_start_s=start_s,
             user_end_s=end_s,
             meter=meter,
@@ -285,38 +284,23 @@ def save_segment(path, segment: Segment) -> None:
 def load_segment(path) -> Segment:
     """Read a segment from its absolute interchange form."""
     with reading(path) as obj:
-        (seg_id, audio_ref, split, start_s, end_s, meter, key, melody_entries,
-         chord_entries) = fields(obj, _SEGMENT_FIELDS, "$")
+        seg_id, audio_ref, split, start_s, end_s, meter, key, melody, chords = fields(
+            obj, _SEGMENT_FIELDS, "$"
+        )
         if split is not None and split not in SPLITS:
             raise ParseError(f"split {split!r} invalid", "$.split")
-        notes = []
-        for i, entry in enumerate(melody_entries):
-            path = f"$.melody[{i}]"
-            onset_ticks, duration_ticks, midi = fields(entry, _NOTE_FIELDS, path)
-            with at(path):
-                notes.append(ScoreNote(onset_ticks, duration_ticks, Pitch(midi)))
-        with at("$.melody"):
-            melody = Melody(tuple(notes))
-        chords = []
-        for i, entry in enumerate(chord_entries):
-            path = f"$.chords[{i}]"
-            onset_ticks, duration_ticks, root_pc, quality = fields(entry, _CHORD_FIELDS, path)
-            with at(path):
-                chords.append(ChordSpan(
-                    onset_ticks, duration_ticks, ChordSymbol(PitchClass(root_pc), quality)
-                ))
-        with at("$"):
-            return Segment(
-                id=_check_id(seg_id),
-                audio_ref=audio_ref,
-                split=split,
-                user_start_s=start_s,
-                user_end_s=end_s,
-                meter=_parse_meter(meter, "$.meter"),
-                key=_parse_key(key, "$.key"),
-                melody=melody,
-                chords=tuple(chords),
-            )
+        with at("$.id"):
+            seg_id = check_segment_id(seg_id)
+        meter, key = _parse_meter(meter, "$.meter"), _parse_key(key, "$.key")
+        rows = [fields(entry, _NOTE_FIELDS, f"$.melody[{i}]") for i, entry in enumerate(melody)]
+        return _segment(seg_id, audio_ref, split, start_s, end_s, meter, key, rows, chords,
+                        _absolute_span)
+
+
+def _absolute_span(entry, where: str) -> tuple[int, int, ChordSymbol]:
+    """Onset ticks, duration ticks and chord of an absolute chord entry at ``where``."""
+    onset_ticks, duration_ticks, root_pc, quality = fields(entry, _CHORD_FIELDS, where)
+    return onset_ticks, duration_ticks, ChordSymbol(PitchClass(root_pc), quality)
 
 
 def stratified_split(

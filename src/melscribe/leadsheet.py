@@ -142,6 +142,8 @@ class LeadSheet:
             raise RangeError(f"tempo {self.tempo_bpm} must be positive and finite")
         if self.melody.is_score is False:
             raise InputError("lead sheet melody must be in score (tick) form")
+        if type(self.total_ticks) is not int:  # refuses floats, bools and numpy integers
+            raise RangeError(f"total_ticks must be an integer, got {self.total_ticks!r}")
         if self.total_ticks < 1:
             raise RangeError(f"total_ticks {self.total_ticks} below 1")
         over = np.flatnonzero(self.melody.ends > self.total_ticks)

@@ -433,6 +433,16 @@ def test_mel_jobs_match_serial_bytes(corpus, tmp_path):
         assert (tmp_path / "2" / f"{stem}.ssft").read_bytes() == serial
 
 
+def test_mel_jobs_below_one_are_a_usage_error(corpus, tmp_path, capsys):
+    wav = str(corpus["raw"] / "s00.wav")
+    for jobs in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["features", "mel", wav, "--out-dir", str(tmp_path / "out"), "--jobs", jobs])
+        assert exc.value.code == 2, jobs
+        assert f"argument --jobs: jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.ssft")) and not (tmp_path / "out").exists()
+
+
 def test_mel_jobs_are_capped_at_the_file_count(corpus, tmp_path, monkeypatch):
     import concurrent.futures
 

@@ -216,7 +216,9 @@ def test_resample_matches_scipy_resample_poly(rate):
     for n in (1, 7, 441, 3 * rate + 13):
         x = rng.normal(size=n)
         want = scipy.signal.resample_poly(x, features.SAMPLE_RATE // g, rate // g)
-        got = features._resample(x, rate, features.SAMPLE_RATE)
+        pieces = features._resampled(x, rate, features.SAMPLE_RATE)
+        # each piece is a view of a reused buffer, so it is copied before the next
+        got = np.concatenate([piece.copy() for piece in pieces])
         assert got.shape == want.shape, (n, got.shape, want.shape)
         assert np.max(np.abs(got - want)) <= 1e-12, n
 
@@ -224,10 +226,10 @@ def test_resample_matches_scipy_resample_poly(rate):
 def test_polyphase_cache_keeps_the_latest_rate_pairs_only():
     features._polyphase.cache_clear()
     for rate in (8000, 44100, 48000):
-        features._resample(np.ones(rate // 100), rate, features.SAMPLE_RATE)
+        next(features._resampled(np.ones(rate // 100), rate, features.SAMPLE_RATE))
     info = features._polyphase.cache_info()
     assert (info.misses, info.currsize, info.maxsize) == (3, 2, 2)
-    features._resample(np.ones(480), 48000, features.SAMPLE_RATE)
+    next(features._resampled(np.ones(480), 48000, features.SAMPLE_RATE))
     assert features._polyphase.cache_info().hits == info.hits + 1
 
 

@@ -266,10 +266,17 @@ def test_load_segment_errors(tmp_path, load):
     path = tmp_path / "seg.segment.json"
     htparse.save_segment(path, load(doc())[0])
     good = json.loads(path.read_text())
+    first, second = good["melody"]
     for bad, where in (({"id": "x"}, "$"),
                        ({**good, "split": "holdout"}, "$.split"),
                        ({**good, "melody": [{"onset_ticks": 0}]}, "$.melody[0]"),
-                       ({**good, "key": {"tonic_pc": 12, "mode": "major"}}, "$.key.tonic_pc")):
+                       ({**good, "key": {"tonic_pc": 12, "mode": "major"}}, "$.key.tonic_pc"),
+                       ({**good, "melody": [first, {**second, "duration_ticks": 0}]},
+                        "$.melody[1]"),
+                       ({**good, "melody": [{**first, "midi": 200}, second]}, "$.melody[0]"),
+                       ({**good, "melody": [{**first, "duration_ticks": 8}, second]}, "$.melody"),
+                       ({**good, "chords": [{**good["chords"][0], "quality": "xx"}]},
+                        "$.chords[0]")):
         path.write_text(json.dumps(bad))
         with pytest.raises(FormatError, match=rf"seg\.segment\.json: {re.escape(where)}: "):
             htparse.load_segment(path)
@@ -286,6 +293,22 @@ def test_readers_refuse_an_id_that_is_not_a_file_name(tmp_path, load):
         path.write_text(json.dumps({**good, "id": seg_id}))
         with pytest.raises(FormatError, match=r"seg\.segment\.json" + message):
             htparse.load_segment(path)
+
+
+def test_both_readers_report_a_documents_faults_in_one_order(tmp_path, load):
+    # a bad id comes before a note's value, in either form
+    path = tmp_path / "seg.segment.json"
+    htparse.save_segment(path, load(doc())[0])
+    good = json.loads(path.read_text())
+    path.write_text(json.dumps({**good, "id": "../x", "melody": [
+        {**good["melody"][0], "duration_ticks": 0}, good["melody"][1]]}))
+    functional = json.loads(doc(id="../x"))
+    functional["melody"][0]["duration_beats"] = beats(0)
+    message = r": \$\.id: segment id '\.\./x' is not a plain file name"
+    with pytest.raises(FormatError, match=r"doc\.json" + message):
+        load(json.dumps(functional))
+    with pytest.raises(FormatError, match=r"seg\.segment\.json" + message):
+        htparse.load_segment(path)
 
 
 def test_ticks_past_int64_are_refused_naming_the_file(tmp_path, load):

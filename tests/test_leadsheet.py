@@ -163,6 +163,19 @@ def test_leadsheet_validation():
         sheet(mel, chords=[(0, c), (0, c)], total=8)
 
 
+def test_total_ticks_must_be_a_plain_int():
+    c = ChordSymbol(PitchClass(0), "maj")
+    for total in (np.int64(8), 8.0, True):
+        message = f"total_ticks must be an integer, got {re.escape(repr(total))}"
+        for chords in ((), [(0, c)]):
+            for key in (None, C_MAJOR):
+                with pytest.raises(RangeError, match=message):
+                    sheet(Melody(()), chords=chords, key=key, total=total)
+    with pytest.raises(RangeError, match="total_ticks 0 below 1"):
+        sheet(Melody(()), total=0)
+    assert sheet(Melody(()), chords=[(0, c)], key=None, total=8).total_ticks == 8
+
+
 def test_chord_spans_extend_to_total():
     c = ChordSymbol(PitchClass(0), "maj")
     g = ChordSymbol(PitchClass(7), "dom7")
