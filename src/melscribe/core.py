@@ -317,7 +317,7 @@ class Meter:
             warnings.warn(
                 f"meter {self.beats_per_bar}/{self.beat_unit} looks compound; "
                 "ticks remain sixteenths of the notated beat",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass's generated __init__, to its caller
             )
 
     @property

@@ -127,7 +127,7 @@ class ResampledFeatures:
 
 
 def load_wav(path) -> tuple[np.ndarray, int]:
-    """Read a WAV file as mono float64 in [-1, 1] plus its sample rate.
+    """Read a WAV file as mono samples in [-1, 1] plus its sample rate.
 
     Reads little-endian RIFF WAVE files: PCM of 8 (unsigned), 16, 24 or
     32 bits and IEEE float of 32 or 64 bits, plain or as
@@ -136,25 +136,38 @@ def load_wav(path) -> tuple[np.ndarray, int]:
     Anything else (RIFX, RF64, 64-bit PCM, compressed formats, truncated
     chunks, a partial frame, no samples) raises FormatError naming the
     file; OSError passes through.
+
+    The samples come back in the narrowest dtype that holds them exactly:
+    float32 for mono PCM of 8, 16 or 24 bits and mono float32 files, whose
+    scaled values fit float32's 24-bit significand, and float64 for 32-bit
+    PCM, float64 files and every file of more than one channel (the
+    channel mean is taken in float64).  The chunk headers are walked with
+    ``seek``, and the ``data`` chunk is read in pieces of about 256 KB
+    through one reused buffer, each converted into its slice of the
+    output, so the file is never held whole.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    with in_file(path):
-        return _wav_samples(blob)
+    with open(path, "rb") as fh, in_file(path):
+        return _wav_samples(fh)
 
 
-def _wav_samples(blob: bytes) -> tuple[np.ndarray, int]:
-    if blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
+#: Bytes of the ``data`` chunk ``load_wav`` reads and converts at a time.
+_WAV_PIECE = 2**18
+
+
+def _wav_samples(fh) -> tuple[np.ndarray, int]:
+    length = os.fstat(fh.fileno()).st_size
+    head = fh.read(12)
+    if head[:4] != b"RIFF" or head[8:12] != b"WAVE":
         raise FormatError("not a little-endian RIFF WAVE file")
     chunks: dict[bytes, tuple[int, int]] = {}
     pos = 12
-    while pos < len(blob):
-        if pos + 8 > len(blob):
+    while pos < length:
+        if pos + 8 > length:
             raise FormatError(f"truncated chunk header at byte {pos}")
-        chunk_id, size = _RIFF_CHUNK.unpack_from(blob, pos)
-        if pos + 8 + size > len(blob):
+        chunk_id, size = _RIFF_CHUNK.unpack(_read_at(fh, pos, 8))
+        if pos + 8 + size > length:
             raise FormatError(
-                f"chunk {chunk_id!r} holds {len(blob) - pos - 8} bytes, header says {size}"
+                f"chunk {chunk_id!r} holds {length - pos - 8} bytes, header says {size}"
             )
         chunks.setdefault(chunk_id, (pos + 8, size))
         pos += 8 + size + size % 2  # an odd-sized chunk is followed by a pad byte
@@ -163,9 +176,10 @@ def _wav_samples(blob: bytes) -> tuple[np.ndarray, int]:
     at, size = chunks[b"fmt "]
     if size < _WAV_FORMAT.size:
         raise FormatError(f"'fmt ' chunk of {size} bytes")
-    tag, channels, rate, _, frame_bytes, _ = _WAV_FORMAT.unpack_from(blob, at)
-    if tag == 0xFFFE and size >= 40 and blob[at + 28 : at + 40] == _SUBFORMAT_GUID_TAIL:
-        tag = int.from_bytes(blob[at + 24 : at + 28], "little")
+    fmt = _read_at(fh, at, min(size, 40))
+    tag, channels, rate, _, frame_bytes, _ = _WAV_FORMAT.unpack_from(fmt)
+    if tag == 0xFFFE and size >= 40 and fmt[28:40] == _SUBFORMAT_GUID_TAIL:
+        tag = int.from_bytes(fmt[24:28], "little")
     width = frame_bytes // channels if channels else 0
     dtype = _WAV_DTYPES.get((tag, width))
     if dtype is None or width * channels != frame_bytes:
@@ -177,23 +191,49 @@ def _wav_samples(blob: bytes) -> tuple[np.ndarray, int]:
         raise FormatError(f"{size} data bytes are not whole {frame_bytes}-byte frames")
     if size == 0:
         raise FormatError("WAV file holds no samples")
-    raw = np.frombuffer(blob, np.uint8, size, at)
+    n = size // frame_bytes
+    narrow = channels == 1 and (tag == 1 and width < 4 or tag == 3 and width == 4)
+    samples = np.empty(n, np.float32 if narrow else np.float64)
+    piece = min(max(1, _WAV_PIECE // frame_bytes), n)  # frames per piece
+    raw = np.empty(piece * frame_bytes, np.uint8)
     if width == 3:  # left-justify into int32, so it scales by 2**31 as 32-bit PCM does
-        wide = np.zeros((size // 3, 4), np.uint8)
-        wide[:, 1:] = raw.reshape(-1, 3)
-        raw, width = wide, 4
-    view = raw.view(dtype).reshape(-1)
-    # The scales are powers of two, so one pass gives what dividing would.
-    if tag == 1 and width == 1:
-        samples = np.subtract(view, 128.0, dtype=np.float64)
-        samples *= 2.0 ** -7
-    elif tag == 1:
-        samples = np.multiply(view, 2.0 ** -(8 * width - 1), dtype=np.float64)
-    else:
-        samples = view.astype(np.float64)
-    if channels > 1:
-        samples = samples.reshape(-1, channels).mean(axis=1)
+        wide = np.zeros((piece * channels, 4), np.uint8)
+    # Every channel of a piece converts into float64 here, then is averaged.
+    mixed = np.empty(piece * channels) if channels > 1 else None
+    fh.seek(at)
+    for f0 in range(0, n, piece):
+        m = min(piece, n - f0)
+        got = raw[: m * frame_bytes]
+        if fh.readinto(got) != len(got):
+            raise FormatError(_SHRANK)
+        if width == 3:
+            wide[: m * channels, 1:] = got.reshape(-1, 3)
+            got = wide[: m * channels]
+        view = got.view(dtype).reshape(-1)
+        out = samples[f0 : f0 + m] if mixed is None else mixed[: m * channels]
+        # The scales are powers of two, so one pass gives what dividing would.
+        if tag == 1 and width == 1:
+            np.subtract(view, 128.0, out=out, dtype=out.dtype)
+            out *= 2.0 ** -7
+        elif tag == 1:
+            np.multiply(view, 2.0 ** -(8 * view.itemsize - 1), out=out, dtype=out.dtype)
+        else:
+            out[:] = view
+        if mixed is not None:
+            np.mean(out.reshape(m, channels), axis=1, out=samples[f0 : f0 + m])
     return samples, rate
+
+
+_SHRANK = "the file shrank while it was read"
+
+
+def _read_at(fh, pos: int, size: int) -> bytes:
+    """``size`` bytes of ``fh`` from byte ``pos``, which the file's size covers."""
+    fh.seek(pos)
+    data = fh.read(size)
+    if len(data) != size:
+        raise FormatError(_SHRANK)
+    return data
 
 
 def _hz_to_mel(f):
@@ -361,14 +401,20 @@ def logmel(samples: np.ndarray, sample_rate_hz: int) -> FeatureMatrix:
     log(a + 1e-6), so silence sits at log(1e-6).
 
     The 16 kHz signal is never held whole: it streams from the resampler
-    through one buffer of a block of frames' samples.  Beyond its input
-    and output, ``logmel`` holds fixed block buffers of about 12 MB
-    whatever the song's length.
+    through one buffer of a block of frames' samples.  Float32 and float64
+    samples are used as given, with no whole-length copy or temporary;
+    every value is widened to float64 exactly as it enters those buffers,
+    so both give the same frames.  Beyond its input and output,
+    ``logmel`` holds fixed block buffers of about 12 MB whatever the
+    song's length.
     """
-    x = np.asarray(samples, dtype=np.float64)
+    x = np.asarray(samples)
+    if x.dtype != np.float32:
+        x = x.astype(np.float64, copy=False)
     if x.ndim != 1 or x.size == 0:
         raise InputError("samples must be a non-empty 1-D array")
-    if not np.all(np.isfinite(x)):
+    # NaN propagates through min and max, and an infinity is an extreme.
+    if not (math.isfinite(x.min()) and math.isfinite(x.max())):
         raise InputError("samples contain non-finite values")
     rate = float(sample_rate_hz)
     if not (0 < rate <= MAX_SAMPLE_RATE and rate.is_integer()):  # also refuses nan and inf
@@ -428,7 +474,7 @@ def write_ssft(path, feats: FeatureMatrix | ResampledFeatures) -> None:
     header = _SSFT_HEADER.pack(SSFT_MAGIC, SSFT_VERSION, rate_hz, dim, n, t0_s)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(frames.astype("<f4", copy=False).tobytes())
+        fh.write(frames.astype("<f4", copy=False))  # the contiguous buffer, not a copy
 
 
 def read_ssft(path, kind=None) -> FeatureMatrix | ResampledFeatures:

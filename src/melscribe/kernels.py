@@ -17,14 +17,20 @@ def pool_segments(frames: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, n
     Empty cells stay zero.  Frames before ``starts[0]`` and from
     ``starts[-1]`` on belong to no cell.
     """
-    # One slice per cell: np.add.reduceat would run the last cell on to the
-    # end of the array, and index past it if that cell is empty and starts
-    # at len(frames).
-    n_cells = len(starts) - 1
+    # Cells hold few distinct frame counts, so the cells of each count k
+    # are pooled at once: their first rows in float64, plus rows 1..k-1 in
+    # order, over k.  That is the order of operations of each cell's
+    # ``.mean(axis=0, dtype=np.float64)``, so the means are the same.
     counts = np.diff(starts).astype(np.int64)
-    out = np.zeros((n_cells, frames.shape[1]), dtype=np.float64)
-    for t in np.flatnonzero(counts > 0):
-        out[t] = frames[starts[t] : starts[t + 1]].mean(axis=0, dtype=np.float64)
+    out = np.zeros((len(counts), frames.shape[1]), dtype=np.float64)
+    for k in np.unique(counts[counts > 0]):
+        cells = np.flatnonzero(counts == k)
+        rows = starts[cells]
+        total = frames[rows].astype(np.float64)
+        for i in range(1, k):
+            total += frames[rows + i]
+        total /= k
+        out[cells] = total
     return out, counts
 
 

@@ -169,6 +169,12 @@ def test_meter():
     Meter(2, 1)
 
 
+def test_compound_meter_warning_names_the_caller():
+    with pytest.warns(UserWarning, match="looks compound") as record:
+        Meter(6, 8)
+    assert len(record) == 1 and record[0].filename == __file__
+
+
 def _segment(melody=None, chords=(), split=None, seg_id="x"):
     return Segment(
         id=seg_id,

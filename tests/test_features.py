@@ -3,6 +3,7 @@ import os
 import re
 import struct
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +154,24 @@ def test_logmel_holds_fixed_buffers_whatever_the_length(rate):
     finally:
         tracemalloc.stop()
     assert peak <= frames.nbytes + 16 * 2**20, (peak, frames.nbytes)
+
+
+@pytest.mark.parametrize("rate", [16000, 44100])
+def test_logmel_gives_float32_samples_the_frames_of_their_float64_values(rate):
+    samples = np.random.default_rng(rate).normal(0, 0.1, size=three_blocks(rate))
+    x32 = samples.astype(np.float32)
+    assert np.array_equal(logmel(x32, rate).frames, logmel(x32.astype(np.float64), rate).frames)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_logmel_refuses_non_finite_samples(dtype, bad):
+    samples = np.zeros(1000, dtype)
+    samples[500] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused, not read with a warning
+        with pytest.raises(InputError, match="non-finite"):
+            logmel(samples, 16000)
 
 
 def test_logmel_input_validation():
@@ -323,6 +342,53 @@ def test_load_wav_refuses_with_the_file_named(tmp_path, blob):
     path.write_bytes(blob)
     with pytest.raises(FormatError, match=re.escape(str(path))):
         load_wav(path)
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("fmt, narrow", [
+    ("uint8", True), ("int16", True), ("int24", True), ("float32", True),
+    ("int32", False), ("float64", False),
+])
+def test_load_wav_returns_the_narrowest_exact_dtype(tmp_path, fmt, narrow, channels):
+    import scipy.io.wavfile
+
+    rng = np.random.default_rng(channels)
+    path = tmp_path / "a.wav"
+    if fmt == "int24":
+        ints = rng.integers(-(2**23), 2**23, size=(999, channels))
+        pcm24 = ints.astype("<i4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+        path.write_bytes(riff((b"fmt ", fmt_chunk(1, channels, 22050, 3)), (b"data", pcm24)))
+    elif fmt.startswith("float"):
+        scipy.io.wavfile.write(path, 22050, rng.uniform(-1, 1, size=(999, channels)).astype(fmt))
+    else:
+        info = np.iinfo(fmt)
+        data = rng.integers(info.min, info.max, size=(999, channels), endpoint=True, dtype=fmt)
+        scipy.io.wavfile.write(path, 22050, data)
+    samples, _ = load_wav(path)
+    # mono 8-, 16- and 24-bit PCM and float32 fit float32 exactly; a channel mean does not
+    assert samples.dtype == (np.float32 if narrow and channels == 1 else np.float64)
+    assert np.array_equal(samples, scipy_samples(path)[0])
+
+
+def test_load_wav_and_logmel_hold_float32_samples_plus_fixed_buffers(tmp_path):
+    import tracemalloc
+
+    rate, n = 44100, 180 * 44100
+    logmel(np.zeros(rate), rate)  # builds the cached filterbank and resampling bands
+    pcm = np.random.default_rng(7).integers(-3000, 3000, size=n, dtype="<i2")
+    path = tmp_path / "song.wav"
+    path.write_bytes(riff((b"fmt ", fmt_chunk(1, 1, rate, 2)), (b"data", pcm.tobytes())))
+    del pcm
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        frames = logmel(*load_wav(path)).frames
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    # 31.8 MB of float32 samples and 5.2 MB of frames; a whole-file read
+    # next to float64 samples would add about 48 MB
+    assert peak <= 4 * n + frames.nbytes + 16 * 2**20, (peak, frames.nbytes)
 
 
 @pytest.mark.parametrize("n", [1, 2, 199, 200])

@@ -113,3 +113,19 @@ def test_pool_segments_backends_agree():
         out, counts = kernels.pool_segments(frames, starts)
         assert np.array_equal(counts, np.diff(starts))
         assert np.max(np.abs(out - pooled_reference(frames, starts))) < 1e-12
+
+
+def test_pool_segments_equals_each_cells_mean_bit_for_bit():
+    """Cells grouped by frame count sum in the order of each cell's own mean."""
+    rng = np.random.default_rng(4)
+    frames = rng.normal(size=(3000, 229)).astype(np.float32)
+    for frames_per_cell in (1.0, 2.6, 4.4, 7.8, 31.3):
+        starts = np.round(np.arange(5, 2990, frames_per_cell)).astype(np.int64)
+        starts = np.sort(np.concatenate([starts, [2990, 3000, 3000]]))
+        out, counts = kernels.pool_segments(frames, starts)
+        want = np.zeros_like(out)
+        for t, (a, b) in enumerate(zip(starts[:-1], starts[1:])):
+            if b > a:
+                want[t] = frames[a:b].mean(axis=0, dtype=np.float64)
+        assert np.array_equal(counts, np.diff(starts))
+        assert np.array_equal(out, want), frames_per_cell
