@@ -27,6 +27,7 @@ import itertools
 import math
 import os
 import struct
+import threading
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 
@@ -63,6 +64,15 @@ _WAV_DTYPES = {
 }
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every value of the non-empty array ``a`` is finite.
+
+    NaN propagates through min and max, and an infinity is an extreme, so
+    two reductions decide it without a temporary of ``a``'s shape.
+    """
+    return math.isfinite(a.min()) and math.isfinite(a.max())
+
+
 @dataclass(frozen=True, eq=False)
 class FeatureMatrix:
     """Fixed-rate feature frames; frame j is centered at t0_s + j/rate_hz."""
@@ -82,7 +92,7 @@ class FeatureMatrix:
             raise InputError(f"rate_hz {self.rate_hz} must be positive and finite")
         if not math.isfinite(self.t0_s):
             raise InputError("t0_s must be finite")
-        if not np.all(np.isfinite(frames)):
+        if not _all_finite(frames):
             raise InputError("feature frames contain non-finite values")
 
     @property
@@ -113,7 +123,7 @@ class ResampledFeatures:
                 f"tick count {frames.shape[0]} not a positive multiple of "
                 f"{TICKS_PER_BEAT}"
             )
-        if not np.all(np.isfinite(frames)):
+        if not _all_finite(frames):
             raise InputError("resampled features contain non-finite values")
         object.__setattr__(self, "frames", frames)
 
@@ -289,8 +299,14 @@ def _mel_bands() -> tuple[tuple[int, int, int, int, np.ndarray], ...]:
 #: fastest on 165 s of audio (2-core x86 VM, numpy 2.4 with OpenBLAS).
 #: With the banded mel product and reused buffers, blocks of 32 to 512
 #: gave the same output and timings within the noise on 669 s of audio
-#: (same VM, one BLAS thread), so it stays at 256.
-_LOGMEL_BLOCK = 256
+#: (same VM, one BLAS thread).  It is 128, not 256, so that the buffers of
+#: two spans (about 7 MB each) hold no more than one span's did at 256.
+_LOGMEL_BLOCK = 128
+
+#: Spans of frames ``logmel`` computes at once, each on its own thread.
+#: A fixed cap keeps its buffers fixed on a machine of any size, and the
+#: 2-core VM it was measured on has no use for more.
+_LOGMEL_SPANS = 2
 
 #: The highest sample rate ``logmel`` takes, the highest standard one.
 #: The resampling filter grows with the rate, so a corrupt header's rate,
@@ -355,19 +371,22 @@ def _polyphase(up: int, down: int) -> tuple[int, int, list[tuple[int, int, np.nd
     return reps * up, reps * down, groups
 
 
-def _resampled(x: np.ndarray, rate_in: int, rate_out: int):
+def _resampled(x: np.ndarray, rate_in: int, rate_out: int, start: int = 0):
     """``x`` resampled as ``scipy.signal.resample_poly`` does by default,
-    as consecutive pieces of the output.
+    from output sample ``start`` on, as consecutive pieces of the output.
 
     Polyphase decomposition (Crochiere and Rabiner, *Multirate Digital
     Signal Processing*, 1983) as one GEMM per band of ``_polyphase``.
     Time runs in chunks of ``_RESAMPLE_CHUNK`` blocks, each copied into
     one reusable zero-padded buffer, and each chunk's outputs are one
     piece, a view of one reused buffer that holds until the next piece
-    is asked for.  At equal rates the one piece is ``x`` itself.
+    is asked for.  The first chunk is the one that holds output ``start``
+    on the grid of chunks from output 0, so every output is computed as
+    it is when ``start`` is 0.  At equal rates the one piece is
+    ``x[start:]``.
     """
     if rate_in == rate_out:
-        yield x
+        yield x[start:]
         return
     g = math.gcd(rate_in, rate_out)
     up, down = rate_out // g, rate_in // g
@@ -379,7 +398,7 @@ def _resampled(x: np.ndarray, rate_in: int, rate_out: int):
     chunk = min(_RESAMPLE_CHUNK, n_blocks)
     y = np.empty((chunk, block_out))
     buf = np.empty((chunk - 1) * block_in + span)
-    for b0 in range(0, n_blocks, chunk):
+    for b0 in range(start // (chunk * block_out) * chunk, n_blocks, chunk):
         nb = min(chunk, n_blocks - b0)
         s = b0 * block_in + first  # the input index of buf[0]
         a, e = max(s, 0), min(s + len(buf), len(x))
@@ -389,7 +408,14 @@ def _resampled(x: np.ndarray, rate_in: int, rate_out: int):
         for lo, q0, band in groups:
             windows = np.lib.stride_tricks.sliding_window_view(buf[lo - first :], len(band))
             np.matmul(windows[::block_in][:nb], band, out=y[:nb, q0 : q0 + band.shape[1]])
-        yield y[:nb].reshape(-1)[: n_out - b0 * block_out]
+        yield y[:nb].reshape(-1)[max(start - b0 * block_out, 0) : n_out - b0 * block_out]
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def logmel(samples: np.ndarray, sample_rate_hz: int) -> FeatureMatrix:
@@ -400,21 +426,24 @@ def logmel(samples: np.ndarray, sample_rate_hz: int) -> FeatureMatrix:
     2048 samples and hop 512.  Mel amplitudes map through
     log(a + 1e-6), so silence sits at log(1e-6).
 
-    The 16 kHz signal is never held whole: it streams from the resampler
-    through one buffer of a block of frames' samples.  Float32 and float64
-    samples are used as given, with no whole-length copy or temporary;
-    every value is widened to float64 exactly as it enters those buffers,
-    so both give the same frames.  Beyond its input and output,
-    ``logmel`` holds fixed block buffers of about 12 MB whatever the
-    song's length.
+    The frames are cut into up to two contiguous spans on the grid of
+    ``_LOGMEL_BLOCK`` frames, one per usable CPU; the calling thread
+    computes the first and one more thread the second.  Every block
+    sees the samples it would see in one span, so the frames do not
+    depend on the number of spans.  The 16 kHz signal is never held
+    whole: it streams from the resampler through one buffer of a block
+    of frames' samples per span.  Float32 and float64 samples are used
+    as given, with no whole-length copy or temporary; every value is
+    widened to float64 exactly as it enters those buffers, so both give
+    the same frames.  Beyond its input and output, each thread holds
+    fixed block buffers of about 7 MB whatever the song's length.
     """
     x = np.asarray(samples)
     if x.dtype != np.float32:
         x = x.astype(np.float64, copy=False)
     if x.ndim != 1 or x.size == 0:
         raise InputError("samples must be a non-empty 1-D array")
-    # NaN propagates through min and max, and an infinity is an extreme.
-    if not (math.isfinite(x.min()) and math.isfinite(x.max())):
+    if not _all_finite(x):
         raise InputError("samples contain non-finite values")
     rate = float(sample_rate_hz)
     if not (0 < rate <= MAX_SAMPLE_RATE and rate.is_integer()):  # also refuses nan and inf
@@ -422,33 +451,74 @@ def logmel(samples: np.ndarray, sample_rate_hz: int) -> FeatureMatrix:
             f"sample rate {sample_rate_hz} must be a positive whole number"
             f" of at most {MAX_SAMPLE_RATE} Hz"
         )
+    rate = int(rate)
+    # Built here, before any worker starts: two threads that both miss a
+    # cache both build its entry, which near MAX_SAMPLE_RATE takes seconds.
+    if rate != SAMPLE_RATE:
+        g = math.gcd(rate, SAMPLE_RATE)
+        _polyphase(SAMPLE_RATE // g, rate // g)
+    _mel_bands()
 
-    n_samples = -(-len(x) * SAMPLE_RATE // int(rate))  # at 16 kHz
+    n_samples = -(-len(x) * SAMPLE_RATE // rate)  # at 16 kHz
     n_frames = -(-n_samples // HOP)
     block = min(_LOGMEL_BLOCK, n_frames)
-    # sig holds the centered signal of one block of frames: N_FFT // 2
-    # zeros, the 16 kHz samples, then zeros as far as the last frame reads.
+    n_blocks = -(-n_frames // block)
+    n_spans = min(_LOGMEL_SPANS, _usable_cpus(), n_blocks)
+    cuts = [n_blocks * i // n_spans * block for i in range(n_spans)] + [n_frames]
+    out = np.empty((n_frames, N_MELS), dtype=np.float32)
+    failed = []
+
+    def work(f0: int, f1: int) -> None:
+        try:
+            _logmel_span(x, rate, f0, f1, block, out)
+        except BaseException as exc:  # raised again in the caller
+            failed.append(exc)
+
+    workers = [threading.Thread(target=work, args=cuts[i : i + 2]) for i in range(1, n_spans)]
+    try:
+        for worker in workers:
+            worker.start()
+        _logmel_span(x, rate, cuts[0], cuts[1], block, out)
+    finally:
+        for worker in workers:
+            if worker.ident is not None:  # started
+                worker.join()
+    if failed:
+        raise failed[0]
+    return FeatureMatrix(rate_hz=SAMPLE_RATE / HOP, frames=out, t0_s=0.0)
+
+
+def _logmel_span(x: np.ndarray, rate: int, f0: int, f1: int, block: int, out: np.ndarray) -> None:
+    """Write ``logmel``'s frames ``f0`` to ``f1`` of samples ``x`` at
+    ``rate`` Hz into ``out[f0:f1]``, ``block`` frames at a time.
+
+    ``f0`` is a multiple of ``block``.  The buffers are the span's own.
+    """
+    # sig holds the stretch of the centered signal (N_FFT // 2 zeros, the
+    # 16 kHz samples, then zeros as far as the last frame reads) of one block.
     sig = np.empty((block - 1) * HOP + N_FFT)
     zeros = np.zeros(N_FFT)
+    lead = N_FFT // 2 - f0 * HOP  # the zeros before sample 0 that this span still reads
     stream = itertools.chain(
-        [zeros[: N_FFT // 2]], _resampled(x, int(rate), SAMPLE_RATE), itertools.repeat(zeros)
+        [zeros[: max(lead, 0)]],
+        _resampled(x, rate, SAMPLE_RATE, max(-lead, 0)),
+        itertools.repeat(zeros),
     )
     piece, filled = np.empty(0), 0
     frames = np.lib.stride_tricks.sliding_window_view(sig, N_FFT)[::HOP]
     window = np.hanning(N_FFT)
-    out = np.empty((n_frames, N_MELS), dtype=np.float32)
     windowed = np.empty((block, N_FFT))
     spectrum = np.empty((block, N_FFT // 2 + 1), dtype=np.complex128)
     mag = np.empty((block, N_FFT // 2 + 1))
     mel = np.empty((block, N_MELS))
-    for start in range(0, n_frames, block):
+    for start in range(f0, f1, block):
         while filled < len(sig):
             if not len(piece):
                 piece = next(stream)
             k = min(len(piece), len(sig) - filled)
             sig[filled : filled + k] = piece[:k]
             piece, filled = piece[k:], filled + k
-        n = min(block, n_frames - start)
+        n = min(block, f1 - start)
         np.multiply(frames[:n], window, out=windowed[:n])
         np.fft.rfft(windowed[:n], axis=1, out=spectrum[:n])
         np.abs(spectrum[:n], out=mag[:n])
@@ -459,7 +529,6 @@ def logmel(samples: np.ndarray, sample_rate_hz: int) -> FeatureMatrix:
         out[start : start + n] = mel[:n]
         sig[: N_FFT - HOP] = sig[block * HOP :]  # the next block's frames overlap these
         filled = N_FFT - HOP
-    return FeatureMatrix(rate_hz=SAMPLE_RATE / HOP, frames=out, t0_s=0.0)
 
 
 def write_ssft(path, feats: FeatureMatrix | ResampledFeatures) -> None:
@@ -468,7 +537,7 @@ def write_ssft(path, feats: FeatureMatrix | ResampledFeatures) -> None:
     rate_hz, t0_s = (0.0, 0.0) if ticks else (feats.rate_hz, feats.t0_s)
     with np.errstate(over="ignore"):  # a float32 overflow is refused just below
         frames = np.ascontiguousarray(feats.frames, dtype=np.float32)
-    if not np.all(np.isfinite(frames)):
+    if not _all_finite(frames):
         raise InputError("refusing to write non-finite features")
     n, dim = frames.shape
     header = _SSFT_HEADER.pack(SSFT_MAGIC, SSFT_VERSION, rate_hz, dim, n, t0_s)

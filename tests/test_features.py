@@ -1,7 +1,11 @@
+import hashlib
 import math
 import os
 import re
 import struct
+import subprocess
+import sys
+import threading
 import types
 import warnings
 
@@ -156,6 +160,132 @@ def test_logmel_holds_fixed_buffers_whatever_the_length(rate):
     assert peak <= frames.nbytes + 16 * 2**20, (peak, frames.nbytes)
 
 
+@pytest.mark.parametrize("rate", [16000, 44100, 11025])
+def test_logmel_spans_give_the_frames_of_one_span(rate):
+    block = features._LOGMEL_BLOCK
+    samples = np.random.default_rng(rate).normal(
+        0, 0.1, size=(4 * block + 37) * features.HOP * rate // features.SAMPLE_RATE)
+    want = logmel(samples, rate).frames
+    n = len(want)
+    assert n > 4 * block
+    if rate != features.SAMPLE_RATE:  # the cut at one block starts inside a resampler chunk
+        g = math.gcd(rate, features.SAMPLE_RATE)
+        block_out = features._polyphase(features.SAMPLE_RATE // g, rate // g)[0]
+        assert (block * features.HOP - features.N_FFT // 2) % (features._RESAMPLE_CHUNK * block_out)
+    for cuts in ([0, n], [0, 2 * block, n], [0, 3 * block, n], [0, block, 3 * block, n],
+                 [0, block, 2 * block, 4 * block, n]):
+        got = np.full_like(want, np.nan)
+        for f0, f1 in zip(cuts, cuts[1:]):
+            features._logmel_span(samples, rate, f0, f1, block, got)
+        assert np.array_equal(got, want), cuts
+
+
+@pytest.mark.parametrize("rate", [16000, 44100, 11025])
+def test_resampled_from_any_start_is_the_tail_of_the_whole_stream(rate):
+    samples = np.random.default_rng(rate).normal(size=12 * rate + 7)
+
+    def joined(start):
+        # each piece is a view of a reused buffer, so it is copied before the next
+        pieces = features._resampled(samples, rate, features.SAMPLE_RATE, start)
+        return np.concatenate([piece.copy() for piece in pieces])
+
+    whole = joined(0)
+    if rate == features.SAMPLE_RATE:
+        edge = len(whole) // 2
+    else:  # the first chunk boundary
+        g = math.gcd(rate, features.SAMPLE_RATE)
+        edge = features._RESAMPLE_CHUNK * features._polyphase(
+            features.SAMPLE_RATE // g, rate // g)[0]
+    assert edge + 1 < len(whole) - 1
+    for start in (0, 1, edge - 1, edge, edge + 1, len(whole) - 1):
+        assert np.array_equal(joined(start), whole[start:]), start
+
+
+class SpanFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_a_span_error_reaches_the_caller_and_no_thread_outlives_logmel(monkeypatch, failing):
+    span = features._logmel_span
+
+    def flaky(x, rate, f0, f1, block, out):
+        if (f0 > 0) == (failing == "worker"):
+            raise SpanFailed(f0)
+        span(x, rate, f0, f1, block, out)
+
+    monkeypatch.setattr(features, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(features, "_logmel_span", flaky)
+    before = threading.active_count()
+    with pytest.raises(SpanFailed):
+        logmel(np.zeros(3 * features._LOGMEL_BLOCK * features.HOP), 16000)
+    assert threading.active_count() == before
+
+
+def test_logmel_called_from_many_threads_at_once_gives_each_its_frames(monkeypatch):
+    monkeypatch.setattr(features, "_usable_cpus", lambda: 2)
+    inputs = [(np.random.default_rng(k).normal(0, 0.1, size=9 * rate), rate)  # three blocks
+              for k, rate in enumerate([16000, 44100, 11025] * 2)]
+    want = [logmel(x, rate).frames for x, rate in inputs]
+    got = [None] * len(inputs)
+
+    def run(k):
+        got[k] = logmel(*inputs[k]).frames
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=run, args=(k,)) for k in range(len(inputs))]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for k, frames in enumerate(want):
+        assert np.array_equal(got[k], frames), k
+
+
+def test_a_two_span_call_builds_the_resampling_bands_once(monkeypatch):
+    span, cuts = features._logmel_span, []
+
+    def recorded(x, rate, f0, f1, block, out):
+        cuts.append((f0, f1))
+        span(x, rate, f0, f1, block, out)
+
+    monkeypatch.setattr(features, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(features, "_logmel_span", recorded)
+    features._polyphase.cache_clear()
+    rate = 37800
+    logmel(np.zeros(3 * features._LOGMEL_BLOCK * features.HOP * rate // 16000), rate)
+    assert len(cuts) == 2
+    assert features._polyphase.cache_info().misses == 1
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs sched_setaffinity and two usable CPUs",
+)
+def test_logmel_pinned_to_one_cpu_gives_the_frames_of_two_spans():
+    code = """if True:
+        import hashlib, os, sys
+        import numpy as np
+        from melscribe import features
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+        assert features._usable_cpus() == 1
+        x = np.random.default_rng(5).normal(0, 0.1, size=int(sys.argv[1]))
+        print(hashlib.sha256(features.logmel(x, 44100).frames.tobytes()).hexdigest())
+    """
+    n = 5 * features._LOGMEL_BLOCK * features.HOP * 44100 // 16000
+    proc = subprocess.run([sys.executable, "-c", code, str(n)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    samples = np.random.default_rng(5).normal(0, 0.1, size=n)
+    frames = logmel(samples, 44100).frames  # in two spans, on this process's CPUs
+    assert proc.stdout.strip() == hashlib.sha256(frames.tobytes()).hexdigest()
+
+
 @pytest.mark.parametrize("rate", [16000, 44100])
 def test_logmel_gives_float32_samples_the_frames_of_their_float64_values(rate):
     samples = np.random.default_rng(rate).normal(0, 0.1, size=three_blocks(rate))
@@ -163,15 +293,29 @@ def test_logmel_gives_float32_samples_the_frames_of_their_float64_values(rate):
     assert np.array_equal(logmel(x32, rate).frames, logmel(x32.astype(np.float64), rate).frames)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def written(values):
+    """write_ssft of features whose frames turned non-finite after they were checked."""
+    feats = FeatureMatrix(31.25, np.zeros_like(values))
+    feats.frames[:] = values
+    write_ssft(os.devnull, feats)
+
+
+@pytest.mark.parametrize("refuse", [
+    pytest.param(lambda values: logmel(values.ravel().astype(np.float32), 16000), id="float32"),
+    pytest.param(lambda values: logmel(values.ravel(), 16000), id="float64"),
+    pytest.param(lambda values: FeatureMatrix(31.25, values), id="FeatureMatrix"),
+    pytest.param(ResampledFeatures, id="ResampledFeatures"),
+    pytest.param(written, id="write_ssft"),
+])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_logmel_refuses_non_finite_samples(dtype, bad):
-    samples = np.zeros(1000, dtype)
-    samples[500] = bad
+def test_logmel_refuses_non_finite_samples(refuse, bad):
+    """So does every other finiteness check: both feature types and write_ssft."""
+    values = np.zeros((200, 5))
+    values[100, 0] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # refused, not read with a warning
         with pytest.raises(InputError, match="non-finite"):
-            logmel(samples, 16000)
+            refuse(values)
 
 
 def test_logmel_input_validation():
@@ -417,6 +561,24 @@ def test_ssft_round_trip(tmp_path):
     write_ssft(rpath, rf)
     rback = read_ssft(rpath, ResampledFeatures)
     assert rback.frames.tobytes() == rf.frames.tobytes()
+
+
+def test_ssft_round_trip_holds_the_frames_and_no_temporary(tmp_path):
+    import tracemalloc
+
+    fm = FeatureMatrix(31.25, np.random.default_rng(6946).normal(size=(6946, 229)).astype(np.float32))
+    path = tmp_path / "song.ssft"
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        write_ssft(path, fm)
+        back = read_ssft(path, FeatureMatrix)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert back.frames.tobytes() == fm.frames.tobytes()
+    # a finiteness check through a bool array would add 1.5 MiB, once per side
+    assert peak <= fm.frames.nbytes + 2**18, (peak, fm.frames.nbytes)
 
 
 def test_ssft_writers_refuse_float32_overflow(tmp_path):
