@@ -303,12 +303,16 @@ def cmd_leadsheet(args) -> int:
     sheet = assemble(
         melody, chords, amap, _parse_meter(args.meter), _parse_key(args.key)
     )
+    # Both are built before either is written, so a sheet one of them
+    # refuses leaves no file behind.
+    lilypond = emit_lilypond(sheet) if args.lilypond else None
+    midi = emit_midi(sheet, amap) if args.midi else None
     outputs = {}
-    if args.lilypond:
-        Path(args.lilypond).write_text(emit_lilypond(sheet), encoding="utf-8")
+    if lilypond is not None:
+        Path(args.lilypond).write_text(lilypond, encoding="utf-8")
         outputs["lilypond"] = str(args.lilypond)
-    if args.midi:
-        Path(args.midi).write_bytes(emit_midi(sheet, amap))
+    if midi is not None:
+        Path(args.midi).write_bytes(midi)
         outputs["midi"] = str(args.midi)
     _emit(
         {

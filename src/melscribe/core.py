@@ -60,7 +60,7 @@ class Pitch:
     midi: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.midi, int):
+        if type(self.midi) is not int:  # refuses floats, bools and numpy integers
             raise RangeError(f"pitch must be an integer MIDI number, got {self.midi!r}")
         if not MIDI_MIN <= self.midi <= MIDI_MAX:
             raise RangeError(
@@ -75,7 +75,9 @@ class PitchClass:
     pc: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.pc, int) or not 0 <= self.pc <= 11:
+        if type(self.pc) is not int:  # refuses floats, bools and numpy integers
+            raise RangeError(f"pitch class must be an integer, got {self.pc!r}")
+        if not 0 <= self.pc <= 11:
             raise RangeError(f"pitch class {self.pc!r} outside 0..11")
 
 
@@ -309,6 +311,9 @@ class Meter:
     beat_unit: int
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if type(value) is not int:  # refuses floats, bools and numpy integers
+                raise RangeError(f"{name} must be an integer, got {value!r}")
         if self.beats_per_bar < 1:
             raise RangeError(f"beats_per_bar {self.beats_per_bar} below 1")
         if self.beat_unit not in (1, 2, 4, 8, 16):

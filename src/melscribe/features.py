@@ -27,7 +27,6 @@ import itertools
 import math
 import os
 import struct
-import threading
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 
@@ -329,8 +328,9 @@ _POLYPHASE_CACHED = 2
 
 
 @lru_cache(maxsize=_POLYPHASE_CACHED)
-def _polyphase(up: int, down: int) -> tuple[int, int, list[tuple[int, int, np.ndarray]]]:
-    """The banded phase matrices of ``scipy.signal.resample_poly``'s filter.
+def _polyphase(rate_in: int, rate_out: int) -> tuple[int, int, list[tuple[int, int, np.ndarray]]]:
+    """The banded phase matrices of ``scipy.signal.resample_poly``'s filter
+    from ``rate_in`` to ``rate_out`` Hz, in lowest terms ``up / down``.
 
     The filter is the default one: ``firwin(2 * half + 1, 1 / max(up,
     down))`` with a Kaiser window (beta 5), half = 10 * max(up, down),
@@ -346,6 +346,8 @@ def _polyphase(up: int, down: int) -> tuple[int, int, list[tuple[int, int, np.nd
     (outputs per block, inputs per block, [(input offset of the band's
     first row, first output, band)]).
     """
+    g = math.gcd(rate_in, rate_out)
+    up, down = rate_out // g, rate_in // g
     max_rate = max(up, down)
     half = 10 * max_rate
     f_c = 1.0 / max_rate
@@ -388,10 +390,8 @@ def _resampled(x: np.ndarray, rate_in: int, rate_out: int, start: int = 0):
     if rate_in == rate_out:
         yield x[start:]
         return
-    g = math.gcd(rate_in, rate_out)
-    up, down = rate_out // g, rate_in // g
-    block_out, block_in, groups = _polyphase(up, down)
-    n_out = -(-len(x) * up // down)
+    block_out, block_in, groups = _polyphase(rate_in, rate_out)
+    n_out = -(-len(x) * rate_out // rate_in)
     n_blocks = -(-n_out // block_out)
     first = min(lo for lo, _, _ in groups)
     span = max(lo + len(band) for lo, _, band in groups) - first
@@ -428,7 +428,8 @@ def logmel(samples: np.ndarray, sample_rate_hz: int) -> FeatureMatrix:
 
     The frames are cut into up to two contiguous spans on the grid of
     ``_LOGMEL_BLOCK`` frames, one per usable CPU; the calling thread
-    computes the first and one more thread the second.  Every block
+    computes the first and a ``ThreadPoolExecutor`` of one worker the
+    second, whose error is raised again in the caller.  Every block
     sees the samples it would see in one span, so the frames do not
     depend on the number of spans.  The 16 kHz signal is never held
     whole: it streams from the resampler through one buffer of a block
@@ -455,8 +456,7 @@ def logmel(samples: np.ndarray, sample_rate_hz: int) -> FeatureMatrix:
     # Built here, before any worker starts: two threads that both miss a
     # cache both build its entry, which near MAX_SAMPLE_RATE takes seconds.
     if rate != SAMPLE_RATE:
-        g = math.gcd(rate, SAMPLE_RATE)
-        _polyphase(SAMPLE_RATE // g, rate // g)
+        _polyphase(rate, SAMPLE_RATE)
     _mel_bands()
 
     n_samples = -(-len(x) * SAMPLE_RATE // rate)  # at 16 kHz
@@ -466,25 +466,15 @@ def logmel(samples: np.ndarray, sample_rate_hz: int) -> FeatureMatrix:
     n_spans = min(_LOGMEL_SPANS, _usable_cpus(), n_blocks)
     cuts = [n_blocks * i // n_spans * block for i in range(n_spans)] + [n_frames]
     out = np.empty((n_frames, N_MELS), dtype=np.float32)
-    failed = []
+    # Imported here, not with the module: it also loads logging.
+    from concurrent.futures import ThreadPoolExecutor
 
-    def work(f0: int, f1: int) -> None:
-        try:
-            _logmel_span(x, rate, f0, f1, block, out)
-        except BaseException as exc:  # raised again in the caller
-            failed.append(exc)
-
-    workers = [threading.Thread(target=work, args=cuts[i : i + 2]) for i in range(1, n_spans)]
-    try:
-        for worker in workers:
-            worker.start()
+    with ThreadPoolExecutor(_LOGMEL_SPANS - 1) as pool:
+        spans = [pool.submit(_logmel_span, x, rate, *cuts[i : i + 2], block, out)
+                 for i in range(1, n_spans)]
         _logmel_span(x, rate, cuts[0], cuts[1], block, out)
-    finally:
-        for worker in workers:
-            if worker.ident is not None:  # started
-                worker.join()
-    if failed:
-        raise failed[0]
+        for span in spans:
+            span.result()
     return FeatureMatrix(rate_hz=SAMPLE_RATE / HOP, frames=out, t0_s=0.0)
 
 

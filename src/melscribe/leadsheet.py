@@ -155,7 +155,7 @@ class LeadSheet:
         object.__setattr__(self, "chords", tuple(self.chords))
         prev = -1
         for tick, chord in self.chords:
-            if not isinstance(tick, int) or isinstance(tick, bool):
+            if type(tick) is not int:  # refuses floats, bools and numpy integers
                 raise InputError(f"chord onset {tick!r} must be an integer tick")
             if not isinstance(chord, ChordSymbol):
                 raise InputError(f"chord entry {chord!r} is not a ChordSymbol")

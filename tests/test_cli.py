@@ -469,7 +469,8 @@ def test_mel_jobs_are_capped_at_the_file_count(corpus, tmp_path, monkeypatch):
 
 
 def test_import_loads_no_scipy_or_process_pool():
-    heavy = ["scipy.signal", "scipy.io", "multiprocessing", "concurrent.futures.process"]
+    heavy = ["scipy.signal", "scipy.io", "multiprocessing", "concurrent.futures",
+             "concurrent.futures.process"]
     code = (
         "import sys, melscribe.cli, melscribe.features; "
         f"print([m for m in {heavy!r} if m in sys.modules])"
@@ -518,6 +519,18 @@ def test_domain_errors_exit_1(corpus, tmp_path):
             "--chords", str(chords_path),
         ])
         assert code == 1, changes
+
+
+def test_a_sheet_the_midi_writer_refuses_leaves_no_lilypond_file(corpus, tmp_path, capsys):
+    ly, mid = tmp_path / "out.ly", tmp_path / "out.mid"
+    code, _ = run([
+        "leadsheet", "--transcript", str(corpus["ref"]),
+        "--alignment", str(corpus["data"] / "s00.alignment.json"),
+        "--meter", "301/4", "--lilypond", str(ly), "--midi", str(mid),
+    ])
+    assert code == 1
+    assert "time signature numerator 301 outside 1..255" in capsys.readouterr().err
+    assert not ly.exists() and not mid.exists()
 
 
 def test_usage_errors_exit_2(tmp_path):

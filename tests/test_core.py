@@ -48,6 +48,9 @@ def test_pitch_class_validation():
     for bad in (-1, 12, 1.5):
         with pytest.raises(RangeError):
             PitchClass(bad)
+    for bad in (True, np.int64(3)):
+        with pytest.raises(RangeError, match="must be an integer"):
+            PitchClass(bad)
 
 
 def test_score_note():
@@ -167,6 +170,9 @@ def test_meter():
         Meter(6, 8)
     Meter(4, 16)
     Meter(2, 1)
+    for beats, unit in ((4.5, 4), (True, 4), (4, 4.0)):
+        with pytest.raises(RangeError, match="must be an integer"):
+            Meter(beats, unit)
 
 
 def test_compound_meter_warning_names_the_caller():

@@ -391,6 +391,8 @@ def test_emit_lilypond_spellings():
     f = KeySignature(PitchClass(5), "major")
     mel = score([(0, 4, 70)])  # B flat
     assert "bes'4" in emit_lilypond(sheet(mel, key=f, total=4))
+    mel = score([(0, 4, 66)])  # chromatic in F major, spelled flat
+    assert "ges'4" in emit_lilypond(sheet(mel, key=f, total=4))
     ees = KeySignature(PitchClass(3), "major")
     text = emit_lilypond(sheet(score([(0, 4, 63)]), key=ees, total=4))
     assert "\\key ees \\major" in text

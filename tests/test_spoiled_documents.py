@@ -8,6 +8,7 @@ nothing except a MelscribeError that names the file.
 """
 
 import json
+import math
 import struct
 
 import pytest
@@ -21,7 +22,7 @@ from melscribe.leadsheet import load_chord_changes
 
 SPOILERS = (
     None, True, False, 0, 1, -1, 2**31, 2**63, -(2**63) - 1, 10**19, 10**30,
-    1.5, -0.0, 1e308, -1e308, "", "x", [], [0], {}, {"x": 0},
+    1.5, -0.0, 1e308, -1e308, math.nan, math.inf, -math.inf, "", "x", [], [0], {}, {"x": 0},
 )
 
 

@@ -10,7 +10,7 @@ from melscribe.evaluate import octave_invariant_f1
 from melscribe.labeler.config import LabelerConfig
 from melscribe.labeler.decode import decode, onset_sweep
 from melscribe.labeler.labels import CHORD_VOCAB, DenseLabelSequence
-from melscribe.labeler.model import FlatParams, param_shapes
+from melscribe.labeler.model import FlatParams, init_params, param_shapes
 from melscribe.labeler.train import (
     DEFAULT_THRESHOLDS,
     TrainExample,
@@ -237,6 +237,17 @@ def test_train_early_stops_on_stale_validation():
     result = train(SMALL, examples, settings)
     assert result.steps_run == 40  # first eval + 3 stale evals
     assert result.best_step == 10
+
+
+@pytest.mark.parametrize("max_steps", [0, 3])
+def test_train_with_no_evaluation_due_evaluates_its_last_step(max_steps):
+    examples = synth_examples(6, seed=4, num_beats=8, n_valid=2)
+    settings = TrainSettings(batch_size=2, lr=1e-3, max_steps=max_steps, eval_every=250, seed=0)
+    result = train(SMALL, examples, settings)
+    assert result.best_step == result.steps_run == max_steps
+    assert result.history == []
+    if max_steps == 0:
+        assert np.array_equal(result.params.flat, init_params(SMALL).flat)
 
 
 def test_train_logs_progress():
