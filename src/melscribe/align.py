@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .core import all_finite
 from .errors import InputError, OrderingError, ParseError, RangeError
 from .jsonio import at, column, fields, reading, write_json
 
@@ -39,7 +40,7 @@ class BeatGrid:
             raise InputError("beat times and downbeat flags must be 1-D and equal length")
         if len(times) == 0:
             raise InputError("beat grid is empty")
-        if not np.all(np.isfinite(times)):
+        if not all_finite(times):
             raise InputError("beat times must be finite")
         if np.any(np.diff(times) <= 0):
             raise OrderingError("beat times must be strictly increasing")
@@ -76,7 +77,7 @@ class AlignmentMap:
         object.__setattr__(self, "beat_to_time_s", times)
         if times.ndim != 1 or len(times) < 2:
             raise InputError("alignment map needs entries for at least beats 0 and 1")
-        if not np.all(np.isfinite(times)):
+        if not all_finite(times):
             raise InputError("alignment times must be finite")
         if np.any(np.diff(times) <= 0):
             raise OrderingError("alignment times must be strictly increasing")

@@ -154,8 +154,7 @@ def cmd_dataset_split(args) -> int:
     try:
         assignment = htparse.stratified_split([s.id for s in segments], artists, args.seed)
     except KeyError as exc:
-        _info(f"error: no artist recorded for segment {exc}")
-        return 1
+        raise InputError(f"no artist recorded for segment {exc}") from None
     for path, segment in zip(seg_paths, segments):
         htparse.save_segment(path, dataclasses.replace(segment, split=assignment[segment.id]))
     counts = Counter(assignment.values())
@@ -304,7 +303,8 @@ def cmd_leadsheet(args) -> int:
         melody, chords, amap, _parse_meter(args.meter), _parse_key(args.key)
     )
     # Both are built before either is written, so a sheet one of them
-    # refuses leaves no file behind.
+    # refuses leaves no file behind; a path that refuses the MIDI file
+    # takes the LilyPond file already written with it.
     lilypond = emit_lilypond(sheet) if args.lilypond else None
     midi = emit_midi(sheet, amap) if args.midi else None
     outputs = {}
@@ -312,7 +312,12 @@ def cmd_leadsheet(args) -> int:
         Path(args.lilypond).write_text(lilypond, encoding="utf-8")
         outputs["lilypond"] = str(args.lilypond)
     if midi is not None:
-        Path(args.midi).write_bytes(midi)
+        try:
+            Path(args.midi).write_bytes(midi)
+        except OSError:
+            if lilypond is not None:
+                Path(args.lilypond).unlink(missing_ok=True)
+            raise
         outputs["midi"] = str(args.midi)
     _emit(
         {

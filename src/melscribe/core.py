@@ -217,6 +217,15 @@ class Melody:
 _PITCHES = tuple(Pitch(m) for m in range(MIDI_MIN, MIDI_MAX + 1))
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every value of the non-empty array ``a`` is finite.
+
+    NaN propagates through min and max, and an infinity is an extreme, so
+    two reductions decide it without a temporary of ``a``'s shape.
+    """
+    return math.isfinite(a.min()) and math.isfinite(a.max())
+
+
 def check_midis(midis: np.ndarray) -> None:
     """Refuse ``midis`` unless every entry is an integer MIDI number in the
     playable range; errors name the first offending index."""

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import kernels
 from .align import AlignmentMap, align
-from .core import TICKS_PER_BEAT
+from .core import TICKS_PER_BEAT, all_finite
 from .errors import FormatError, InputError, ShapeError, in_file
 
 SAMPLE_RATE = 16000
@@ -63,15 +63,6 @@ _WAV_DTYPES = {
 }
 
 
-def _all_finite(a: np.ndarray) -> bool:
-    """Whether every value of the non-empty array ``a`` is finite.
-
-    NaN propagates through min and max, and an infinity is an extreme, so
-    two reductions decide it without a temporary of ``a``'s shape.
-    """
-    return math.isfinite(a.min()) and math.isfinite(a.max())
-
-
 @dataclass(frozen=True, eq=False)
 class FeatureMatrix:
     """Fixed-rate feature frames; frame j is centered at t0_s + j/rate_hz."""
@@ -91,7 +82,7 @@ class FeatureMatrix:
             raise InputError(f"rate_hz {self.rate_hz} must be positive and finite")
         if not math.isfinite(self.t0_s):
             raise InputError("t0_s must be finite")
-        if not _all_finite(frames):
+        if not all_finite(frames):
             raise InputError("feature frames contain non-finite values")
 
     @property
@@ -122,7 +113,7 @@ class ResampledFeatures:
                 f"tick count {frames.shape[0]} not a positive multiple of "
                 f"{TICKS_PER_BEAT}"
             )
-        if not _all_finite(frames):
+        if not all_finite(frames):
             raise InputError("resampled features contain non-finite values")
         object.__setattr__(self, "frames", frames)
 
@@ -303,8 +294,11 @@ def _mel_bands() -> tuple[tuple[int, int, int, int, np.ndarray], ...]:
 _LOGMEL_BLOCK = 128
 
 #: Spans of frames ``logmel`` computes at once, each on its own thread.
-#: A fixed cap keeps its buffers fixed on a machine of any size, and the
-#: 2-core VM it was measured on has no use for more.
+#: Two on any machine: a fixed cap keeps its buffers fixed on a machine of
+#: any size, the 2-core VM it was measured on has no use for more, and on
+#: one CPU the second thread costs little.  Pinned to one CPU, 200 s of
+#: 44.1 kHz audio took a median 112-119 ms in two spans and 110-116 ms in
+#: one (three runs of 12 alternating calls, numpy 2.4, one BLAS thread).
 _LOGMEL_SPANS = 2
 
 #: The highest sample rate ``logmel`` takes, the highest standard one.
@@ -411,13 +405,6 @@ def _resampled(x: np.ndarray, rate_in: int, rate_out: int, start: int = 0):
         yield y[:nb].reshape(-1)[max(start - b0 * block_out, 0) : n_out - b0 * block_out]
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def logmel(samples: np.ndarray, sample_rate_hz: int) -> FeatureMatrix:
     """Log-amplitude mel spectrogram at 31.25 Hz, 229 dims, t0 = 0.
 
@@ -426,11 +413,11 @@ def logmel(samples: np.ndarray, sample_rate_hz: int) -> FeatureMatrix:
     2048 samples and hop 512.  Mel amplitudes map through
     log(a + 1e-6), so silence sits at log(1e-6).
 
-    The frames are cut into up to two contiguous spans on the grid of
-    ``_LOGMEL_BLOCK`` frames, one per usable CPU; the calling thread
-    computes the first and a ``ThreadPoolExecutor`` of one worker the
-    second, whose error is raised again in the caller.  Every block
-    sees the samples it would see in one span, so the frames do not
+    The frames are cut into two contiguous spans on the grid of
+    ``_LOGMEL_BLOCK`` frames, or one when they fill a single block; the
+    calling thread computes the first and a ``ThreadPoolExecutor`` of one
+    worker the second, whose error is raised again in the caller.  Every
+    block sees the samples it would see in one span, so the frames do not
     depend on the number of spans.  The 16 kHz signal is never held
     whole: it streams from the resampler through one buffer of a block
     of frames' samples per span.  Float32 and float64 samples are used
@@ -444,7 +431,7 @@ def logmel(samples: np.ndarray, sample_rate_hz: int) -> FeatureMatrix:
         x = x.astype(np.float64, copy=False)
     if x.ndim != 1 or x.size == 0:
         raise InputError("samples must be a non-empty 1-D array")
-    if not _all_finite(x):
+    if not all_finite(x):
         raise InputError("samples contain non-finite values")
     rate = float(sample_rate_hz)
     if not (0 < rate <= MAX_SAMPLE_RATE and rate.is_integer()):  # also refuses nan and inf
@@ -463,7 +450,7 @@ def logmel(samples: np.ndarray, sample_rate_hz: int) -> FeatureMatrix:
     n_frames = -(-n_samples // HOP)
     block = min(_LOGMEL_BLOCK, n_frames)
     n_blocks = -(-n_frames // block)
-    n_spans = min(_LOGMEL_SPANS, _usable_cpus(), n_blocks)
+    n_spans = min(_LOGMEL_SPANS, n_blocks)
     cuts = [n_blocks * i // n_spans * block for i in range(n_spans)] + [n_frames]
     out = np.empty((n_frames, N_MELS), dtype=np.float32)
     # Imported here, not with the module: it also loads logging.
@@ -527,7 +514,7 @@ def write_ssft(path, feats: FeatureMatrix | ResampledFeatures) -> None:
     rate_hz, t0_s = (0.0, 0.0) if ticks else (feats.rate_hz, feats.t0_s)
     with np.errstate(over="ignore"):  # a float32 overflow is refused just below
         frames = np.ascontiguousarray(feats.frames, dtype=np.float32)
-    if not _all_finite(frames):
+    if not all_finite(frames):
         raise InputError("refusing to write non-finite features")
     n, dim = frames.shape
     header = _SSFT_HEADER.pack(SSFT_MAGIC, SSFT_VERSION, rate_hz, dim, n, t0_s)

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..core import all_finite
 from ..errors import FormatError, ParseError, ShapeError, in_file
 from ..jsonio import at, column, fields
 from .config import LabelerConfig
@@ -54,8 +55,8 @@ def _check_shapes(shapes, given, error) -> None:
 
 def _check_finite(params: FlatParams) -> None:
     """Refuse parameters holding NaN or inf, naming the first tensor that does."""
-    if not np.all(np.isfinite(params.flat)):
-        name = next(name for name, p in params.items() if not np.all(np.isfinite(p)))
+    if not all_finite(params.flat):
+        name = next(name for name, p in params.items() if not all_finite(p))
         raise FormatError(f"tensor {name} has non-finite values")
 
 

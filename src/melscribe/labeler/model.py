@@ -31,6 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ..core import all_finite
 from ..errors import InputError, ShapeError
 from .config import LabelerConfig
 
@@ -320,6 +321,6 @@ def forward_windowed(cfg: LabelerConfig, params: dict[str, np.ndarray], feats) -
         forward_cached(cfg, params, x[None, start : start + MAX_TICKS])[0]
         for start in range(0, max(len(x), 1), MAX_TICKS)
     ])
-    if not np.all(np.isfinite(logits)):
+    if not all_finite(logits):
         raise InputError("forward pass produced non-finite logits")
     return logits

@@ -1,16 +1,16 @@
 """Minimal Standard MIDI File (format 0) writer.
 
-Produces byte-deterministic single-track files: every event carries an
-explicit status byte (no running status), simultaneous events are
-ordered meta < note-off < note-on and, within a kind, by insertion
-order.  480 MIDI ticks per beat; one sixteenth is 120 MIDI ticks.
+Byte-deterministic single-track files, each event with its status byte
+(no running status).  ``single_track_file`` alone checks and orders events:
+ticks lie in 0..end, and simultaneous ones go meta < note-off < note-on,
+then in insertion order.  480 MIDI ticks per beat, 120 per sixteenth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import InputError, RangeError
+from .errors import RangeError
 
 TPQ = 480
 MIDI_TICKS_PER_SIXTEENTH = TPQ // 4
@@ -20,19 +20,12 @@ NOTE_OFF = 1
 NOTE_ON = 2
 
 
-@dataclass(frozen=True)
-class TimedMessage:
+class TimedMessage(NamedTuple):
     """One MIDI event: absolute tick, sort kind, raw status+data bytes."""
 
     tick: int
     kind: int
     payload: bytes
-
-    def __post_init__(self) -> None:
-        if self.tick < 0:
-            raise RangeError(f"event tick {self.tick} is negative")
-        if self.kind not in (META, NOTE_OFF, NOTE_ON):
-            raise InputError(f"unknown event kind {self.kind}")
 
 
 def variable_length(value: int) -> bytes:
@@ -91,13 +84,10 @@ def single_track_file(messages: list[TimedMessage], end_tick: int) -> bytes:
     """Assemble a format-0 SMF ending with end-of-track at ``end_tick``."""
     if any(m.tick > end_tick for m in messages):
         raise RangeError("event tick past end of track")
-    ordered = sorted(
-        enumerate(messages), key=lambda pair: (pair[1].tick, pair[1].kind, pair[0])
-    )
     data = bytearray()
     clock = 0
-    for _, msg in ordered:
-        data += variable_length(msg.tick - clock)
+    for msg in sorted(messages, key=lambda m: (m.tick, m.kind)):  # stable: ties keep their order
+        data += variable_length(msg.tick - clock)  # refuses a negative first tick
         data += msg.payload
         clock = msg.tick
     data += variable_length(end_tick - clock)

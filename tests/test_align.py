@@ -35,8 +35,9 @@ def test_beat_grid_validation():
         grid([0.0, 0.5], [])
     with pytest.raises(InputError):
         BeatGrid(np.array([0.0, 1.0]), np.array([True]))
-    with pytest.raises(InputError):
-        grid([0.0, float("nan")], [0])
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(InputError, match="beat times must be finite"):
+            grid([0.0, bad], [0])
 
 
 def test_beat_grid_load(tmp_path):
@@ -66,8 +67,9 @@ def test_alignment_map_validation():
         AlignmentMap([1.0])
     with pytest.raises(OrderingError):
         AlignmentMap([1.0, 1.0])
-    with pytest.raises(InputError):
-        AlignmentMap([0.0, float("inf")])
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(InputError, match="alignment times must be finite"):
+            AlignmentMap([0.0, bad])
 
 
 def test_alignment_map_file_round_trip(tmp_path):

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 import types
 
 import numpy as np
@@ -390,3 +391,19 @@ def test_a_non_finite_value_names_its_tensor(tmp_path, value):
         with pytest.raises(FormatError, match=f"tensor {name} has non-finite"):
             save_checkpoint(spoiled_path, CFG, spoiled, 0.5, 0)
         assert not spoiled_path.exists()
+
+
+def test_load_holds_no_temporary_the_size_of_its_parameters(tmp_path):
+    cfg = LabelerConfig(layers=2, model_dim=256, heads=4, ff_dim=1024, input_dim=8)
+    n_params = sum(math.prod(shape) for shape in param_shapes(cfg).values())
+    assert n_params >= 1_000_000
+    path = tmp_path / "m.ckpt"
+    write_ckpt(path, cfg)
+    tracemalloc.start()
+    try:
+        params = load_checkpoint(path)[1]
+        extra = tracemalloc.get_traced_memory()[1] - params.flat.nbytes
+    finally:
+        tracemalloc.stop()
+    # the finiteness check reduces the buffer in place: no mask of its length
+    assert extra / n_params < 0.25

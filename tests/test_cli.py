@@ -533,6 +533,18 @@ def test_a_sheet_the_midi_writer_refuses_leaves_no_lilypond_file(corpus, tmp_pat
     assert not ly.exists() and not mid.exists()
 
 
+def test_a_midi_path_that_cannot_be_written_leaves_no_lilypond_file(corpus, tmp_path, capsys):
+    ly, mid = tmp_path / "out.ly", tmp_path / "nodir" / "out.mid"
+    code, _ = run([
+        "leadsheet", "--transcript", str(corpus["ref"]),
+        "--alignment", str(corpus["data"] / "s00.alignment.json"),
+        "--lilypond", str(ly), "--midi", str(mid),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: not found: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_usage_errors_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -637,6 +649,24 @@ def test_split_requires_artist_records(tmp_path):
             "--artists", str(out_dir / "artists.json"),
         ])
         assert code == 1, artists
+
+
+def test_split_names_a_segment_with_no_artist_and_writes_nothing(tmp_path, capsys):
+    for seg_id in ("g00", "g01"):
+        (tmp_path / f"{seg_id}.json").write_text(functional_doc(seg_id, "ann"))
+    out_dir = tmp_path / "out"
+    code, _ = run(["dataset", "convert", str(tmp_path), "--out", str(out_dir)])
+    assert code == 0
+    (out_dir / "artists.json").write_text('{"g00": "ann"}')
+    segments = {p: p.read_bytes() for p in out_dir.glob("*.segment.json")}
+    capsys.readouterr()
+    code, out = run([
+        "dataset", "split", "--dir", str(out_dir), "--artists", str(out_dir / "artists.json"),
+    ])
+    assert (code, out) == (1, None)
+    assert capsys.readouterr().err == "error: no artist recorded for segment 'g01'\n"
+    assert len(segments) == 2
+    assert {p: p.read_bytes() for p in out_dir.glob("*.segment.json")} == segments
 
 
 def test_module_entry_point():

@@ -211,7 +211,6 @@ def test_a_span_error_reaches_the_caller_and_no_thread_outlives_logmel(monkeypat
             raise SpanFailed(f0)
         span(x, rate, f0, f1, block, out)
 
-    monkeypatch.setattr(features, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(features, "_logmel_span", flaky)
     before = threading.active_count()
     with pytest.raises(SpanFailed):
@@ -220,7 +219,6 @@ def test_a_span_error_reaches_the_caller_and_no_thread_outlives_logmel(monkeypat
 
 
 def test_logmel_called_from_many_threads_at_once_gives_each_its_frames(monkeypatch):
-    monkeypatch.setattr(features, "_usable_cpus", lambda: 2)
     inputs = [(np.random.default_rng(k).normal(0, 0.1, size=9 * rate), rate)  # three blocks
               for k, rate in enumerate([16000, 44100, 11025] * 2)]
     want = [logmel(x, rate).frames for x, rate in inputs]
@@ -251,7 +249,6 @@ def test_a_two_span_call_builds_the_resampling_bands_once(monkeypatch):
         cuts.append((f0, f1))
         span(x, rate, f0, f1, block, out)
 
-    monkeypatch.setattr(features, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(features, "_logmel_span", recorded)
     features._polyphase.cache_clear()
     rate = 37800
@@ -270,7 +267,6 @@ def test_logmel_pinned_to_one_cpu_gives_the_frames_of_two_spans():
         import numpy as np
         from melscribe import features
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-        assert features._usable_cpus() == 1
         x = np.random.default_rng(5).normal(0, 0.1, size=int(sys.argv[1]))
         print(hashlib.sha256(features.logmel(x, 44100).frames.tobytes()).hexdigest())
     """

@@ -133,6 +133,15 @@ def test_forward_shapes_and_dtype():
         forward_windowed(TINY, broken, x)
 
 
+def test_forward_windowed_refuses_finite_parameters_whose_logits_overflow():
+    params = init_params(TINY)
+    params["w_out"][...] = np.finfo(np.float32).max  # passes a checkpoint's finiteness check
+    x = np.random.default_rng(0).normal(size=(400, 12)).astype(np.float32)  # two windows
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(InputError, match="forward pass produced non-finite logits"):
+        forward_windowed(TINY, params, x)
+
+
 def test_forward_chord_head():
     cfg = LabelerConfig(**{**TINY.to_dict(), "vocab": "chords"})
     logits = forward_windowed(cfg, init_params(cfg), np.zeros((8, 12), dtype=np.float32))

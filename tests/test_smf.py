@@ -1,7 +1,7 @@
 import pytest
 
 from helpers import read_smf
-from melscribe.errors import InputError, RangeError
+from melscribe.errors import RangeError
 from melscribe.smf import (
     MIDI_TICKS_PER_SIXTEENTH,
     META,
@@ -50,9 +50,7 @@ def test_variable_length_range():
 def test_timed_message_validation():
     TimedMessage(0, META, b"")
     with pytest.raises(RangeError):
-        TimedMessage(-1, META, b"")
-    with pytest.raises(InputError):
-        TimedMessage(0, 3, b"")
+        single_track_file([TimedMessage(-1, META, b"")], 0)
 
 
 def test_tempo_message_payload():
