@@ -177,15 +177,6 @@ def cmd_align_refine(args) -> int:
     return 0
 
 
-def _mel_one(job: tuple[str, str]) -> tuple[str, int]:
-    audio_path, out_path = job
-    samples, rate = load_wav(audio_path)  # names the file in its own errors
-    with in_file(audio_path):  # logmel refuses the header's rate or NaN float samples
-        feats = logmel(samples, rate)
-    write_ssft(out_path, feats)
-    return out_path, feats.n_frames
-
-
 def cmd_features_mel(args) -> int:
     for path in args.audio:
         if not Path(path).exists():
@@ -196,14 +187,15 @@ def cmd_features_mel(args) -> int:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         jobs = [(p, str(out_dir / (Path(p).stem + ".ssft"))) for p in args.audio]
-    if args.jobs > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
-            results = list(pool.map(_mel_one, jobs))
-    else:
-        results = [_mel_one(job) for job in jobs]
-    _emit({"files": [{"out": out, "frames": n} for out, n in results]})
+    files = []
+    for audio_path, out_path in jobs:  # in order; the first error stops the command
+        samples, rate = load_wav(audio_path)  # names the file in its own errors
+        with in_file(audio_path):  # logmel refuses the header's rate or NaN float samples
+            feats = logmel(samples, rate)
+        write_ssft(out_path, feats)
+        files.append({"out": out_path, "frames": feats.n_frames})
+        del samples, feats  # one song in memory at a time
+    _emit({"files": files})
     return 0
 
 
@@ -368,8 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
     mel_out = mel.add_mutually_exclusive_group(required=True)
     mel_out.add_argument("--out", help="output SSFT path (single input)")
     mel_out.add_argument("--out-dir", help="output directory (batch)")
+    # --jobs changes nothing: files run one at a time in this process. It is
+    # still parsed because perfbench's walkthrough passes --jobs 2, and it
+    # goes when perfbench stops passing it.
     mel.add_argument("--jobs", type=_int_at_least(1, "jobs must be at least 1"), default=1,
-                     help="parallel workers")
+                     help="changes nothing; kept while perfbench passes it")
     mel.set_defaults(func=cmd_features_mel)
     resample = feats_sub.add_parser("resample", help="pool frames per sixteenth")
     resample.add_argument("--features", required=True, help="fixed-rate SSFT input")

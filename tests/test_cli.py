@@ -443,42 +443,40 @@ def test_mel_jobs_below_one_are_a_usage_error(corpus, tmp_path, capsys):
     assert not list(tmp_path.rglob("*.ssft")) and not (tmp_path / "out").exists()
 
 
-def test_mel_jobs_are_capped_at_the_file_count(corpus, tmp_path, monkeypatch):
-    import concurrent.futures
-
-    asked = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    wavs = [str(corpus["raw"] / "s00.wav"), str(corpus["raw"] / "s01.wav")]
-    code, out = run(["features", "mel", *wavs, "--out-dir", str(tmp_path), "--jobs", "64"])
-    assert code == 0 and len(out["files"]) == 2
-    assert asked == [2]
-
-
-def test_import_loads_no_scipy_or_process_pool():
+def test_import_loads_no_scipy_or_process_pool(tmp_path):
     heavy = ["scipy.signal", "scipy.io", "multiprocessing", "concurrent.futures",
              "concurrent.futures.process"]
+    wavs = [str(tmp_path / f"{name}.wav") for name in ("a", "b")]
+    for wav in wavs:
+        write_wav(wav, np.zeros(1600, dtype=np.float32), 16000)
+    argv = ["features", "mel", *wavs, "--out-dir", str(tmp_path / "out"), "--jobs", "2"]
     code = (
-        "import sys, melscribe.cli, melscribe.features; "
-        f"print([m for m in {heavy!r} if m in sys.modules])"
+        "import sys, contextlib, melscribe.cli, melscribe.features\n"
+        f"print([m for m in {heavy!r} if m in sys.modules])\n"
+        "with contextlib.redirect_stdout(sys.stderr):\n"
+        f"    assert melscribe.cli.main({argv!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'\n"
+        "             or m == 'concurrent.futures.process'))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", "[]"]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["a.ssft", "b.ssft"]
+
+
+def test_mel_stops_at_the_first_bad_file_for_any_jobs(tmp_path, capsys):
+    bad, good = tmp_path / "a_bad.wav", tmp_path / "b_good.wav"
+    bad.write_bytes(b"RIFF")
+    write_wav(str(good), np.zeros(1600, dtype=np.float32), 16000)
+    for jobs in ("1", "2"):
+        out_dir = tmp_path / f"out{jobs}"
+        code = main(["features", "mel", str(bad), str(good), "--out-dir", str(out_dir),
+                     "--jobs", jobs])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "", jobs
+        assert captured.err == f"error: {bad}: not a little-endian RIFF WAVE file\n", jobs
+        assert not (out_dir / "b_good.ssft").exists(), jobs
 
 
 def test_wav_codec_and_logmel_load_no_scipy(tmp_path):
