@@ -392,6 +392,11 @@ def _resampled(x: np.ndarray, rate_in: int, rate_out: int, start: int = 0):
     chunk = min(_RESAMPLE_CHUNK, n_blocks)
     y = np.empty((chunk, block_out))
     buf = np.empty((chunk - 1) * block_in + span)
+    # Each band's windows, one per block; every chunk refills ``buf`` in place.
+    windows = [
+        np.lib.stride_tricks.sliding_window_view(buf[lo - first :], len(band))[::block_in]
+        for lo, _, band in groups
+    ]
     for b0 in range(start // (chunk * block_out) * chunk, n_blocks, chunk):
         nb = min(chunk, n_blocks - b0)
         s = b0 * block_in + first  # the input index of buf[0]
@@ -399,9 +404,8 @@ def _resampled(x: np.ndarray, rate_in: int, rate_out: int, start: int = 0):
         buf[: a - s] = 0.0
         buf[a - s : e - s] = x[a:e]
         buf[max(e - s, 0) :] = 0.0
-        for lo, q0, band in groups:
-            windows = np.lib.stride_tricks.sliding_window_view(buf[lo - first :], len(band))
-            np.matmul(windows[::block_in][:nb], band, out=y[:nb, q0 : q0 + band.shape[1]])
+        for (_, q0, band), rows in zip(groups, windows):
+            np.matmul(rows[:nb], band, out=y[:nb, q0 : q0 + band.shape[1]])
         yield y[:nb].reshape(-1)[max(start - b0 * block_out, 0) : n_out - b0 * block_out]
 
 

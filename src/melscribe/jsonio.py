@@ -69,10 +69,14 @@ def at(where: str):
 
 
 def write_json(path, obj, sort_keys: bool = True) -> None:
-    """Write ``obj`` indented, with sorted keys unless told not to, and a final newline."""
+    """Write ``obj`` indented, with sorted keys unless told not to, and a final newline.
+
+    The text is encoded whole before the file is opened, so it goes out in
+    one write, and an object that cannot be encoded leaves the file as it was.
+    """
+    text = json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=sort_keys)
-        fh.write("\n")
+        fh.write(text)
 
 
 def field(obj, key: str, kind, where: str):

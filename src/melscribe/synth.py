@@ -2,7 +2,9 @@
 
 Generates diatonic random-walk melodies on constant-tempo grids and
 renders them as decaying sine tones (plus a soft second partial) so the
-full pipeline can be exercised end to end without recordings.
+full pipeline can be exercised end to end without recordings.  Each
+pitch's tone is rendered once per ``render_audio`` call and every note
+is cut from it, which gives the bytes of rendering each note on its own.
 """
 
 from __future__ import annotations
@@ -83,7 +85,22 @@ def random_segment(
 
 
 def render_audio(melody: Melody, amap: AlignmentMap, sample_rate: int = 16000) -> np.ndarray:
-    """Float32 mono samples covering the aligned span plus a tail."""
+    """Float32 mono samples covering the aligned span plus a tail.
+
+    Each note is a sine with a second partial of gain ``PARTIAL_GAIN``
+    (left out when it would reach Nyquist), under an exponential
+    decay, a linear attack of ``ATTACK_S`` and a linear fade over its
+    last ``RELEASE_S``; notes that overlap add, and a result peaking
+    above 0.95 is scaled down to 0.95.
+
+    Each pitch is rendered once per call: its tone, at the length of its
+    longest note, and one decay-and-attack envelope at the length of the
+    longest note of all.  Every sample of both is a function of its index
+    k alone (k / rate, scalar products, ``sin``, ``exp``, the ramp), so a
+    note of n samples is the first n samples of each, and the notes add
+    in melody order with the products in the order of a note rendered on
+    its own.  The tables live for the call only.
+    """
     if melody.is_score is False:
         raise InputError("render expects a score-form melody")
     end_s = align(amap, amap.num_beats) + TAIL_S
@@ -91,38 +108,65 @@ def render_audio(melody: Melody, amap: AlignmentMap, sample_rate: int = 16000) -
     onsets = align(amap, melody.onsets / TICKS_PER_BEAT)
     ends = np.minimum(melody.ends, amap.num_beats * TICKS_PER_BEAT)
     offsets = align(amap, ends / TICKS_PER_BEAT)
+    notes = []  # (midi, first sample, samples) of each note that sounds
+    longest: dict[int, int] = {}  # samples of each pitch's longest note
     for midi, onset, offset in zip(melody.midis.tolist(), onsets.tolist(), offsets.tolist()):
         length = max(offset - onset - RELEASE_S, 0.04)
         i0 = int(round(onset * sample_rate))
         n = int(round(length * sample_rate))
         n = min(n, len(out) - i0)
-        if n <= 0:
-            continue
-        t = np.arange(n) / sample_rate
+        if n > 0:
+            notes.append((midi, i0, n))
+            longest[midi] = max(longest.get(midi, 0), n)
+    t = np.arange(max(longest.values(), default=0)) / sample_rate
+    env = np.exp(-t / DECAY_TIME_S)
+    attack = int(ATTACK_S * sample_rate)
+    if attack > 0:
+        env *= np.minimum(np.arange(len(t)) / attack, 1.0)
+    release = int(RELEASE_S * sample_rate)
+    fade = np.linspace(1.0, 0.0, release)
+    tones = {}
+    for midi, n in longest.items():
         freq = 440.0 * 2.0 ** ((midi - 69) / 12)
-        tone = np.sin(2 * np.pi * freq * t)
+        tone = np.sin(2 * np.pi * freq * t[:n])
         if 2 * freq < sample_rate / 2:
-            tone += PARTIAL_GAIN * np.sin(4 * np.pi * freq * t)
-        env = np.exp(-t / DECAY_TIME_S)
-        attack = int(ATTACK_S * sample_rate)
-        if attack > 0:
-            ramp = np.minimum(np.arange(n) / attack, 1.0)
-            env *= ramp
-        release = int(RELEASE_S * sample_rate)
-        if release > 0 and n > release:
-            env[-release:] *= np.linspace(1.0, 0.0, release)
-        out[i0 : i0 + n] += 0.4 * tone * env
+            tone += PARTIAL_GAIN * np.sin(4 * np.pi * freq * t[:n])
+        tones[midi] = 0.4 * tone
+    for midi, i0, n in notes:
+        tone, note = tones[midi], out[i0 : i0 + n]
+        held = n - release if 0 < release < n else n  # samples before the fade
+        note[:held] += tone[:held] * env[:held]
+        if held < n:
+            note[held:] += tone[held:n] * (env[held:n] * fade)
     peak = np.abs(out).max()
     if peak > 0.95:
         out *= 0.95 / peak
     return out.astype(np.float32)
 
 
+#: Samples ``write_wav`` converts and writes at a time (256 KB of PCM).
+_WAV_PIECE = 2**17
+
+
 def write_wav(path, samples: np.ndarray, sample_rate: int = 16000) -> None:
-    """Write samples in [-1, 1] (clipped) as a 16-bit mono PCM WAV file."""
-    clipped = np.clip(np.asarray(samples, dtype=np.float64), -1.0, 1.0)
+    """Write samples in [-1, 1] (clipped) as a 16-bit mono PCM WAV file.
+
+    Each sample is clipped into float64, scaled by 32767 and truncated to
+    int16.  That is done in pieces of ``_WAV_PIECE`` samples through two
+    reused buffers, each piece written as it is converted, so no
+    whole-length copy is made.
+    """
+    samples = np.asarray(samples).reshape(-1)
+    scaled = np.empty(_WAV_PIECE)
+    pcm = np.empty(_WAV_PIECE, "<i2")
     with open(path, "wb") as fh, wave.open(fh, "wb") as out:
         out.setnchannels(1)
         out.setsampwidth(2)
         out.setframerate(sample_rate)
-        out.writeframes((clipped * 32767.0).astype("<i2").tobytes())
+        out.setnframes(len(samples))
+        for a in range(0, len(samples), _WAV_PIECE):
+            m = min(_WAV_PIECE, len(samples) - a)
+            np.clip(samples[a : a + m], -1.0, 1.0, out=scaled[:m])
+            scaled[:m] *= 32767.0
+            pcm[:m] = scaled[:m]
+            out.writeframesraw(pcm[:m])

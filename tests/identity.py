@@ -16,11 +16,22 @@ run in each side's own directory with relative paths, so their output
 does not name the side.
 
 Compared are the sha256 of every written file, each command's exit
-code, stdout and stderr, and the sha256 of ``logmel``'s frames on a grid
-of seeded noise: rates of 8 to 96 kHz (44.101 kHz included), float32 and
-float64, 0.01 to 17.3 s, and at 44101 Hz every length of 1 to 39
-samples and every 613th length up to 70000.  A call that raises is
-compared by its exception's type and message.
+code, stdout and stderr, and two grids that each side computes with its
+own package:
+
+- the sha256 of ``logmel``'s frames on seeded noise: rates of 8 to
+  96 kHz (44.101 kHz included), float32 and float64, 0.01 to 17.3 s, and
+  at 44101 Hz every length of 1 to 39 samples and every 613th length up
+  to 70000;
+- the sha256 of ``render_audio``'s samples, and of the WAV file
+  ``write_wav`` makes of them, at 16 and 44.1 kHz: for the songs of
+  perfbench's song specs (seeds 7 and 3231, two and four songs, built as
+  perfbench builds them) and for 40 16-beat segments; and of
+  ``write_wav``'s files alone for seeded values, some beyond [-1, 1], of
+  1 to 2**18 + 3 samples, float32 and float64.
+
+A ``logmel`` call that raises is compared by its exception's type and
+message.
 
 One line is printed per difference, then a count; the exit code is 1 if
 anything differs.  Nothing is written under either checkout.
@@ -43,6 +54,11 @@ GRID_RATES = (8000, 11025, 16000, 22050, 32000, 44100, 44101, 48000, 88200, 9600
 GRID_SECONDS = (0.01, 0.1, 1.0, 4.1, 17.3)
 ODD_RATE = 44101
 ODD_LENGTHS = (*range(1, 40), *range(613, 70001, 613))
+SYNTH_SONG_COUNTS = (2, 4)
+SYNTH_RATES = (16000, 44100)
+SYNTH_SEGMENT_SEED = 38
+SYNTH_SEGMENTS = 40
+WAV_LENGTHS = (1, 2, 4097, 2**17, 2**17 + 1, 2**18 + 3)
 
 
 def logmel_grid() -> dict[str, str]:
@@ -66,6 +82,47 @@ def logmel_grid() -> dict[str, str]:
                 digest.update(repr((feats.frames.shape, feats.rate_hz, feats.t0_s)).encode())
                 result = digest.hexdigest()
             hashes[f"logmel {rate} Hz, {n} samples, {dtype.__name__}"] = result
+    return hashes
+
+
+def synth_grid(perfbench: Path) -> dict[str, str]:
+    """sha256 of ``render_audio``'s samples and ``write_wav``'s files per case."""
+    import numpy as np
+
+    from melscribe.synth import random_segment, render_audio, write_wav
+
+    sys.path.insert(0, str(perfbench))
+    import inputs
+
+    segments = []
+    for seed in SEEDS:
+        for count in SYNTH_SONG_COUNTS:
+            rng = np.random.default_rng(seed)  # as inputs.render_songs draws them
+            for spec in inputs.song_specs(seed, count):
+                num_beats = max(1, round(spec.duration_s * spec.bpm / 60.0))
+                seg = random_segment(rng, spec.seg_id, num_beats=num_beats,
+                                     bpm_range=(spec.bpm, spec.bpm), lead_in_s=inputs.LEAD_IN_S)
+                segments.append((f"seed {seed}, {count} songs, {spec.seg_id}", seg))
+    rng = np.random.default_rng(SYNTH_SEGMENT_SEED)
+    segments += [(f"16-beat segment {i}", random_segment(rng, f"s{i}"))
+                 for i in range(SYNTH_SEGMENTS)]
+    hashes = {}
+    with tempfile.TemporaryDirectory(prefix="melscribe-identity-wav-") as tmp:
+        wav = Path(tmp) / "x.wav"
+
+        def written(samples, rate) -> str:
+            write_wav(wav, samples, rate)
+            return hashlib.sha256(wav.read_bytes()).hexdigest()
+
+        for name, seg in segments:
+            for rate in SYNTH_RATES:
+                audio = render_audio(seg.melody, seg.amap, rate)
+                hashes[f"render_audio {name} at {rate} Hz"] = hashlib.sha256(audio).hexdigest()
+                hashes[f"write_wav {name} at {rate} Hz"] = written(audio, rate)
+        for n in WAV_LENGTHS:
+            values = 1.5 * np.random.default_rng(n).standard_normal(n)
+            for dtype in (np.float32, np.float64):
+                hashes[f"write_wav {n} samples, {dtype.__name__}"] = written(values.astype(dtype), 44100)
     return hashes
 
 
@@ -126,8 +183,8 @@ def walkthrough(seed: int, songs: list[dict]) -> list[list[str]]:
     return plan
 
 
-def run_side(checkout: Path, inputs_root: Path, work: Path) -> dict[str, str]:
-    """Every output of one side, keyed by what it is."""
+def run_side(checkout: Path, perfbench: Path, inputs_root: Path, work: Path) -> dict[str, str]:
+    """Every output of one side, keyed by what it is; ``perfbench`` is only read."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
     seen: dict[str, str] = {}
     for seed in SEEDS:
@@ -148,15 +205,15 @@ def run_side(checkout: Path, inputs_root: Path, work: Path) -> dict[str, str]:
             if path.is_file() and not path.is_relative_to(d / "in"):
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
                 seen[f"file seed{seed}/{path.relative_to(d)}"] = digest
-    proc = subprocess.run([sys.executable, __file__, "--logmel-grid"], env=env,
+    proc = subprocess.run([sys.executable, __file__, "--grids", str(perfbench)], env=env,
                           capture_output=True, text=True, check=True)
     seen.update(json.loads(proc.stdout))
     return seen
 
 
 def main(argv: list[str]) -> int:
-    if argv == ["--logmel-grid"]:  # the child that hashes one side's logmel
-        print(json.dumps(logmel_grid()))
+    if argv[:1] == ["--grids"]:  # the child that hashes one side's logmel and synth
+        print(json.dumps(logmel_grid() | synth_grid(Path(argv[1]))))
         return 0
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
@@ -166,7 +223,7 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="melscribe-identity-") as tmp:
         root = Path(tmp)
         render_inputs(parent, root / "inputs")
-        sides = [run_side(c, root / "inputs", root / name)
+        sides = [run_side(c, parent / "perfbench", root / "inputs", root / name)
                  for c, name in ((parent, "parent"), (change, "change"))]
     diffs = 0
     for key in sorted(sides[0].keys() | sides[1].keys()):

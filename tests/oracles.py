@@ -19,19 +19,25 @@ skipped and another coordinate of the same tensor is drawn.
 
 ``oracle_note_f1``: exhaustive enumeration of onset matchings, against
 which ``evaluate.note_f1`` is checked.
+
+``render_per_note``: ``synth.render_audio`` as it rendered each note on
+its own, two ``sin`` arrays and an envelope per note, against which the
+one-table-per-pitch render is checked byte for byte.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from melscribe.core import Melody
+from melscribe.align import AlignmentMap, align
+from melscribe.core import TICKS_PER_BEAT, Melody
 from melscribe.errors import InputError
 from melscribe.evaluate import DEFAULT_TOL_S, EvalReport, _perf_arrays, _scores
 from melscribe.labeler.config import LabelerConfig
 from melscribe.labeler.labels import vocab_by_name
 from melscribe.labeler.loss import _loss_and_grad
 from melscribe.labeler.model import backward, forward_cached, init_params
+from melscribe.synth import ATTACK_S, DECAY_TIME_S, PARTIAL_GAIN, RELEASE_S, TAIL_S
 
 CHECK_SEEDS = (11, 23, 47)
 
@@ -138,3 +144,39 @@ def oracle_note_f1(
     explore(0, 0, 0, 0)
     precision, recall, f1 = _scores(best["tp"], len(e_on), len(r_on))
     return EvalReport(precision, recall, f1, 0, best["matched"])
+
+
+def render_per_note(melody: Melody, amap: AlignmentMap, sample_rate: int = 16000) -> np.ndarray:
+    """``synth.render_audio`` rendering every note from its own sample arrays."""
+    if melody.is_score is False:
+        raise InputError("render expects a score-form melody")
+    end_s = align(amap, amap.num_beats) + TAIL_S
+    out = np.zeros(int(round(end_s * sample_rate)), dtype=np.float64)
+    onsets = align(amap, melody.onsets / TICKS_PER_BEAT)
+    ends = np.minimum(melody.ends, amap.num_beats * TICKS_PER_BEAT)
+    offsets = align(amap, ends / TICKS_PER_BEAT)
+    for midi, onset, offset in zip(melody.midis.tolist(), onsets.tolist(), offsets.tolist()):
+        length = max(offset - onset - RELEASE_S, 0.04)
+        i0 = int(round(onset * sample_rate))
+        n = int(round(length * sample_rate))
+        n = min(n, len(out) - i0)
+        if n <= 0:
+            continue
+        t = np.arange(n) / sample_rate
+        freq = 440.0 * 2.0 ** ((midi - 69) / 12)
+        tone = np.sin(2 * np.pi * freq * t)
+        if 2 * freq < sample_rate / 2:
+            tone += PARTIAL_GAIN * np.sin(4 * np.pi * freq * t)
+        env = np.exp(-t / DECAY_TIME_S)
+        attack = int(ATTACK_S * sample_rate)
+        if attack > 0:
+            ramp = np.minimum(np.arange(n) / attack, 1.0)
+            env *= ramp
+        release = int(RELEASE_S * sample_rate)
+        if release > 0 and n > release:
+            env[-release:] *= np.linspace(1.0, 0.0, release)
+        out[i0 : i0 + n] += 0.4 * tone * env
+    peak = np.abs(out).max()
+    if peak > 0.95:
+        out *= 0.95 / peak
+    return out.astype(np.float32)

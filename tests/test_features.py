@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from melscribe import features, kernels
+from melscribe import features, kernels, synth
 from melscribe.align import AlignmentMap
 from melscribe.cli import main
 from melscribe.errors import FormatError, InputError, ShapeError
@@ -528,15 +528,32 @@ def test_load_wav_and_logmel_hold_float32_samples_plus_fixed_buffers(tmp_path):
     assert peak <= 4 * n + frames.nbytes + 16 * 2**20, (peak, frames.nbytes)
 
 
-@pytest.mark.parametrize("n", [1, 2, 199, 200])
+@pytest.mark.parametrize("n", [0, 1, 2, 199, 200, synth._WAV_PIECE, 2 * synth._WAV_PIECE + 7])
 def test_write_wav_bytes_match_scipy_writer(tmp_path, n):
+    """Against the whole-array conversion: widen, clip, scale, truncate."""
     import scipy.io.wavfile
 
-    samples = np.random.default_rng(n).uniform(-1.2, 1.2, size=n)
-    write_wav(tmp_path / "a.wav", samples, 44100)
-    clipped = (np.clip(samples, -1.0, 1.0) * 32767.0).astype(np.int16)
-    scipy.io.wavfile.write(tmp_path / "b.wav", 44100, clipped)
-    assert (tmp_path / "a.wav").read_bytes() == (tmp_path / "b.wav").read_bytes()
+    for dtype in (np.float32, np.float64):
+        samples = np.random.default_rng(n).uniform(-1.2, 1.2, size=n).astype(dtype)
+        write_wav(tmp_path / "a.wav", samples, 44100)
+        clipped = np.clip(np.asarray(samples, dtype=np.float64), -1.0, 1.0)
+        scipy.io.wavfile.write(tmp_path / "b.wav", 44100, (clipped * 32767.0).astype("<i2"))
+        assert (tmp_path / "a.wav").read_bytes() == (tmp_path / "b.wav").read_bytes(), dtype
+
+
+def test_write_wav_holds_fixed_buffers_whatever_the_length(tmp_path):
+    import tracemalloc
+
+    samples = np.random.default_rng(5).uniform(-1.2, 1.2, size=2**22).astype(np.float32)
+    tracemalloc.start()
+    try:
+        write_wav(tmp_path / "a.wav", samples, 44100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a float64 piece and an int16 piece; a whole-length conversion
+    # would hold 2**22 float64 samples, 32 MB
+    assert peak <= 10 * synth._WAV_PIECE + 2**20, peak
 
 
 def test_ssft_round_trip(tmp_path):

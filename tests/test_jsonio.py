@@ -88,6 +88,9 @@ def test_write_json_is_sorted_indented_with_newline(tmp_path):
         assert obj == {"a": {"c": 2, "d": 1}, "b": [1]}
     write_json(path, [{"b": 1, "a": 2}], sort_keys=False)
     assert path.read_text() == '[\n  {\n    "b": 1,\n    "a": 2\n  }\n]\n'
+    with pytest.raises(TypeError, match="float32"):
+        write_json(path, {"a": [1, np.float32(2)]})
+    assert path.read_text() == '[\n  {\n    "b": 1,\n    "a": 2\n  }\n]\n'
 
 
 def test_reading_names_the_file_once(tmp_path):
