@@ -226,6 +226,16 @@ def all_finite(a: np.ndarray) -> bool:
     return math.isfinite(a.min()) and math.isfinite(a.max())
 
 
+def whole_sample_rate(rate, at_most: float = math.inf) -> int:
+    """``rate`` as an int; InputError unless it is a positive whole number
+    of at most ``at_most`` Hz."""
+    value = float(rate)
+    if not (0 < value <= at_most and value.is_integer()):  # also refuses nan and inf
+        limit = f" of at most {at_most} Hz" if at_most < math.inf else ""
+        raise InputError(f"sample rate {rate} must be a positive whole number{limit}")
+    return int(value)
+
+
 def check_midis(midis: np.ndarray) -> None:
     """Refuse ``midis`` unless every entry is an integer MIDI number in the
     playable range; errors name the first offending index."""

@@ -3,7 +3,10 @@
 Feature matrices are fixed-rate (frames x dim, float32) with a start
 offset ``t0_s``; frame ``j`` is centered at ``t0_s + j / rate_hz``.
 Beat-wise resampling averages the frames nearest each sixteenth note of
-an alignment map, producing one row per tick (4 per beat).
+an alignment map, producing one row per tick (4 per beat).  The means are
+taken in float64 and returned in the frames' dtype, at least float32: the
+float32 frames of ``logmel`` and ``read_ssft`` give float32 rows, as every
+consumer of the rows rounds them, and float64 frames give float64 rows.
 
 The on-disk container is SSFT, a little-endian binary layout::
 
@@ -34,7 +37,7 @@ import numpy as np
 
 from . import kernels
 from .align import AlignmentMap, align
-from .core import TICKS_PER_BEAT, all_finite
+from .core import TICKS_PER_BEAT, all_finite, whole_sample_rate
 from .errors import FormatError, InputError, ShapeError, in_file
 
 SAMPLE_RATE = 16000
@@ -100,7 +103,11 @@ class FeatureMatrix:
 
 @dataclass(frozen=True, eq=False)
 class ResampledFeatures:
-    """One feature row per sixteenth note: shape (4B, dim)."""
+    """One feature row per sixteenth note: shape (4B, dim).
+
+    ``beatwise_resample`` gives rows in its frames' dtype, at least
+    float32; ``read_ssft`` gives float32 rows.
+    """
 
     frames: np.ndarray
 
@@ -437,13 +444,7 @@ def logmel(samples: np.ndarray, sample_rate_hz: int) -> FeatureMatrix:
         raise InputError("samples must be a non-empty 1-D array")
     if not all_finite(x):
         raise InputError("samples contain non-finite values")
-    rate = float(sample_rate_hz)
-    if not (0 < rate <= MAX_SAMPLE_RATE and rate.is_integer()):  # also refuses nan and inf
-        raise InputError(
-            f"sample rate {sample_rate_hz} must be a positive whole number"
-            f" of at most {MAX_SAMPLE_RATE} Hz"
-        )
-    rate = int(rate)
+    rate = whole_sample_rate(sample_rate_hz, MAX_SAMPLE_RATE)
     # Built here, before any worker starts: two threads that both miss a
     # cache both build its entry, which near MAX_SAMPLE_RATE takes seconds.
     if rate != SAMPLE_RATE:
@@ -606,6 +607,12 @@ def beatwise_resample(feats: FeatureMatrix, amap: AlignmentMap) -> ResampledFeat
     (ties on a boundary go to the lower tick); a cell containing no
     frames takes the single nearest frame verbatim.  Raises
     InputError naming the first sixteenth outside the feature span.
+
+    The rows take the frames' dtype promoted to at least float32: each
+    mean is ``kernels.pool_segments``' float64 mean rounded to it once.
+    Float32 frames, as ``logmel`` and ``read_ssft`` make, give float32
+    rows, which ``write_ssft``, the training batch and the model would
+    round to anyway; float64 frames give the float64 means unrounded.
     """
     tick_times, bounds = _cell_boundaries(amap)
     lo, hi = feats.span_s
@@ -618,6 +625,7 @@ def beatwise_resample(feats: FeatureMatrix, amap: AlignmentMap) -> ResampledFeat
         )
     starts = _frame_starts(feats, bounds)
     pooled, counts = kernels.pool_segments(feats.frames, starts)
+    pooled = pooled.astype(np.promote_types(feats.frames.dtype, np.float32), copy=False)
     empty = np.flatnonzero(counts == 0)
     if len(empty):
         times = feats.frame_times_s

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..align import AlignmentMap
-from ..core import Melody, TICKS_PER_BEAT
+from ..core import Melody, TICKS_PER_BEAT, all_finite
 from ..errors import InputError, ShapeError
 from ..evaluate import _scores, octave_invariant_f1
 from .config import LabelerConfig
@@ -29,7 +29,7 @@ MAX_SLICE_SECONDS = 24.0
 
 @dataclass(frozen=True)
 class TrainExample:
-    """One segment ready for training: features, labels, alignment."""
+    """One segment ready for training: finite features, labels, alignment."""
 
     seg_id: str
     features: np.ndarray
@@ -49,6 +49,8 @@ class TrainExample:
                 f"{self.seg_id}: alignment covers {self.amap.num_beats} beats, "
                 f"labels cover {self.labels.num_beats}"
             )
+        if self.features.size and not all_finite(self.features):
+            raise InputError(f"{self.seg_id}: features contain non-finite values")
 
 
 @dataclass(frozen=True)

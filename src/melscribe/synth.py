@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .align import AlignmentMap, align, constant_tempo_grid, refine_alignment
-from .core import KeySignature, Melody, PitchClass, TICKS_PER_BEAT
+from .core import KeySignature, Melody, PitchClass, TICKS_PER_BEAT, whole_sample_rate
 from .errors import InputError
 
 ATTACK_S = 0.008
@@ -100,7 +100,10 @@ def render_audio(melody: Melody, amap: AlignmentMap, sample_rate: int = 16000) -
     note of n samples is the first n samples of each, and the notes add
     in melody order with the products in the order of a note rendered on
     its own.  The tables live for the call only.
+
+    A ``sample_rate`` that is not a positive whole number raises InputError.
     """
+    sample_rate = whole_sample_rate(sample_rate)
     if melody.is_score is False:
         raise InputError("render expects a score-form melody")
     end_s = align(amap, amap.num_beats) + TAIL_S
@@ -154,8 +157,10 @@ def write_wav(path, samples: np.ndarray, sample_rate: int = 16000) -> None:
     Each sample is clipped into float64, scaled by 32767 and truncated to
     int16.  That is done in pieces of ``_WAV_PIECE`` samples through two
     reused buffers, each piece written as it is converted, so no
-    whole-length copy is made.
+    whole-length copy is made.  A ``sample_rate`` that is not a positive
+    whole number raises InputError before the file is opened.
     """
+    sample_rate = whole_sample_rate(sample_rate)
     samples = np.asarray(samples).reshape(-1)
     scaled = np.empty(_WAV_PIECE)
     pcm = np.empty(_WAV_PIECE, "<i2")

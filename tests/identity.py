@@ -16,7 +16,7 @@ run in each side's own directory with relative paths, so their output
 does not name the side.
 
 Compared are the sha256 of every written file, each command's exit
-code, stdout and stderr, and two grids that each side computes with its
+code, stdout and stderr, and three grids that each side computes with its
 own package:
 
 - the sha256 of ``logmel``'s frames on seeded noise: rates of 8 to
@@ -28,7 +28,11 @@ own package:
   perfbench's song specs (seeds 7 and 3231, two and four songs, built as
   perfbench builds them) and for 40 16-beat segments; and of
   ``write_wav``'s files alone for seeded values, some beyond [-1, 1], of
-  1 to 2**18 + 3 samples, float32 and float64.
+  1 to 2**18 + 3 samples, float32 and float64;
+- the model's input and output for each rendered song: the sha256 of
+  ``beatwise_resample``'s rows, taken as float32, over ``logmel`` of the
+  song's WAV on its generated beat times, and of ``forward_windowed``'s
+  logits on those rows with ``perfbench/desk.ckpt``.
 
 A ``logmel`` call that raises is compared by its exception's type and
 message.
@@ -126,6 +130,33 @@ def synth_grid(perfbench: Path) -> dict[str, str]:
     return hashes
 
 
+def model_grid(perfbench: Path, inputs_root: Path) -> dict[str, str]:
+    """sha256 of each rendered song's resampled rows (as float32) and logits."""
+    import numpy as np
+
+    from melscribe.align import AlignmentMap
+    from melscribe.features import beatwise_resample, load_wav, logmel
+    from melscribe.labeler import forward_windowed, load_checkpoint
+
+    cfg, params, _, _ = load_checkpoint(perfbench / "desk.ckpt")
+    hashes = {}
+    for seed in SEEDS:
+        audio = inputs_root / f"seed{seed}" / "audio"
+        with open(audio / "songs.json", encoding="utf-8") as fh:
+            songs = json.load(fh)
+        for song in songs:
+            samples, rate = load_wav(audio / f"{song['id']}.wav")
+            amap = AlignmentMap(song["beat_to_time_s"])
+            rows = beatwise_resample(logmel(samples, rate), amap).frames
+            logits = forward_windowed(cfg, params, rows)
+            for name, values in (("beatwise_resample", rows.astype(np.float32)),
+                                 ("forward_windowed", logits)):
+                digest = hashlib.sha256(np.ascontiguousarray(values))
+                digest.update(repr((values.shape, values.dtype.str)).encode())
+                hashes[f"{name} seed {seed}, {song['id']}"] = digest.hexdigest()
+    return hashes
+
+
 def render_inputs(parent: Path, root: Path) -> None:
     """Songs, annotations, beat grids, references and the checkpoint per seed."""
     sys.path[:0] = [str(parent / "src"), str(parent / "perfbench")]
@@ -205,15 +236,16 @@ def run_side(checkout: Path, perfbench: Path, inputs_root: Path, work: Path) -> 
             if path.is_file() and not path.is_relative_to(d / "in"):
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
                 seen[f"file seed{seed}/{path.relative_to(d)}"] = digest
-    proc = subprocess.run([sys.executable, __file__, "--grids", str(perfbench)], env=env,
-                          capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, __file__, "--grids", str(perfbench), str(inputs_root)],
+                          env=env, capture_output=True, text=True, check=True)
     seen.update(json.loads(proc.stdout))
     return seen
 
 
 def main(argv: list[str]) -> int:
-    if argv[:1] == ["--grids"]:  # the child that hashes one side's logmel and synth
-        print(json.dumps(logmel_grid() | synth_grid(Path(argv[1]))))
+    if argv[:1] == ["--grids"]:  # the child that hashes one side's grids
+        perfbench, inputs_root = Path(argv[1]), Path(argv[2])
+        print(json.dumps(logmel_grid() | synth_grid(perfbench) | model_grid(perfbench, inputs_root)))
         return 0
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)

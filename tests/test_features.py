@@ -757,6 +757,26 @@ def test_beatwise_resample_fills_empty_cells():
     assert np.max(gaps) == 0.0
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_beatwise_resample_rows_are_the_float64_means_in_the_frames_dtype(dtype):
+    # Two beats of 0.05 s cells against frames 0.125 s apart, then two of
+    # 0.5 s cells: empty cells first, cells of three to five frames after.
+    amap = AlignmentMap([1.0, 1.2, 1.4, 3.4, 5.4])
+    fm = features_covering(amap, rate=8.0, dim=5, seed=39)
+    fm = FeatureMatrix(fm.rate_hz, fm.frames.astype(dtype), fm.t0_s)
+    tick_times, bounds = features._cell_boundaries(amap)
+    means, counts = kernels.pool_segments(fm.frames, features._frame_starts(fm, bounds))
+    assert (counts == 0).any() and (counts > 2).any()
+
+    out = beatwise_resample(fm, amap).frames
+    assert out.dtype == dtype
+    full = counts > 0
+    assert out[full].tobytes() == means[full].astype(dtype).tobytes()
+    for t in np.flatnonzero(~full):
+        j = np.argmin(np.abs(fm.frame_times_s - tick_times[t]))
+        assert out[t].tobytes() == fm.frames[j].tobytes()
+
+
 def test_beatwise_resample_empty_last_cell_after_all_frames():
     # frames at 0.0 s and 0.5 s; sixteenths at 0, 0.225, 0.45, 0.675 s.  The
     # last cell is empty and starts past the final frame, so it takes frame 1.

@@ -1,11 +1,13 @@
-"""Synthetic audio: ``render_audio`` against the per-note render it replaced."""
+"""Synthetic audio: ``render_audio`` against the per-note render it replaced,
+and the sample rates that it and ``write_wav`` refuse."""
 
 import numpy as np
 import pytest
 
 from helpers import score
 from melscribe.align import AlignmentMap
-from melscribe.synth import random_segment, render_audio
+from melscribe.errors import InputError
+from melscribe.synth import random_segment, render_audio, write_wav
 from oracles import render_per_note
 
 
@@ -53,3 +55,13 @@ def test_render_audio_matches_the_per_note_render_byte_for_byte(monkeypatch, rat
     if rate >= 8000:  # the overlapping notes set off the peak scaling; a segment does not
         assert np.abs(render_audio(_PHRASE, _PHRASE_MAP, rate)).max() == width(0.95)
         assert np.abs(render_audio(*cases[2], rate)).max() < 0.95
+
+
+@pytest.mark.parametrize("rate", [0, -5, 0.5, 16000.5, float("nan")])
+def test_a_sample_rate_that_is_not_a_positive_whole_number_is_refused(tmp_path, rate):
+    with pytest.raises(InputError, match=r"sample rate .* must be a positive whole number$"):
+        render_audio(_CUT, _CUT_MAP, rate)
+    wav = tmp_path / "x.wav"
+    with pytest.raises(InputError, match=r"sample rate .* must be a positive whole number$"):
+        write_wav(wav, np.zeros(4, np.float32), rate)
+    assert not wav.exists()

@@ -1,3 +1,4 @@
+import dataclasses
 import zlib
 
 import numpy as np
@@ -52,6 +53,15 @@ def test_train_example_validation():
             AlignmentMap([0.0, 0.5, 1.0]),
             "train",
         )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_train_example_with_non_finite_features_is_refused(bad):
+    ok = flat_example("s007", 4)
+    feats = ok.features.copy()
+    feats[5, 17] = bad
+    with pytest.raises(InputError, match="^s007: features contain non-finite values$"):
+        dataclasses.replace(ok, features=feats)
 
 
 def test_train_settings_validation():
@@ -226,6 +236,21 @@ def test_train_is_seed_deterministic():
     assert a.tau == b.tau and a.best_step == b.best_step
     assert isinstance(a.params, FlatParams) and list(a.params) == list(param_shapes(SMALL))
     assert np.array_equal(a.params.flat, b.params.flat)
+
+
+def test_train_on_float32_rows_matches_the_run_on_their_float64_cast():
+    """Every consumer rounds feature rows to float32, so the float32 rows
+    ``beatwise_resample`` returns train as the float64 ones did."""
+    examples = synth_examples(6, seed=39, num_beats=8, n_valid=2)
+    assert all(ex.features.dtype == np.float32 for ex in examples)
+    wide = [dataclasses.replace(ex, features=ex.features.astype(np.float64)) for ex in examples]
+    settings = TrainSettings(
+        batch_size=4, lr=1e-3, max_steps=60, eval_every=20, patience=10, seed=1
+    )
+    a, b = train(SMALL, examples, settings), train(SMALL, wide, settings)
+    assert a.params.flat.tobytes() == b.params.flat.tobytes()
+    assert (a.tau, a.valid_f1, a.best_step) == (b.tau, b.valid_f1, b.best_step)
+    assert a.history == b.history and len(a.history) == 3
 
 
 def test_train_early_stops_on_stale_validation():
